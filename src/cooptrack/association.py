@@ -11,6 +11,9 @@ from .ekf import (MeasurementKind, MeasurementNoiseParams, ProcessNoiseParams,
                   StateEstimate, measurement_matrix, measurement_noise_cov)
 from .errors import NumericalError
 
+# penalized Mahalanobis distance beyond which a device reading binds to no track
+DEVICE_GATE = 5.0
+
 
 @dataclass
 class CostMatrix:
@@ -96,7 +99,7 @@ def device_residual(gamma_dot, v, sigma_v, estimate: StateEstimate,
 
 
 def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
-                  p: ProcessNoiseParams, gate: float = 5.0):
+                  p: ProcessNoiseParams, gate: float = DEVICE_GATE):
     """Nearest-neighbor device-to-track binding.
 
     tracks is a sequence of predicted StateEstimates; returns the index of

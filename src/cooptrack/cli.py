@@ -8,64 +8,37 @@ error, 3 data error, 4 numerical failure.
 
 import argparse
 import concurrent.futures
-import csv
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import fileio
 from . import pipeline
 from . import scene_sim
 from . import velocity as velocity_mod
 from .config import RunConfig, load_config
 from .errors import ConfigError, CoopTrackError, DataError, NumericalError
 from .forest import RegressionForest
-from .metrics import motap
+from .metrics import pairwise_report
 
 
-def _atomic_write_text(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows, cfg: RunConfig):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(f"# config={cfg.config_hash()} seed={cfg.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
-
-
-def _scene_specs(cfg: RunConfig, occlusions_by_kind):
-    """One SceneSpec per configured scene, seeds drawn from the master seed."""
+def _scene_specs(cfg: RunConfig, occlusions):
+    """(scene_id, SceneSpec) per configured scene, seeds drawn from the
+    master seed: starting scenes first, then turning scenes."""
     rng = np.random.default_rng(cfg.seed)
     scenes_cfg = cfg.scenes
-    noise = scenes_cfg["noise"]
     specs = []
-    for kind, count_key, params_key in (
-            (scene_sim.KIND_STARTING, "n_starting", "starting"),
-            (scene_sim.KIND_TURNING, "n_turning", "turning")):
-        params = scenes_cfg[params_key]
-        for i in range(int(scenes_cfg[count_key])):
+    for kind, short in ((scene_sim.KIND_STARTING, "starting"),
+                        (scene_sim.KIND_TURNING, "turning")):
+        for i in range(int(scenes_cfg[f"n_{short}"])):
             seed = int(rng.integers(2 ** 63))
-            specs.append(scene_sim.SceneSpec(
-                kind=kind, seed=seed, occlusions=occlusions_by_kind,
-                **params, **noise))
+            specs.append((f"{short}_{i:04d}", scene_sim.SceneSpec(
+                kind=kind, seed=seed, occlusions=occlusions,
+                **scenes_cfg[short], **scenes_cfg["noise"])))
     return specs
-
-
-def _scene_id(spec: scene_sim.SceneSpec, index: int) -> str:
-    short = "starting" if spec.kind == scene_sim.KIND_STARTING else "turning"
-    return f"{short}_{index:04d}"
 
 
 def cmd_simulate(args) -> int:
@@ -78,17 +51,13 @@ def cmd_simulate(args) -> int:
                                             scenes_cfg["occlusion_end_offset"])
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": cfg.config_hash(), "seed": cfg.seed, "scenes": []}
-    counters = {}
-    for spec in _scene_specs(cfg, tuple(occl)):
-        index = counters.get(spec.kind, 0)
-        counters[spec.kind] = index + 1
-        scene_id = _scene_id(spec, index)
+    for scene_id, spec in _scene_specs(cfg, tuple(occl)):
         scene = scene_sim.generate_scene(spec, scene_id=scene_id)
         path = os.path.join(out_dir, scene_id)
         scene_sim.write_scene(scene, path)
         manifest["scenes"].append({"scene_id": scene_id, "path": path,
                                    "seed": spec.seed, "kind": spec.kind})
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    fileio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"wrote {len(manifest['scenes'])} scenes to {out_dir}")
     return 0
 
@@ -115,32 +84,27 @@ def cmd_evaluate(args) -> int:
         report_b = pipeline.evaluate_rows(scene, rows_b, cfg,
                                           args.model_id_b or
                                           os.path.basename(args.tracks_b))
-        a = (report["mota"], report["motp"])
-        b = (report_b["mota"], report_b["motp"])
-        report = {"a": report, "b": report_b,
-                  "motap_ab": motap(a, b, cfg.metric),
-                  "motap_ba": motap(b, a, cfg.metric)}
+        pair = pairwise_report(report, report_b, cfg.metric)
+        report = {"a": report, "b": report_b, "motap_ab": pair["motap_ab"],
+                  "motap_ba": pair["motap_ba"]}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(args.out, text + "\n")
+        fileio.write_text(args.out, text + "\n")
     print(text)
     return 0
 
 
 def _compare_one_scene(payload):
     """Worker: run all occlusion variants of one scene; returns result rows."""
-    raw_cfg, kind, index, seed, variants = payload
+    raw_cfg, base_id, spec, variants = payload
     cfg = RunConfig(raw_cfg)
-    scenes_cfg = cfg.scenes
-    params_key = "starting" if kind == scene_sim.KIND_STARTING else "turning"
     results = []
     for label, occl in variants:
-        spec = scene_sim.SceneSpec(kind=kind, seed=seed, occlusions=occl,
-                                   **scenes_cfg[params_key], **scenes_cfg["noise"])
-        scene_id = f"{_scene_id(spec, index)}_{label}"
-        scene = scene_sim.generate_scene(spec, scene_id=scene_id)
+        scene_id = f"{base_id}_{label}"
+        scene = scene_sim.generate_scene(
+            dataclasses.replace(spec, occlusions=occl), scene_id=scene_id)
         reports = pipeline.track_and_evaluate(scene, cfg)
-        results.append((kind, label, index, scene_id, reports))
+        results.append((spec.kind, label, scene_id, reports))
     return results
 
 
@@ -155,14 +119,8 @@ def cmd_compare(args) -> int:
     variants = [("none", ())]
     variants += [(f"occ{dur:g}s", (tup,))
                  for tup, dur in zip(aligned, sorted(durations))]
-
-    rng = np.random.default_rng(cfg.seed)
-    jobs = []
-    for kind, count_key in ((scene_sim.KIND_STARTING, "n_starting"),
-                            (scene_sim.KIND_TURNING, "n_turning")):
-        for i in range(int(scenes_cfg[count_key])):
-            seed = int(rng.integers(2 ** 63))
-            jobs.append((cfg.raw, kind, i, seed, variants))
+    jobs = [(cfg.raw, scene_id, spec, variants)
+            for scene_id, spec in _scene_specs(cfg, ())]
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -173,45 +131,42 @@ def cmd_compare(args) -> int:
     per_scene_rows = []
     grouped = {}
     for scene_results in all_results:
-        for kind, label, index, scene_id, reports in scene_results:
+        for kind, label, scene_id, reports in scene_results:
             grouped.setdefault((kind, label), []).append(reports)
             for model in cfg.models:
                 rep = reports[model]
+                counts = rep["frame_counts"]
                 per_scene_rows.append((
-                    scene_id, kind, label, model,
-                    f"{rep['motp']:.6f}", f"{rep['mota']:.6f}",
-                    rep["frame_counts"]["matches"], rep["frame_counts"]["dm"],
-                    rep["frame_counts"]["lm"]))
+                    scene_id, kind, label, model, rep["motp"], rep["mota"],
+                    counts["matches"], counts["dm"], counts["lm"]))
 
+    both = set(cfg.models) >= {"P", "C"}
     summary_rows = []
     for (kind, label), report_list in sorted(grouped.items()):
         row = [kind, label, len(report_list)]
         for model in cfg.models:
             agg = pipeline.aggregate([r[model] for r in report_list])
-            row += [f"{agg['motp'][stat]:.6f}" for stat in ("min", "max", "mean")]
-            row += [f"{agg['mota'][stat]:.6f}" for stat in ("min", "max", "mean")]
-        if set(cfg.models) >= {"P", "C"}:
-            sum_pc = sum(motap((r["P"]["mota"], r["P"]["motp"]),
-                               (r["C"]["mota"], r["C"]["motp"]), cfg.metric)
-                         for r in report_list)
-            sum_cp = sum(motap((r["C"]["mota"], r["C"]["motp"]),
-                               (r["P"]["mota"], r["P"]["motp"]), cfg.metric)
-                         for r in report_list)
-            row += [sum_pc, sum_cp]
-        summary_rows.append(tuple(row))
+            row += [agg[metric][stat] for metric in ("motp", "mota")
+                    for stat in ("min", "max", "mean")]
+        if both:
+            pairs = [pairwise_report(r["P"], r["C"], cfg.metric)
+                     for r in report_list]
+            row += [sum(p["motap_ab"] for p in pairs),
+                    sum(p["motap_ba"] for p in pairs)]
+        summary_rows.append(row)
 
     per_scene_header = ("scene_id", "kind", "occlusion", "model", "motp", "mota",
                         "matches", "dm", "lm")
     summary_header = ["kind", "occlusion", "n_scenes"]
     for model in cfg.models:
-        summary_header += [f"motp_{model}_{s}" for s in ("min", "max", "mean")]
-        summary_header += [f"mota_{model}_{s}" for s in ("min", "max", "mean")]
-    if set(cfg.models) >= {"P", "C"}:
+        summary_header += [f"{metric}_{model}_{stat}" for metric in ("motp", "mota")
+                           for stat in ("min", "max", "mean")]
+    if both:
         summary_header += ["sum_motap_PC", "sum_motap_CP"]
-    _write_csv(os.path.join(out_dir, "per_scene.csv"), per_scene_header,
-               per_scene_rows, cfg)
-    _write_csv(os.path.join(out_dir, "summary.csv"), tuple(summary_header),
-               summary_rows, cfg)
+    fileio.write_csv(os.path.join(out_dir, "per_scene.csv"), per_scene_header,
+                     per_scene_rows, comment=cfg.provenance())
+    fileio.write_csv(os.path.join(out_dir, "summary.csv"), summary_header,
+                     summary_rows, comment=cfg.provenance())
     print(f"wrote {os.path.join(out_dir, 'per_scene.csv')} and summary.csv "
           f"({len(per_scene_rows)} rows)")
     return 0
@@ -227,11 +182,11 @@ def cmd_train_velocity(args) -> int:
         n_trees=int(vcfg["n_trees"]), max_depth=int(vcfg["max_depth"]),
         n_bins=int(vcfg["n_bins"]),
         holdout_fraction=float(vcfg["holdout_fraction"]))
-    _atomic_write_text(os.path.join(out_dir, "forest_with_gnss.json"),
-                       model.with_gnss.to_json() + "\n")
-    _atomic_write_text(os.path.join(out_dir, "forest_no_gnss.json"),
-                       model.no_gnss.to_json() + "\n")
-    _write_json(os.path.join(out_dir, "rmse_report.json"), report)
+    fileio.write_text(os.path.join(out_dir, "forest_with_gnss.json"),
+                      model.with_gnss.to_json() + "\n")
+    fileio.write_text(os.path.join(out_dir, "forest_no_gnss.json"),
+                      model.no_gnss.to_json() + "\n")
+    fileio.write_json(os.path.join(out_dir, "rmse_report.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -239,12 +194,8 @@ def cmd_train_velocity(args) -> int:
 def load_velocity_model(directory) -> velocity_mod.VelocityModel:
     """Read the forest pair written by train-velocity."""
     def _read(name):
-        path = os.path.join(directory, name)
-        try:
-            with open(path) as fh:
-                return RegressionForest.from_json(fh.read())
-        except OSError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        return RegressionForest.from_json(
+            fileio.read_text(os.path.join(directory, name)))
     return velocity_mod.VelocityModel(with_gnss=_read("forest_with_gnss.json"),
                                       no_gnss=_read("forest_no_gnss.json"))
 

@@ -8,48 +8,63 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
+from . import association
 from . import ekf
+from . import forest
 from . import metrics
+from . import scene_sim
 from . import track_manager
 from .errors import ConfigError
 
 SEED_ENV_VAR = "COOPTRACK_SEED"
 
+
+def _fields(obj, names=None):
+    """Dataclass defaults as a config section, optionally a subset of them."""
+    values = asdict(obj)
+    return {name: values[name] for name in (names or values)}
+
+
+_MANAGER_KEYS = ("gate_distance", "miss_ratio_max", "update_timeout",
+                 "min_valid_age")
+
+# Parameters are defined once, as the defaults of the dataclass or
+# constructor that uses them; only keys with no such home are literal here.
 DEFAULTS = {
     "seed": 20240001,
     "output_dir": "out",
     "models": ["P", "C"],
     "filter": {
-        "process": {"sigma_w_gamma_dot": 1.5, "sigma_w_v_dot": 2.5, "T": 0.020},
-        "measurement": {"sigma_x": 0.15, "sigma_y": 0.15, "sigma_gamma_dot": 0.3,
-                        "r_divide_by_T": True},
-        "device_gate": 5.0,
+        "process": _fields(ekf.ProcessNoiseParams()),
+        "measurement": _fields(ekf.MeasurementNoiseParams()),
+        "device_gate": association.DEVICE_GATE,
     },
     "manager": {
-        "pixel": {"gate_distance": 40.0, "miss_ratio_max": 0.30,
-                  "update_timeout": 1.0, "min_valid_age": 4},
-        "coop": {"gate_distance": 2.0, "miss_ratio_max": 0.50,
-                 "update_timeout": 2.0, "min_valid_age": 4},
+        "pixel": _fields(track_manager.ManagerConfig.pixel_defaults(),
+                         _MANAGER_KEYS),
+        "coop": _fields(track_manager.ManagerConfig.coop_defaults(),
+                        _MANAGER_KEYS),
     },
-    "metric": {"tau": 1.0, "alpha": 0.025, "beta": 0.01},
+    "metric": _fields(metrics.MetricConfig()),
     "scenes": {
         "n_starting": 5,
         "n_turning": 5,
         "occlusion_durations": [1.0, 2.0],
         "occlusion_end_offset": 3.0,
-        "starting": {"duration": 14.0, "v_peak": 3.0, "ramp_rate": 1.5,
-                     "ramp_center_time": 10.0},
-        "turning": {"duration": 12.0, "v_peak": 4.0, "turn_radius": 5.0,
-                    "turn_center_time": 8.0},
-        "noise": {"sigma_detection": 0.15, "sigma_device_gamma_dot": 0.3,
-                  "sigma_device_v": 0.3, "device_delay": 0.3,
-                  "device_bias_gamma_dot": 0.35, "device_bias_v": 0.35,
-                  "device_bias_tau": 4.0,
-                  "dropout_prob": 0.05, "sigma_gnss_v": 0.3,
-                  "sigma_gnss_pos": 3.0},
+        "starting": _fields(scene_sim.SceneSpec(), (
+            "duration", "v_peak", "ramp_rate", "ramp_center_time")),
+        "turning": _fields(scene_sim.SceneSpec.turning_defaults(), (
+            "duration", "v_peak", "turn_radius", "turn_center_time")),
+        "noise": _fields(scene_sim.SceneSpec(), (
+            "sigma_detection", "sigma_device_gamma_dot", "sigma_device_v",
+            "device_delay", "device_bias_gamma_dot", "device_bias_v",
+            "device_bias_tau", "dropout_prob", "sigma_gnss_v",
+            "sigma_gnss_pos")),
     },
-    "velocity": {"n_trees": 300, "max_depth": 6, "n_bins": 64,
+    "velocity": {"n_trees": forest.N_TREES, "max_depth": forest.MAX_DEPTH,
+                 "n_bins": forest.N_BINS,
                  "training_scenes": 24, "holdout_fraction": 0.25},
 }
 
@@ -97,6 +112,10 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+    def provenance(self) -> str:
+        """`config=<hash> seed=<seed>`, the comment line of result CSVs."""
+        return f"config={self.config_hash()} seed={self.seed}"
 
 
 def load_config(path=None, overrides=None) -> RunConfig:

@@ -17,6 +17,12 @@ MIN_TRAIN_SAMPLES = 100
 
 FOREST_FORMAT = "cooptrack-forest-v1"
 
+# hyperparameter defaults; the trainers and the run configuration take them
+# from here
+N_TREES = 300
+MAX_DEPTH = 6
+N_BINS = 64
+
 
 @dataclass
 class _Tree:
@@ -82,7 +88,8 @@ def _best_split(counts, sums, sumsqs):
 class RegressionForest:
     """Forest of depth-bounded regression trees with seed-deterministic fit."""
 
-    def __init__(self, n_trees=300, max_depth=6, n_bins=64, seed=0):
+    def __init__(self, n_trees=N_TREES, max_depth=MAX_DEPTH, n_bins=N_BINS,
+                 seed=0):
         if n_trees < 1 or max_depth < 1 or n_bins < 2:
             raise ValueError("bad forest hyperparameters")
         self.n_trees = int(n_trees)
@@ -219,9 +226,8 @@ class RegressionForest:
         return forest
 
 
-def train_forest(features, targets, seed, n_trees=300, max_depth=6, n_bins=64,
-                 feature_layout=None) -> RegressionForest:
-    """Convenience constructor-plus-fit."""
-    forest = RegressionForest(n_trees=n_trees, max_depth=max_depth,
-                              n_bins=n_bins, seed=seed)
+def train_forest(features, targets, seed, feature_layout=None,
+                 **hyperparams) -> RegressionForest:
+    """Convenience constructor-plus-fit; hyperparams go to RegressionForest."""
+    forest = RegressionForest(seed=seed, **hyperparams)
     return forest.fit(features, targets, feature_layout=feature_layout)

@@ -1,18 +1,18 @@
 """Scene-level pipeline: run a tracking model over a scene, persist the
 per-frame track output and the assignment log, and evaluate metrics."""
 
-import csv
 import os
 
 import numpy as np
 
+from . import fileio
 from . import metrics as metrics_mod
 from . import scene_sim
 from .config import RunConfig
-from .errors import DataError
 from .track_manager import TrackManager, TrackStatus
 
 TRACK_HEADER = ("t", "track_id", "x", "y", "gamma", "gamma_dot", "v", "valid")
+TRACK_TYPES = (float, int, float, float, float, float, float, int)
 ASSIGN_HEADER = ("t", "track_id", "detection_id", "device_bound")
 
 MODEL_POSITION_ONLY = "P"
@@ -61,67 +61,20 @@ def _frame_index(t, times):
 
 # -- persistence -------------------------------------------------------------
 
-def _write_rows(path, header, rows, comment):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-    os.replace(tmp, path)
-
-
-def _fmt(cell):
-    if isinstance(cell, float):
-        return f"{cell:.6f}"
-    return str(cell)
-
-
 def write_track_output(directory, model, track_rows, assign_rows, cfg: RunConfig,
                        scene_id):
     os.makedirs(directory, exist_ok=True)
-    comment = f"# config={cfg.config_hash()} seed={cfg.seed} scene={scene_id} model={model}"
+    comment = f"{cfg.provenance()} scene={scene_id} model={model}"
     track_path = os.path.join(directory, f"tracks_{model}.csv")
-    _write_rows(track_path, TRACK_HEADER, track_rows, comment)
-    _write_rows(os.path.join(directory, f"assignments_{model}.csv"),
-                ASSIGN_HEADER, assign_rows, comment)
+    fileio.write_csv(track_path, TRACK_HEADER, track_rows, comment)
+    fileio.write_csv(os.path.join(directory, f"assignments_{model}.csv"),
+                     ASSIGN_HEADER, assign_rows, comment)
     return track_path
 
 
 def read_track_output(path):
     """Track rows from a tracks CSV; returns a list of tuples."""
-    rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        lineno = 0
-        header_seen = False
-        for row in reader:
-            lineno += 1
-            if not row or row[0].startswith("#"):
-                continue
-            if not header_seen:
-                if tuple(row) != TRACK_HEADER:
-                    raise DataError(f"{path} line {lineno}: expected header "
-                                    f"{','.join(TRACK_HEADER)}")
-                header_seen = True
-                continue
-            if len(row) != len(TRACK_HEADER):
-                raise DataError(f"{path} line {lineno}: expected "
-                                f"{len(TRACK_HEADER)} columns")
-            try:
-                rows.append((float(row[0]), int(row[1]), float(row[2]),
-                             float(row[3]), float(row[4]), float(row[5]),
-                             float(row[6]), int(row[7])))
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-    if not header_seen:
-        raise DataError(f"{path} line 1: missing header")
-    return rows
+    return fileio.read_csv(path, TRACK_HEADER, TRACK_TYPES)
 
 
 # -- evaluation ---------------------------------------------------------------

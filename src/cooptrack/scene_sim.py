@@ -8,7 +8,6 @@ Occlusion windows remove camera detections only; device and GNSS streams are
 unaffected.
 """
 
-import csv
 import json
 import math
 import os
@@ -16,6 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import fileio
 from .errors import DataError
 
 FRAME_RATE = 50.0            # Hz, camera/device grid
@@ -301,16 +301,6 @@ _CSV_COLUMNS = {
 }
 
 
-def _write_csv(path, header, rows):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{val:.6f}" for val in row])
-    os.replace(tmp, path)
-
-
 def write_scene(scene: Scene, directory):
     os.makedirs(directory, exist_ok=True)
     arrays = {
@@ -320,7 +310,7 @@ def write_scene(scene: Scene, directory):
         "gnss.csv": scene.gnss,
     }
     for name, arr in arrays.items():
-        _write_csv(os.path.join(directory, name), _CSV_COLUMNS[name], arr)
+        fileio.write_csv(os.path.join(directory, name), _CSV_COLUMNS[name], arr)
     meta = {
         "format": "cooptrack-scene-v1",
         "scene_id": scene.scene_id,
@@ -328,52 +318,23 @@ def write_scene(scene: Scene, directory):
         "spec": asdict(scene.spec),
         "occlusion_windows": scene.occlusion_windows(),
     }
-    tmp = os.path.join(directory, "scene.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(directory, "scene.json"))
-
-
-def _read_csv(path, expected_header):
-    rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != tuple(expected_header):
-            raise DataError(f"{path} line 1: expected header "
-                            f"{','.join(expected_header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise DataError(f"{path} line {lineno}: expected "
-                                f"{len(expected_header)} columns, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-    return np.array(rows, dtype=float).reshape(-1, len(expected_header))
+    fileio.write_json(os.path.join(directory, "scene.json"), meta)
 
 
 def read_scene(directory) -> Scene:
     meta_path = os.path.join(directory, "scene.json")
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"{meta_path}: {exc}") from exc
+        meta = json.loads(fileio.read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path}: invalid JSON ({exc})") from exc
-    spec_fields = dict(meta.get("spec", {}))
-    if "occlusions" in spec_fields:
-        spec_fields["occlusions"] = tuple(tuple(o) for o in spec_fields["occlusions"])
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: top level must be an object")
     try:
-        spec = SceneSpec(**spec_fields)
-    except TypeError as exc:
-        raise DataError(f"{meta_path}: bad spec ({exc})") from exc
+        spec = SceneSpec(**meta.get("spec", {}))
+        windows = [(float(start), float(end))
+                   for start, end in meta.get("occlusion_windows", [])]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: bad value ({exc})") from exc
     # device and GNSS streams are optional: a position-only scene is valid
     arrays = {}
     for name, cols in _CSV_COLUMNS.items():
@@ -381,11 +342,11 @@ def read_scene(directory) -> Scene:
         if name in ("device.csv", "gnss.csv") and not os.path.exists(path):
             arrays[name] = np.empty((0, len(cols)))
         else:
-            arrays[name] = _read_csv(path, cols)
+            rows = fileio.read_csv(path, cols)
+            arrays[name] = np.array(rows, dtype=float).reshape(-1, len(cols))
     gt = arrays["ground_truth.csv"]
     if gt.size == 0:
         raise DataError(f"{directory}: empty ground truth")
-    windows = [tuple(w) for w in meta.get("occlusion_windows", [])]
     return Scene(scene_id=meta.get("scene_id", os.path.basename(str(directory))),
                  spec=spec, ground_truth=gt,
                  detections=arrays["detections.csv"],

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ekf
 from . import pixel_track
-from .association import assign_device, gated_cost_matrix, munkres_solve
+from .association import (DEVICE_GATE, assign_device, gated_cost_matrix,
+                          munkres_solve)
 from .errors import DataError
 
 
@@ -104,7 +105,7 @@ class TrackManager:
                  process: ekf.ProcessNoiseParams | None = None,
                  noise: ekf.MeasurementNoiseParams | None = None,
                  pixel_params: PixelFilterParams | None = None,
-                 device_gate: float = 5.0):
+                 device_gate: float = DEVICE_GATE):
         self.config = config
         self.process = process or ekf.ProcessNoiseParams()
         self.noise = noise or ekf.MeasurementNoiseParams()

@@ -78,7 +78,7 @@ def _training_specs(seed, n_scenes):
         scene_seed = int(rng.integers(2 ** 63))
         if i % 2 == 0:
             specs.append(scene_sim.SceneSpec(
-                kind=scene_sim.KIND_STARTING, duration=14.0, seed=scene_seed,
+                kind=scene_sim.KIND_STARTING, seed=scene_seed,
                 v_peak=float(rng.uniform(0.0, 7.0)),
                 ramp_rate=float(rng.uniform(0.8, 2.0)),
                 ramp_center_time=float(rng.uniform(6.0, 10.0))))
@@ -121,10 +121,11 @@ def build_training_set(seed, n_scenes=24):
             np.concatenate(rows_scene))
 
 
-def train_velocity_model(seed, n_scenes=24, n_trees=300, max_depth=6, n_bins=64,
-                         holdout_fraction=0.25):
+def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
+                         **hyperparams):
     """Train both forests on synthetic rides; returns (model, report).
 
+    hyperparams (n_trees, max_depth, n_bins) go to both RegressionForests.
     The report carries held-out RMSE for each forest, evaluated on whole
     scenes kept out of training.
     """
@@ -137,12 +138,11 @@ def train_velocity_model(seed, n_scenes=24, n_trees=300, max_depth=6, n_bins=64,
     X_ho, y_ho = X[hold], y[hold]
 
     n_motion = feat.N_MOTION_FEATURES
-    f_with = train_forest(X_tr, y_tr, seed=seed, n_trees=n_trees,
-                          max_depth=max_depth, n_bins=n_bins,
-                          feature_layout=feat.feature_layout(True))
+    f_with = train_forest(X_tr, y_tr, seed=seed,
+                          feature_layout=feat.feature_layout(True), **hyperparams)
     f_without = train_forest(X_tr[:, :n_motion], y_tr, seed=seed + 1,
-                             n_trees=n_trees, max_depth=max_depth, n_bins=n_bins,
-                             feature_layout=feat.feature_layout(False))
+                             feature_layout=feat.feature_layout(False),
+                             **hyperparams)
     pred_w, _ = f_with.predict(X_ho)
     pred_wo, _ = f_without.predict(X_ho[:, :n_motion])
     report = {

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -151,6 +152,43 @@ class TestTrack:
         det.write_text(det.read_text().replace("t,x,y", "bogus,x,y", 1))
         assert run(["--config", cfg, "track", broken, "--model", "P"]) == 3
         assert "detections.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: meta["spec"].update(kind="unicycle"),
+        lambda meta: meta.update(occlusion_windows=[[1.0]]),
+    ])
+    def test_bad_scene_json_value_exits_3(self, scene_batch, tmp_path, capsys,
+                                          corrupt):
+        cfg, scenes = scene_batch
+        broken = tmp_path / "broken"
+        shutil.copytree(os.path.join(scenes, "turning_0000"), broken)
+        meta_path = broken / "scene.json"
+        meta = json.loads(meta_path.read_text())
+        corrupt(meta)
+        meta_path.write_text(json.dumps(meta))
+        assert run(["--config", cfg, "track", broken, "--model", "P"]) == 3
+        assert "scene.json: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name,cell", [
+        ("track", "detections.csv", "nan"),
+        ("evaluate", "tracks_P.csv", "inf"),
+    ])
+    def test_non_finite_cell_exits_3(self, scene_batch, tmp_path, capsys,
+                                     command, name, cell):
+        cfg, scenes = scene_batch
+        broken = tmp_path / "broken"
+        shutil.copytree(os.path.join(scenes, "starting_0000"), broken)
+        assert run(["--config", cfg, "track", broken, "--model", "P"]) == 0
+        path = broken / name
+        lines = path.read_text().splitlines()
+        lineno = 4          # a data row, past any comment and the header
+        lines[lineno - 1] = cell + lines[lineno - 1][lines[lineno - 1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        argv = {"track": ["track", broken, "--model", "P"],
+                "evaluate": ["evaluate", broken, "--tracks", path]}[command]
+        capsys.readouterr()
+        assert run(["--config", cfg] + argv) == 3
+        assert f"{name} line {lineno}: non-finite" in capsys.readouterr().err
 
 
 class TestEvaluate:

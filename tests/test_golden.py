@@ -1,0 +1,57 @@
+"""Golden outputs: every file `compare`, `simulate` and `track` write for a
+small fixed configuration, pinned by sha256.
+
+A change that moves any byte of these files (a digit, the comment line, a
+line ending) fails here; if the change is intended, the new digests go in
+together with the diff that explains them.  manifest.json is left out
+because it records the output path.
+"""
+
+import hashlib
+import json
+
+from cooptrack import cli
+from cooptrack.config import load_config
+
+CONFIG = {"scenes": {"n_starting": 1, "n_turning": 1,
+                     "occlusion_durations": [2.0]}}
+
+COMPARE = {
+    "per_scene.csv": "bf17ee1a54316276737ff713159239f5635a0d8c080bfc60c55d8e8abd7a7bb9",
+    "summary.csv": "4968e6ecd5f7a75fa98d86fb06b9445d33aef91554fbfd1a973edefdde4c2e2e",
+}
+
+TURNING_SCENE = {
+    "ground_truth.csv": "d4ad994773eec74a5d3acd51f9f4d0e2830aebc7e74b1a5288b354b41ea1ac98",
+    "detections.csv": "181c17f12383683aa079460ef582b79f0d622f4433324e84dfb6b27a0a3fc805",
+    "device.csv": "9f0f04362ec9c1184d70188157be1d038eb4f622d11b4b9a664b420375e1a61d",
+    "gnss.csv": "0fd29653009b46eca27290837d4584a74a0e98a6de3aefb3baf604560830f9d9",
+    "scene.json": "95add2f9d7ec575a8f6e4cfe65710b31a77cd9b1d8ac388033b560970df20c75",
+    "tracks_C.csv": "334a96943ffa5e15a24207e2f4c4bb2da809883ade3268b33dae072ac57397ee",
+    "tracks_P.csv": "9e7a36aa753b4760097e15f1bc51215eebf48c4c45bb8f5ca52e22e4155add93",
+    "assignments_C.csv": "338bce6d235e78ff65b0d6ed2b25586bf59c1fa917559f12e5392de950c38746",
+    "assignments_P.csv": "60079bad9b3891693fbded463c233431aec083e7c2b2fd37c73730afc7c7d8a3",
+}
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_default_config_hash():
+    assert load_config().config_hash() == "a227b6db40b4"
+
+
+def test_output_files_match_pinned_digests(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    results, scenes = tmp_path / "results", tmp_path / "scenes"
+    assert cli.main(["--config", str(cfg), "compare", "--out", str(results)]) == 0
+    assert cli.main(["--config", str(cfg), "simulate", "--out", str(scenes)]) == 0
+    scene = scenes / "turning_0000"
+    for model in ("P", "C"):
+        assert cli.main(["--config", str(cfg), "track", str(scene),
+                         "--model", model]) == 0
+    assert _digests(results, COMPARE) == COMPARE
+    assert _digests(scene, TURNING_SCENE) == TURNING_SCENE

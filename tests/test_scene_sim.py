@@ -187,6 +187,15 @@ class TestSceneIO:
         with pytest.raises(DataError, match=r"gnss\.csv line 1"):
             read_scene(str(tmp_path))
 
+    # undecodable bytes; a field past the csv module's size limit
+    @pytest.mark.parametrize("content", [b"t,x,y\n\xff\xfe,1,2\n",
+                                         b"t,x,y\n" + b"1" * 200000 + b",2,3\n"])
+    def test_unreadable_csv_rejected(self, tmp_path, content):
+        write_scene(generate_scene(SceneSpec(seed=3)), str(tmp_path))
+        (tmp_path / "detections.csv").write_bytes(content)
+        with pytest.raises(DataError, match=r"detections\.csv"):
+            read_scene(str(tmp_path))
+
     def test_missing_metadata_rejected(self, tmp_path):
         with pytest.raises(DataError):
             read_scene(str(tmp_path))
