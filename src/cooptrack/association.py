@@ -5,10 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ekf import (MeasurementKind, MeasurementNoiseParams, ProcessNoiseParams,
-                  StateEstimate, measurement_matrix, measurement_noise_cov)
+                  StateEstimate, measurement_matrix, measurement_noise_variances)
 from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
@@ -33,7 +32,7 @@ class CostMatrix:
             if self.forbidden.shape != self.cost.shape:
                 raise ValueError("forbidden mask shape must match cost shape")
         allowed = self.cost[~self.forbidden]
-        if allowed.size and not np.all(np.isfinite(allowed)):
+        if not np.isfinite(allowed).all():
             raise ValueError("allowed costs must be finite")
 
 
@@ -63,9 +62,29 @@ def munkres_solve(c: CostMatrix):
     max_allowed = float(c.cost[allowed].max())
     sentinel = (abs(max_allowed) + 1.0) * (min(n_rows, n_cols) + 1)
     work = np.where(allowed, c.cost, sentinel)
-    rows, cols = linear_sum_assignment(work)
-    return sorted((int(r), int(col)) for r, col in zip(rows, cols)
-                  if allowed[r, col])
+    if n_rows == 1 or n_cols == 1:
+        # one row or column: the optimum is its cheapest cell, and on ties
+        # the first one, as linear_sum_assignment picks it
+        pairs = [divmod(int(work.argmin()), n_cols)]
+    else:
+        # imported here: scipy.optimize takes longer to import than a whole
+        # small tracking run, and single-cyclist scenes never get this far
+        from scipy.optimize import linear_sum_assignment
+        pairs = zip(*linear_sum_assignment(work))
+    return sorted((int(r), int(col)) for r, col in pairs if allowed[r, col])
+
+
+def penalized_mahalanobis_batch(y, S):
+    """penalized_mahalanobis of N residuals y (N, m) with innovation
+    covariances S (N, m, m); returns the (N,) distances."""
+    try:
+        chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is not positive-definite") from exc
+    sol = np.linalg.solve(chol, y[:, :, None])[:, :, 0]
+    quad = (sol[:, None, :] @ sol[:, :, None])[:, 0, 0]
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return np.sqrt(np.maximum(0.0, quad + log_det))
 
 
 def penalized_mahalanobis(r: DeviceResidual) -> float:
@@ -76,26 +95,43 @@ def penalized_mahalanobis(r: DeviceResidual) -> float:
     """
     y = np.asarray(r.y, dtype=float)
     S = np.asarray(r.S, dtype=float)
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is not positive-definite") from exc
-    sol = np.linalg.solve(chol, y)
-    quad = float(sol @ sol)
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    return math.sqrt(max(0.0, quad + log_det))
+    return float(penalized_mahalanobis_batch(y[None], S[None])[0])
+
+
+def device_residuals(z, x, P, r):
+    """Residuals y (N, 2) and innovation covariances S (N, 2, 2) of device
+    readings z = (gamma_dot, v) per row against predicted track states x
+    (N, 5) with covariances P (N, 5, 5); r (N, 2) holds the device noise
+    variances, the diagonal of R."""
+    H = measurement_matrix(MeasurementKind.DEVICE_ONLY)
+    y = z - x[:, 3:5]
+    S = H @ P @ H.T + r[:, :, None] * np.eye(2)
+    return y, S
 
 
 def device_residual(gamma_dot, v, sigma_v, estimate: StateEstimate,
                     n: MeasurementNoiseParams, p: ProcessNoiseParams) -> DeviceResidual:
     """Residual and innovation covariance of a device reading against a
     predicted track estimate."""
-    H = measurement_matrix(MeasurementKind.DEVICE_ONLY)
-    R = measurement_noise_cov(MeasurementKind.DEVICE_ONLY, n, p, sigma_v=sigma_v)
-    s = estimate.state
-    y = np.array([gamma_dot - s.gamma_dot, v - s.v])
-    S = H @ estimate.covariance @ H.T + R
-    return DeviceResidual(y=y, S=S)
+    r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n, p, sigma_v)
+    y, S = device_residuals(np.array([[gamma_dot, v]], dtype=float),
+                            estimate.state.as_array()[None],
+                            np.asarray(estimate.covariance, dtype=float)[None],
+                            np.array([r]))
+    return DeviceResidual(y=y[0], S=S[0])
+
+
+def nearest_within_gate(distances, gate: float):
+    """Index of the smallest distance, the lowest index on ties, if it is
+    not beyond the gate; else None."""
+    best_idx = None
+    best_d = math.inf
+    for idx, d in enumerate(distances):
+        if d < best_d:
+            best_idx, best_d = idx, d
+    if best_idx is None or best_d > gate:
+        return None
+    return best_idx
 
 
 def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
@@ -106,16 +142,15 @@ def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
     the track with the smallest penalized Mahalanobis distance if it is
     within the gate, else None.  Ties break to the lowest index.
     """
-    best_idx = None
-    best_d = math.inf
-    for idx, estimate in enumerate(tracks):
-        d = penalized_mahalanobis(
-            device_residual(gamma_dot, v, sigma_v, estimate, n, p))
-        if d < best_d:
-            best_idx, best_d = idx, d
-    if best_idx is None or best_d > gate:
+    if not tracks:
         return None
-    return best_idx
+    r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n, p, sigma_v)
+    y, S = device_residuals(
+        np.array([[gamma_dot, v]] * len(tracks), dtype=float),
+        np.array([e.state.as_array() for e in tracks]),
+        np.array([e.covariance for e in tracks], dtype=float),
+        np.array([r] * len(tracks)))
+    return nearest_within_gate(penalized_mahalanobis_batch(y, S).tolist(), gate)
 
 
 def gated_cost_matrix(track_positions, detection_positions, gate: float) -> CostMatrix:

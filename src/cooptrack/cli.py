@@ -8,7 +8,6 @@ error, 3 data error, 4 numerical failure.
 
 import argparse
 import concurrent.futures
-import dataclasses
 import json
 import os
 import sys
@@ -25,9 +24,11 @@ from .forest import RegressionForest
 from .metrics import pairwise_report
 
 
-def _scene_specs(cfg: RunConfig, occlusions):
-    """(scene_id, SceneSpec) per configured scene, seeds drawn from the
-    master seed: starting scenes first, then turning scenes."""
+def _scene_specs(cfg: RunConfig, variants):
+    """(base scene id, variant label, SceneSpec) per configured scene and
+    occlusion variant (label, occlusions).  Seeds are drawn from the master
+    seed, starting scenes first, then turning scenes; the variants of a
+    scene share its seed.  A value SceneSpec rejects is a ConfigError."""
     rng = np.random.default_rng(cfg.seed)
     scenes_cfg = cfg.scenes
     specs = []
@@ -35,9 +36,14 @@ def _scene_specs(cfg: RunConfig, occlusions):
                         (scene_sim.KIND_TURNING, "turning")):
         for i in range(int(scenes_cfg[f"n_{short}"])):
             seed = int(rng.integers(2 ** 63))
-            specs.append((f"{short}_{i:04d}", scene_sim.SceneSpec(
-                kind=kind, seed=seed, occlusions=occlusions,
-                **scenes_cfg[short], **scenes_cfg["noise"])))
+            for label, occlusions in variants:
+                try:
+                    spec = scene_sim.SceneSpec(
+                        kind=kind, seed=seed, occlusions=occlusions,
+                        **scenes_cfg[short], **scenes_cfg["noise"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"scenes.{short}: {exc}") from exc
+                specs.append((f"{short}_{i:04d}", label, spec))
     return specs
 
 
@@ -51,7 +57,7 @@ def cmd_simulate(args) -> int:
                                             scenes_cfg["occlusion_end_offset"])
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": cfg.config_hash(), "seed": cfg.seed, "scenes": []}
-    for scene_id, spec in _scene_specs(cfg, tuple(occl)):
+    for scene_id, _, spec in _scene_specs(cfg, [("", tuple(occl))]):
         scene = scene_sim.generate_scene(spec, scene_id=scene_id)
         path = os.path.join(out_dir, scene_id)
         scene_sim.write_scene(scene, path)
@@ -94,16 +100,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _compare_one_scene(payload):
-    """Worker: run all occlusion variants of one scene; returns result rows."""
-    raw_cfg, base_id, spec, variants = payload
+# Scenes per lockstep batch of `compare`: with two occlusion variants and
+# both models, 8 scenes are 32 lanes.  Larger batches gain little speed
+# and hold every lane's scene and rows in memory until the batch ends.
+COMPARE_CHUNK_SCENES = 8
+
+
+def _compare_chunk(payload):
+    """Worker: simulate a chunk of scene variants, track all of them with
+    every model in one lockstep batch and evaluate; returns result rows."""
+    raw_cfg, entries = payload
     cfg = RunConfig(raw_cfg)
+    scenes = [scene_sim.generate_scene(spec, scene_id=scene_id)
+              for scene_id, _, spec in entries]
+    lanes = [(scene, model) for scene in scenes for model in cfg.models]
+    outputs = iter(pipeline.run_tracking_batch(lanes, cfg))
     results = []
-    for label, occl in variants:
-        scene_id = f"{base_id}_{label}"
-        scene = scene_sim.generate_scene(
-            dataclasses.replace(spec, occlusions=occl), scene_id=scene_id)
-        reports = pipeline.track_and_evaluate(scene, cfg)
+    for scene, (scene_id, label, spec) in zip(scenes, entries):
+        reports = {model: pipeline.evaluate_rows(scene, next(outputs)[0], cfg, model)
+                   for model in cfg.models}
         results.append((spec.kind, label, scene_id, reports))
     return results
 
@@ -119,14 +134,16 @@ def cmd_compare(args) -> int:
     variants = [("none", ())]
     variants += [(f"occ{dur:g}s", (tup,))
                  for tup, dur in zip(aligned, sorted(durations))]
-    jobs = [(cfg.raw, scene_id, spec, variants)
-            for scene_id, spec in _scene_specs(cfg, ())]
+    entries = [(f"{base_id}_{label}", label, spec)
+               for base_id, label, spec in _scene_specs(cfg, variants)]
+    size = COMPARE_CHUNK_SCENES * len(variants)
+    jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_results = list(pool.map(_compare_one_scene, jobs))
+            all_results = list(pool.map(_compare_chunk, jobs))
     else:
-        all_results = [_compare_one_scene(job) for job in jobs]
+        all_results = [_compare_chunk(job) for job in jobs]
 
     per_scene_rows = []
     grouped = {}
@@ -194,8 +211,11 @@ def cmd_train_velocity(args) -> int:
 def load_velocity_model(directory) -> velocity_mod.VelocityModel:
     """Read the forest pair written by train-velocity."""
     def _read(name):
-        return RegressionForest.from_json(
-            fileio.read_text(os.path.join(directory, name)))
+        path = os.path.join(directory, name)
+        try:
+            return RegressionForest.from_json(fileio.read_text(path))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: not a forest file ({exc})") from exc
     return velocity_mod.VelocityModel(with_gnss=_read("forest_with_gnss.json"),
                                       no_gnss=_read("forest_no_gnss.json"))
 

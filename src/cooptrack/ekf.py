@@ -40,7 +40,8 @@ class BikeState:
     v: float
 
     def as_array(self):
-        return np.array([self.x, self.y, self.gamma, self.gamma_dot, self.v])
+        return np.array([self.x, self.y, self.gamma, self.gamma_dot, self.v],
+                        dtype=float)
 
     @classmethod
     def from_array(cls, arr):
@@ -138,37 +139,103 @@ class Measurement:
                    gamma_dot=gamma_dot, v=v, sigma_v=sigma_v, timestamp=timestamp)
 
 
-def _require_finite(s: BikeState):
-    if not (math.isfinite(s.x) and math.isfinite(s.y) and math.isfinite(s.gamma)
-            and math.isfinite(s.gamma_dot) and math.isfinite(s.v)):
-        raise InvalidStateError(f"non-finite state: {s}")
+def _require_finite(x):
+    """InvalidStateError unless every row of x (N, 5) is finite."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise InvalidStateError(
+            f"non-finite state: {BikeState.from_array(x[bad.argmax()])}")
 
 
-def _arc_terms(gamma_dot, v, T):
-    """Arc displacements a (along heading) and b (lateral) for one step."""
-    if abs(gamma_dot) < EPS_YAW:
-        return v * T, 0.0
-    wt = gamma_dot * T
-    a = v * math.sin(wt) / gamma_dot
-    # 1 - cos(wt) written as 2 sin^2(wt/2) to avoid cancellation
-    b = v * 2.0 * math.sin(0.5 * wt) ** 2 / gamma_dot
-    return a, b
+def _pow2(values):
+    """values ** 2 per element through Python's float power (libm pow).
+
+    pow and x * x round differently on some inputs, and chaotic lanes
+    carry a one-ulp difference into the printed results; numpy's `** 2` is
+    x * x.
+    """
+    return np.array([value ** 2 for value in values.tolist()])
+
+
+def _wrap_angles(angles):
+    return np.array([wrap_angle(angle) for angle in angles.tolist()])
+
+
+def _swap(a):
+    """Transpose the last two axes (a matrix transpose per stacked matrix)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _transition(x, T):
+    """Noise-free transition of each row of x (N, 5) over its step T (N,).
+
+    Returns the propagated states, the Jacobians F (N, 5, 5) of the
+    transition and the Jacobians G (N, 5, 2) of the noisy transition with
+    respect to the noise at w = 0, all evaluated at x.  The arc terms a
+    (along heading) and b (lateral) and their derivatives switch to their
+    analytic straight-line limits below EPS_YAW; 1 - cos(wt) is written as
+    2 sin^2(wt/2) to avoid cancellation.
+    """
+    if not np.all(T > 0):
+        raise ValueError("T must be positive")
+    _require_finite(x)
+    gamma, gamma_dot, v = x[:, 2], x[:, 3], x[:, 4]
+    straight = np.abs(gamma_dot) < EPS_YAW
+    gd = np.where(straight, 1.0, gamma_dot)     # straight rows take the limits
+    wt = gd * T
+    sin_wt = np.sin(wt)
+    sin_half_sq = _pow2(np.sin(0.5 * wt))
+    one_m_cos = 2.0 * sin_half_sq
+    inv = 1.0 / gd
+    da_dv = sin_wt * inv
+    db_dv = one_m_cos * inv
+    half_T = 0.5 * T
+    # columns: a (along heading) or b (lateral), then its derivatives by
+    # gamma_dot, by v and by the acceleration noise
+    along = np.stack([v * sin_wt / gd, v * (T * np.cos(wt) - da_dv) * inv,
+                      da_dv, half_T * sin_wt / gd], 1)
+    lateral = np.stack([v * 2.0 * sin_half_sq / gd, v * (T * sin_wt - db_dv) * inv,
+                        db_dv, half_T * 2.0 * sin_half_sq / gd], 1)
+    if straight.any():
+        # the second-order Taylor limits at gamma_dot -> 0
+        zero = np.zeros_like(T)
+        along = np.where(straight[:, None],
+                         np.stack([v * T, zero, T, half_T * T], 1), along)
+        lateral = np.where(straight[:, None],
+                           np.stack([zero, 0.5 * v * T * T, zero, zero], 1), lateral)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    # the same columns rotated into east and north
+    east = cg[:, None] * along - sg[:, None] * lateral
+    north = sg[:, None] * along + cg[:, None] * lateral
+
+    x_new = x.copy()
+    x_new[:, 0] = x[:, 0] + cg * along[:, 0] - sg * lateral[:, 0]
+    x_new[:, 1] = x[:, 1] + sg * along[:, 0] + cg * lateral[:, 0]
+    x_new[:, 2] = _wrap_angles(gamma + gamma_dot * T)
+
+    F = np.tile(np.eye(STATE_DIM), (len(x), 1, 1))
+    F[:, 0, 2] = -north[:, 0]             # -sg * a - cg * b, negation is exact
+    F[:, 0, 3:] = east[:, 1:3]
+    F[:, 1, 2] = east[:, 0]
+    F[:, 1, 3:] = north[:, 1:3]
+    F[:, 2, 3] = T
+    G = np.zeros((len(x), STATE_DIM, 2))
+    G[:, 0] = east[:, 1::2]
+    G[:, 1] = north[:, 1::2]
+    G[:, 2, 0] = T
+    G[:, 3, 0] = 1.0
+    G[:, 4, 1] = T
+    return x_new, F, G
+
+
+def _one(s: BikeState, T):
+    """_transition of a single state."""
+    return _transition(s.as_array()[None], np.array([T], dtype=float))
 
 
 def predict_state(s: BikeState, T: float) -> BikeState:
     """Propagate a state through one noise-free transition of length T."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _require_finite(s)
-    a, b = _arc_terms(s.gamma_dot, s.v, T)
-    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
-    return BikeState(
-        x=s.x + cg * a - sg * b,
-        y=s.y + sg * a + cg * b,
-        gamma=wrap_angle(s.gamma + s.gamma_dot * T),
-        gamma_dot=s.gamma_dot,
-        v=s.v,
-    )
+    return BikeState.from_array(_one(s, T)[0][0])
 
 
 def noisy_transition(s: BikeState, w, T: float) -> BikeState:
@@ -179,7 +246,7 @@ def noisy_transition(s: BikeState, w, T: float) -> BikeState:
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    _require_finite(s)
+    _require_finite(s.as_array()[None])
     w_gd, w_vd = float(w[0]), float(w[1])
     omega = s.gamma_dot + w_gd
     v_eff = 0.5 * T * w_vd + s.v
@@ -199,106 +266,83 @@ def noisy_transition(s: BikeState, w, T: float) -> BikeState:
     )
 
 
-def _arc_derivatives(gamma_dot, v, T):
-    """Derivatives of the arc terms: (da/dgd, db/dgd, da/dv, db/dv)."""
-    if abs(gamma_dot) < EPS_YAW:
-        # second-order Taylor limits at gamma_dot -> 0
-        return 0.0, 0.5 * v * T * T, T, 0.0
-    wt = gamma_dot * T
-    sin_wt = math.sin(wt)
-    one_m_cos = 2.0 * math.sin(0.5 * wt) ** 2
-    inv = 1.0 / gamma_dot
-    da_dgd = v * (T * math.cos(wt) - sin_wt * inv) * inv
-    db_dgd = v * (T * sin_wt - one_m_cos * inv) * inv
-    da_dv = sin_wt * inv
-    db_dv = one_m_cos * inv
-    return da_dgd, db_dgd, da_dv, db_dv
-
-
 def jacobian_f(s: BikeState, T: float) -> np.ndarray:
     """Jacobian of the noise-free transition, evaluated at s."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _require_finite(s)
-    a, b = _arc_terms(s.gamma_dot, s.v, T)
-    da_dgd, db_dgd, da_dv, db_dv = _arc_derivatives(s.gamma_dot, s.v, T)
-    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
-    F = np.eye(STATE_DIM)
-    F[0, 2] = -sg * a - cg * b
-    F[0, 3] = cg * da_dgd - sg * db_dgd
-    F[0, 4] = cg * da_dv - sg * db_dv
-    F[1, 2] = cg * a - sg * b
-    F[1, 3] = sg * da_dgd + cg * db_dgd
-    F[1, 4] = sg * da_dv + cg * db_dv
-    F[2, 3] = T
-    return F
+    return _one(s, T)[1][0]
 
 
 def noise_gain(s: BikeState, T: float) -> np.ndarray:
     """Jacobian of the noisy transition w.r.t. the noise, at w = 0 (5x2)."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _require_finite(s)
-    da_dgd, db_dgd, _, _ = _arc_derivatives(s.gamma_dot, s.v, T)
-    if abs(s.gamma_dot) < EPS_YAW:
-        da_dvd, db_dvd = 0.5 * T * T, 0.0
-    else:
-        wt = s.gamma_dot * T
-        da_dvd = 0.5 * T * math.sin(wt) / s.gamma_dot
-        db_dvd = 0.5 * T * 2.0 * math.sin(0.5 * wt) ** 2 / s.gamma_dot
-    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
-    G = np.zeros((STATE_DIM, 2))
-    G[0, 0] = cg * da_dgd - sg * db_dgd
-    G[0, 1] = cg * da_dvd - sg * db_dvd
-    G[1, 0] = sg * da_dgd + cg * db_dgd
-    G[1, 1] = sg * da_dvd + cg * db_dvd
-    G[2, 0] = T
-    G[3, 0] = 1.0
-    G[4, 1] = T
-    return G
+    return _one(s, T)[2][0]
+
+
+def _symmetrize(P):
+    return 0.5 * (P + _swap(P))
+
+
+def _process_noise(G, q):
+    """Q = Gamma diag(q) Gamma^T per row, symmetrized; q (N, 2) holds
+    [sigma_w_gd^2, sigma_w_vd^2]."""
+    return _symmetrize((G * q[:, None, :]) @ _swap(G))
+
+
+def process_noise_variances(p: ProcessNoiseParams):
+    """[sigma_w_gamma_dot^2, sigma_w_v_dot^2], the diagonal of the noise
+    intensity that noise_gain maps into Q."""
+    return [p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]
 
 
 def process_noise_cov(s: BikeState, p: ProcessNoiseParams) -> np.ndarray:
     """Q = Gamma(s) diag[sigma_w_gd^2, sigma_w_vd^2] Gamma(s)^T, symmetrized."""
-    G = noise_gain(s, p.T)
-    Q = (G * [p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]) @ G.T
-    return 0.5 * (Q + Q.T)
+    return _process_noise(noise_gain(s, p.T)[None],
+                          np.array([process_noise_variances(p)]))[0]
 
 
-def _symmetrize(P):
-    return 0.5 * (P + P.T)
+def ekf_predict_batch(x, P, T, q):
+    """Time update of N filters at once: states x (N, 5), covariances
+    P (N, 5, 5), step lengths T (N,) and process noise variances q (N, 2)
+    as from process_noise_variances.  Returns the predicted (x, P).
+
+    Every predicted covariance must be positive semidefinite within 1e-6,
+    else NumericalError.
+    """
+    x_new, F, G = _transition(x, T)
+    P_new = _symmetrize(F @ P @ _swap(F) + _process_noise(G, q))
+    if (np.linalg.eigvalsh(P_new) < -1e-6).any():
+        raise NumericalError("predicted covariance is indefinite")
+    return x_new, P_new
 
 
 def ekf_predict(e: StateEstimate, p: ProcessNoiseParams) -> StateEstimate:
     """Time update: state through the transition, P <- F P F^T + Q."""
-    state = predict_state(e.state, p.T)
-    F = jacobian_f(e.state, p.T)
-    Q = process_noise_cov(e.state, p)
-    P = _symmetrize(F @ e.covariance @ F.T + Q)
-    if np.linalg.eigvalsh(P).min() < -1e-6:
-        raise NumericalError("predicted covariance is indefinite")
-    return StateEstimate(state, P)
+    x, P = ekf_predict_batch(e.state.as_array()[None],
+                             np.asarray(e.covariance, dtype=float)[None],
+                             np.array([p.T], dtype=float),
+                             np.array([process_noise_variances(p)]))
+    return StateEstimate(BikeState.from_array(x[0]), P[0])
+
+
+_MEASURED_ROWS = {
+    MeasurementKind.POSITION_AND_DEVICE: (0, 1, 3, 4),
+    MeasurementKind.DEVICE_ONLY: (3, 4),
+    MeasurementKind.POSITION_ONLY: (0, 1),
+}
 
 
 def measurement_matrix(kind: MeasurementKind) -> np.ndarray:
-    if kind is MeasurementKind.POSITION_AND_DEVICE:
-        rows = (0, 1, 3, 4)
-    elif kind is MeasurementKind.DEVICE_ONLY:
-        rows = (3, 4)
-    else:
-        rows = (0, 1)
+    rows = _MEASURED_ROWS[kind]
     H = np.zeros((len(rows), STATE_DIM))
     H[range(len(rows)), rows] = 1.0
     return H
 
 
-def measurement_noise_cov(kind: MeasurementKind, n: MeasurementNoiseParams,
-                          p: ProcessNoiseParams, sigma_v=None) -> np.ndarray:
-    """Diagonal R for the given measurement kind.
+def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams,
+                                p: ProcessNoiseParams, sigma_v=None):
+    """The diagonal of R for the given measurement kind, as a list.
 
     Device entries are divided by T before squaring when n.r_divide_by_T is
     set (the per-step reading of the device noise); sigma_v comes from the
-    velocity estimator.
+    velocity estimator and must be strictly positive.
     """
     scale = 1.0 / p.T if n.r_divide_by_T else 1.0
     diag = []
@@ -307,8 +351,17 @@ def measurement_noise_cov(kind: MeasurementKind, n: MeasurementNoiseParams,
     if kind in (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.DEVICE_ONLY):
         if sigma_v is None:
             raise ValueError("sigma_v required for device measurements")
+        if not sigma_v > 0:
+            raise ValueError("sigma_v must be strictly positive")
         diag += [(n.sigma_gamma_dot * scale) ** 2, (sigma_v * scale) ** 2]
-    return np.diag(diag)
+    return diag
+
+
+def measurement_noise_cov(kind: MeasurementKind, n: MeasurementNoiseParams,
+                          p: ProcessNoiseParams, sigma_v=None) -> np.ndarray:
+    """Diagonal R for the given measurement kind (see
+    measurement_noise_variances)."""
+    return np.diag(measurement_noise_variances(kind, n, p, sigma_v))
 
 
 def _measurement_vector(m: Measurement) -> np.ndarray:
@@ -320,16 +373,19 @@ def _measurement_vector(m: Measurement) -> np.ndarray:
     return np.array(z, dtype=float)
 
 
-def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
-               p: ProcessNoiseParams) -> StateEstimate:
-    """Measurement update; gamma re-wrapped, covariance symmetrized."""
-    _require_finite(e.state)
-    H = measurement_matrix(m.kind)
-    R = measurement_noise_cov(m.kind, n, p, sigma_v=m.sigma_v)
-    x = e.state.as_array()
-    P = e.covariance
-    z = _measurement_vector(m)
-    y = z - H @ x
+def ekf_update_batch(x, P, z, r, kind: MeasurementKind):
+    """Measurement update of N filters by measurements of one kind.
+
+    z (N, m) holds the measured components in the order of the rows of
+    measurement_matrix(kind) (x, y, gamma_dot, v as present) and r (N, m)
+    their noise variances, the diagonal of R.  Returns the updated (x, P),
+    gamma re-wrapped and P symmetrized; NumericalError if an innovation
+    covariance has no Cholesky factor.
+    """
+    _require_finite(x)
+    H = measurement_matrix(kind)
+    R = r[:, :, None] * np.eye(len(H))
+    y = z - (H @ x[:, :, None])[:, :, 0]
     S = H @ P @ H.T + R
     try:
         S_chol = np.linalg.cholesky(S)
@@ -337,12 +393,22 @@ def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
         raise NumericalError("innovation covariance is not invertible") from exc
     # K = P H^T S^-1 via the Cholesky factor
     PHt = P @ H.T
-    K = np.linalg.solve(S_chol.T, np.linalg.solve(S_chol, PHt.T)).T
-    x_new = x + K @ y
-    x_new[2] = wrap_angle(x_new[2])
+    K = _swap(np.linalg.solve(_swap(S_chol), np.linalg.solve(S_chol, _swap(PHt))))
+    x_new = x + (K @ y[:, :, None])[:, :, 0]
+    x_new[:, 2] = _wrap_angles(x_new[:, 2])
     IKH = np.eye(STATE_DIM) - K @ H
-    P_new = _symmetrize(IKH @ P @ IKH.T + K @ R @ K.T)
-    return StateEstimate(BikeState.from_array(x_new), P_new)
+    P_new = _symmetrize(IKH @ P @ _swap(IKH) + K @ R @ _swap(K))
+    return x_new, P_new
+
+
+def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
+               p: ProcessNoiseParams) -> StateEstimate:
+    """Measurement update; gamma re-wrapped, covariance symmetrized."""
+    r = measurement_noise_variances(m.kind, n, p, sigma_v=m.sigma_v)
+    x, P = ekf_update_batch(e.state.as_array()[None],
+                            np.asarray(e.covariance, dtype=float)[None],
+                            _measurement_vector(m)[None], np.array([r]), m.kind)
+    return StateEstimate(BikeState.from_array(x[0]), P[0])
 
 
 def newborn_covariance(n: MeasurementNoiseParams) -> np.ndarray:

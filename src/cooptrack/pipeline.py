@@ -9,7 +9,7 @@ from . import fileio
 from . import metrics as metrics_mod
 from . import scene_sim
 from .config import RunConfig
-from .track_manager import TrackManager, TrackStatus
+from .track_manager import TrackManager, TrackStatus, step_lanes
 
 TRACK_HEADER = ("t", "track_id", "x", "y", "gamma", "gamma_dot", "v", "valid")
 TRACK_TYPES = (float, int, float, float, float, float, float, int)
@@ -19,6 +19,53 @@ MODEL_POSITION_ONLY = "P"
 MODEL_COOPERATIVE = "C"
 
 
+def run_tracking_batch(lanes, cfg: RunConfig):
+    """Run several (scene, model) lanes in lockstep, frame by frame.
+
+    Returns (track_rows, assignment_rows) per lane, in lane order, each the
+    same as run_tracking gives for that lane alone.  Lanes may differ in
+    length; a lane stops stepping after its last frame.
+    """
+    for _, model in lanes:
+        if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
+            raise ValueError(f"unknown model: {model}")
+    managers, times, dets, devs = [], [], [], []
+    for scene, model in lanes:
+        managers.append(TrackManager(cfg.manager_coop, process=cfg.process,
+                                     noise=cfg.measurement,
+                                     device_gate=cfg.device_gate))
+        frame_times = scene.ground_truth[:, 0]
+        det_by_frame = {}
+        for row in scene.detections:
+            det_by_frame.setdefault(_frame_index(row[0], frame_times),
+                                    []).append(row[1:3])
+        dev_by_frame = {}
+        if model == MODEL_COOPERATIVE:
+            for row in scene.device:
+                dev_by_frame[_frame_index(row[0], frame_times)] = tuple(row[1:4])
+        times.append(frame_times)
+        dets.append(det_by_frame)
+        devs.append(dev_by_frame)
+
+    outputs = [([], []) for _ in lanes]
+    for i in range(max(map(len, times), default=0)):
+        active = [k for k, frame_times in enumerate(times) if i < len(frame_times)]
+        t_now = [float(times[k][i]) for k in active]
+        logs = step_lanes([managers[k] for k in active],
+                          [dets[k].get(i, []) for k in active], t_now,
+                          [devs[k].get(i) for k in active])
+        for k, t, log in zip(active, t_now, logs):
+            track_rows, assign_rows = outputs[k]
+            for rec in log:
+                det_id = "NONE" if rec.detection_id is None else rec.detection_id
+                assign_rows.append((rec.t, rec.track_id, det_id,
+                                    int(rec.device_bound)))
+            for track in managers[k].tracks:
+                track_rows.append((t, track.id, *track.x.tolist(),
+                                   int(track.status is TrackStatus.VALID)))
+    return outputs
+
+
 def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     """Run one model over a scene.
 
@@ -26,32 +73,7 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     live track and the assignment log.  Model P never looks at the device
     stream; model C binds it via the penalized Mahalanobis distance.
     """
-    if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
-        raise ValueError(f"unknown model: {model}")
-    manager = TrackManager(cfg.manager_coop, process=cfg.process,
-                           noise=cfg.measurement, device_gate=cfg.device_gate)
-    times = scene.ground_truth[:, 0]
-    det_by_frame = {}
-    for row in scene.detections:
-        det_by_frame.setdefault(_frame_index(row[0], times), []).append(row[1:3])
-    dev_by_frame = {}
-    if model == MODEL_COOPERATIVE:
-        for row in scene.device:
-            dev_by_frame[_frame_index(row[0], times)] = (row[1], row[2], row[3])
-
-    track_rows = []
-    assign_rows = []
-    for i, t in enumerate(times):
-        dets = det_by_frame.get(i, [])
-        log = manager.step(dets, float(t), device=dev_by_frame.get(i))
-        for rec in log:
-            det_id = "NONE" if rec.detection_id is None else rec.detection_id
-            assign_rows.append((rec.t, rec.track_id, det_id, int(rec.device_bound)))
-        for track in manager.tracks:
-            s = track.estimate.state
-            track_rows.append((float(t), track.id, s.x, s.y, s.gamma, s.gamma_dot,
-                               s.v, int(track.status is TrackStatus.VALID)))
-    return track_rows, assign_rows
+    return run_tracking_batch([(scene, model)], cfg)[0]
 
 
 def _frame_index(t, times):
@@ -96,8 +118,9 @@ def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str
 def track_and_evaluate(scene: scene_sim.Scene, cfg: RunConfig, out_dir=None):
     """Run every configured model over a scene; returns reports by model."""
     reports = {}
-    for model in cfg.models:
-        track_rows, assign_rows = run_tracking(scene, model, cfg)
+    lanes = [(scene, model) for model in cfg.models]
+    for model, (track_rows, assign_rows) in zip(cfg.models,
+                                                run_tracking_batch(lanes, cfg)):
         if out_dir is not None:
             write_track_output(out_dir, model, track_rows, assign_rows, cfg,
                                scene.scene_id)

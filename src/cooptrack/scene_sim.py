@@ -344,6 +344,10 @@ def read_scene(directory) -> Scene:
         else:
             rows = fileio.read_csv(path, cols)
             arrays[name] = np.array(rows, dtype=float).reshape(-1, len(cols))
+    sigma_v = arrays["device.csv"][:, 3]
+    if not np.all(sigma_v > 0):
+        raise DataError(f"{os.path.join(directory, 'device.csv')}: sigma_v must "
+                        f"be strictly positive (data row {np.argmin(sigma_v > 0) + 1})")
     gt = arrays["ground_truth.csv"]
     if gt.size == 0:
         raise DataError(f"{directory}: empty ground truth")

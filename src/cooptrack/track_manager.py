@@ -5,8 +5,15 @@ One manager implementation serves both stages: the 2D pixel stage
 3D cooperative stage (bike-model EKF, 2 m gate, 50 % miss ratio, 2 s
 timeout).  Tracks coast on prediction alone through detection gaps and are
 dropped once the miss ratio or the position-update timeout trips.
+
+step_lanes advances several managers ("lanes", e.g. one per scene and
+model) by one frame together: the coop filter work of all their tracks runs
+as one batched EKF predict, one batched device-binding distance computation
+and at most one batched EKF update per measurement kind.  TrackManager.step
+is its one-lane case.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -15,8 +22,12 @@ import numpy as np
 
 from . import ekf
 from . import pixel_track
-from .association import (DEVICE_GATE, assign_device, gated_cost_matrix,
-                          munkres_solve)
+# assign_device binds one reading; step_lanes binds the readings of all
+# lanes at once (_bind_devices).  It stays importable from this module for
+# callers that look it up here.
+from .association import (DEVICE_GATE, assign_device, device_residuals,  # noqa: F401
+                          gated_cost_matrix, munkres_solve, nearest_within_gate,
+                          penalized_mahalanobis_batch)
 from .errors import DataError
 
 
@@ -72,7 +83,8 @@ class PixelFilterParams:
 @dataclass
 class Track:
     id: int
-    estimate: object              # StateEstimate (coop) or PixelState (pixel)
+    x: np.ndarray                 # bike state (coop) or [u, v, u_dot, v_dot] (pixel)
+    P: np.ndarray                 # covariance of x
     age: int
     miss_count: int
     last_position_update: float
@@ -82,10 +94,18 @@ class Track:
     first_fix: tuple | None = None
     heading_initialized: bool = False
 
+    @property
+    def estimate(self) -> ekf.StateEstimate:
+        """The state of a coop track as a StateEstimate."""
+        return ekf.StateEstimate(ekf.BikeState.from_array(self.x), self.P)
+
+    @estimate.setter
+    def estimate(self, e: ekf.StateEstimate):
+        self.x = e.state.as_array()
+        self.P = np.asarray(e.covariance, dtype=float)
+
     def position(self):
-        if isinstance(self.estimate, ekf.StateEstimate):
-            return self.estimate.state.x, self.estimate.state.y
-        return self.estimate.position()
+        return float(self.x[0]), float(self.x[1])
 
 
 @dataclass
@@ -115,22 +135,6 @@ class TrackManager:
         self._next_id = 0
         self._last_t = None
 
-    # -- prediction -------------------------------------------------------
-
-    def _advance_estimate(self, estimate, dt):
-        if self.config.mode is Mode.COOP_3D:
-            T = self.process.T
-            remaining = dt
-            while remaining > T + 1e-9:
-                estimate = ekf.ekf_predict(estimate, self.process)
-                remaining -= T
-            if remaining > 1e-9:
-                step = ekf.ProcessNoiseParams(self.process.sigma_w_gamma_dot,
-                                              self.process.sigma_w_v_dot, remaining)
-                estimate = ekf.ekf_predict(estimate, step)
-            return estimate
-        return pixel_track.cv_predict(estimate, dt, self.pixel_params.q_px)
-
     def coast(self, track: Track, t_now: float) -> Track:
         """Prediction-only propagation of one track to t_now."""
         if track.status is TrackStatus.LOST:
@@ -138,24 +142,22 @@ class TrackManager:
         base = self._last_t if self._last_t is not None else t_now
         dt = t_now - base
         if dt > 0:
-            track.estimate = self._advance_estimate(track.estimate, dt)
+            _predict([(self, track, dt)])
         return track
 
-    # -- spawning / updating ----------------------------------------------
-
     def _spawn(self, position, t_now):
+        px, py = float(position[0]), float(position[1])
         if self.config.mode is Mode.COOP_3D:
-            state = ekf.BikeState(float(position[0]), float(position[1]), 0.0, 0.0, 0.0)
-            estimate = ekf.StateEstimate(state, ekf.newborn_covariance(self.noise))
+            x = np.array([px, py, 0.0, 0.0, 0.0])
+            P = ekf.newborn_covariance(self.noise)
         else:
             pp = self.pixel_params
-            P0 = np.diag([pp.r_px ** 2, pp.r_px ** 2,
-                          pp.init_vel_std ** 2, pp.init_vel_std ** 2])
-            estimate = pixel_track.PixelState(float(position[0]), float(position[1]),
-                                              0.0, 0.0, P0)
-        track = Track(id=self._next_id, estimate=estimate, age=1, miss_count=0,
+            x = np.array([px, py, 0.0, 0.0])
+            P = np.diag([pp.r_px ** 2, pp.r_px ** 2,
+                         pp.init_vel_std ** 2, pp.init_vel_std ** 2])
+        track = Track(id=self._next_id, x=x, P=P, age=1, miss_count=0,
                       last_position_update=t_now, status=TrackStatus.TENTATIVE,
-                      first_fix=(t_now, float(position[0]), float(position[1])))
+                      first_fix=(t_now, px, py))
         self._next_id += 1
         self.tracks.append(track)
         return track
@@ -179,35 +181,11 @@ class TrackManager:
         noise_floor = 3.0 * math.hypot(self.noise.sigma_x, self.noise.sigma_y)
         if math.hypot(dx, dy) <= noise_floor:
             return
-        s = track.estimate.state
-        new_state = ekf.BikeState(s.x, s.y, math.atan2(dy, dx),
-                                  s.gamma_dot, math.hypot(dx, dy) / dt)
-        track.estimate = ekf.StateEstimate(new_state, track.estimate.covariance)
+        x = track.x.copy()
+        x[2] = math.atan2(dy, dx)
+        x[4] = math.hypot(dx, dy) / dt
+        track.x = x
         track.heading_initialized = True
-
-    def _apply_update(self, track: Track, detection, device, t_now):
-        if self.config.mode is Mode.PIXEL_2D:
-            if detection is not None:
-                track.estimate = pixel_track.cv_update(track.estimate, detection,
-                                                       self.pixel_params.r_px)
-            return
-        if detection is not None:
-            self._maybe_init_heading(track, detection, t_now)
-            if device is not None:
-                m = ekf.Measurement.position_and_device(
-                    detection[0], detection[1], device[0], device[1], device[2],
-                    timestamp=t_now)
-            else:
-                m = ekf.Measurement.position_only(detection[0], detection[1],
-                                                  timestamp=t_now)
-        elif device is not None:
-            m = ekf.Measurement.device_only(device[0], device[1], device[2],
-                                            timestamp=t_now)
-        else:
-            return
-        track.estimate = ekf.ekf_update(track.estimate, m, self.noise, self.process)
-
-    # -- the per-frame step -----------------------------------------------
 
     def step(self, detections, t_now, device=None):
         """Advance one frame.
@@ -216,72 +194,195 @@ class TrackManager:
         device: optional (gamma_dot, v, sigma_v) tuple, coop mode only.
         Returns the list of AssignmentRecords for this step.
         """
-        if self._last_t is not None and not t_now > self._last_t:
-            raise DataError(f"timestamps must be strictly increasing "
-                            f"({t_now} after {self._last_t})")
-        if device is not None and self.config.mode is not Mode.COOP_3D:
-            raise ValueError("device measurements require coop mode")
-        dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+        return step_lanes([self], [detections], [t_now], [device])[0]
 
-        if self._last_t is not None:
-            dt = t_now - self._last_t
-            for track in self.tracks:
-                track.estimate = self._advance_estimate(track.estimate, dt)
+    def valid_tracks(self):
+        return [tr for tr in self.tracks if tr.status is TrackStatus.VALID]
 
-        # detection-to-track assignment on predicted positions
-        matches = {}
-        if self.tracks and len(dets):
-            cm = gated_cost_matrix([tr.position() for tr in self.tracks], dets,
-                                   self.config.gate_distance)
-            matches = dict(munkres_solve(cm))
 
-        # device-to-track binding on predicted states (valid tracks only)
-        bound_id = None
+def _sub_steps(dt, T):
+    """Step lengths covering dt: whole filter steps T, then the remainder."""
+    steps = []
+    remaining = dt
+    while remaining > T + 1e-9:
+        steps.append(T)
+        remaining -= T
+    if remaining > 1e-9:
+        steps.append(remaining)
+    return steps
+
+
+def _stack(tracks):
+    """States (N, d) and covariances (N, d, d) of tracks."""
+    return np.array([tr.x for tr in tracks]), np.array([tr.P for tr in tracks])
+
+
+def _predict(items):
+    """Advance each (manager, track, dt): pixel tracks one at a time, coop
+    tracks by one batched EKF predict per round of sub-steps."""
+    coop = []
+    for manager, track, dt in items:
+        if manager.config.mode is Mode.COOP_3D:
+            coop.append((manager, track, _sub_steps(dt, manager.process.T)))
+        else:
+            s = pixel_track.cv_predict(
+                pixel_track.PixelState(*track.x.tolist(), track.P), dt,
+                manager.pixel_params.q_px)
+            track.x, track.P = s.as_array(), s.covariance
+    for i in range(max((len(steps) for _, _, steps in coop), default=0)):
+        live = [(manager, track, steps[i]) for manager, track, steps in coop
+                if len(steps) > i]
+        x, P = ekf.ekf_predict_batch(
+            *_stack([track for _, track, _ in live]),
+            np.array([step for _, _, step in live]),
+            np.array([ekf.process_noise_variances(manager.process)
+                      for manager, _, _ in live]))
+        for (_, track, _), x_k, P_k in zip(live, x, P):
+            track.x, track.P = x_k, P_k
+
+
+def _bind_devices(managers, devices):
+    """Per lane, the id of the valid track its device reading binds to, or
+    None: the nearest by penalized Mahalanobis distance within the lane's
+    gate, computed for every lane in one batch."""
+    rows = []                     # (lane, track, reading, noise variances)
+    for lane, (manager, device) in enumerate(zip(managers, devices)):
+        valid = manager.valid_tracks() if device is not None else []
+        if valid:
+            r = ekf.measurement_noise_variances(
+                ekf.MeasurementKind.DEVICE_ONLY, manager.noise, manager.process,
+                device[2])
+            rows += [(lane, track, device[:2], r) for track in valid]
+    bound = [None] * len(managers)
+    if not rows:
+        return bound
+    y, S = device_residuals(np.array([z for _, _, z, _ in rows], dtype=float),
+                            *_stack([track for _, track, _, _ in rows]),
+                            np.array([r for _, _, _, r in rows]))
+    distances = penalized_mahalanobis_batch(y, S).tolist()
+    for lane, group in itertools.groupby(range(len(rows)), lambda i: rows[i][0]):
+        group = list(group)
+        idx = nearest_within_gate([distances[i] for i in group],
+                                  managers[lane].device_gate)
+        if idx is not None:
+            bound[lane] = rows[group[idx]][1].id
+    return bound
+
+
+def _update(items):
+    """Apply each (manager, track, detection or None, device or None, t):
+    pixel tracks one at a time, coop tracks by one batched EKF update per
+    measurement kind."""
+    groups = {}
+    for manager, track, detection, device, t_now in items:
+        if manager.config.mode is Mode.PIXEL_2D:
+            if detection is not None:
+                s = pixel_track.cv_update(
+                    pixel_track.PixelState(*track.x.tolist(), track.P), detection,
+                    manager.pixel_params.r_px)
+                track.x, track.P = s.as_array(), s.covariance
+            continue
+        z = []
+        if detection is not None:
+            manager._maybe_init_heading(track, detection, t_now)
+            z += [detection[0], detection[1]]
         if device is not None:
-            valid = [tr for tr in self.tracks if tr.status is TrackStatus.VALID]
-            idx = assign_device(device[0], device[1], device[2],
-                                [tr.estimate for tr in valid],
-                                self.noise, self.process, gate=self.device_gate)
-            if idx is not None:
-                bound_id = valid[idx].id
+            z += [device[0], device[1]]
+        if not z:
+            continue
+        if detection is None:
+            kind = ekf.MeasurementKind.DEVICE_ONLY
+        elif device is None:
+            kind = ekf.MeasurementKind.POSITION_ONLY
+        else:
+            kind = ekf.MeasurementKind.POSITION_AND_DEVICE
+        r = ekf.measurement_noise_variances(
+            kind, manager.noise, manager.process,
+            None if device is None else device[2])
+        groups.setdefault(kind, []).append((track, z, r))
+    for kind, group in groups.items():
+        x, P = ekf.ekf_update_batch(
+            *_stack([track for track, _, _ in group]),
+            np.array([z for _, z, _ in group], dtype=float),
+            np.array([r for _, _, r in group]), kind)
+        for (track, _, _), x_k, P_k in zip(group, x, P):
+            track.x, track.P = x_k, P_k
 
+
+def step_lanes(managers, detections, times, devices):
+    """Advance every manager ("lane") by one frame, all in lockstep.
+
+    detections[k], times[k] and devices[k] are the arguments of
+    TrackManager.step for managers[k].  Returns the list of
+    AssignmentRecords of each lane.  Lanes are independent: each gets the
+    records and track states it would get stepped alone.
+    """
+    for manager, t_now, device in zip(managers, times, devices):
+        if manager._last_t is not None and not t_now > manager._last_t:
+            raise DataError(f"timestamps must be strictly increasing "
+                            f"({t_now} after {manager._last_t})")
+        if device is not None and manager.config.mode is not Mode.COOP_3D:
+            raise ValueError("device measurements require coop mode")
+    dets_by_lane = [np.asarray(d, dtype=float).reshape(-1, 2) for d in detections]
+
+    _predict([(manager, track, t_now - manager._last_t)
+              for manager, t_now in zip(managers, times)
+              if manager._last_t is not None for track in manager.tracks])
+
+    # detection-to-track assignment on predicted positions, lane by lane
+    matches = []
+    for manager, dets in zip(managers, dets_by_lane):
+        pairs = {}
+        if manager.tracks and len(dets):
+            cm = gated_cost_matrix([track.x[:2] for track in manager.tracks],
+                                   dets, manager.config.gate_distance)
+            pairs = dict(munkres_solve(cm))
+        matches.append(pairs)
+
+    # device-to-track binding on predicted states (valid tracks only)
+    bound = _bind_devices(managers, devices)
+
+    logs = []
+    updates = []
+    for manager, dets, t_now, device, pairs, bound_id in zip(
+            managers, dets_by_lane, times, devices, matches, bound):
         log = []
-        for ti, track in enumerate(self.tracks):
-            det_idx = matches.get(ti)
+        for ti, track in enumerate(manager.tracks):
+            det_idx = pairs.get(ti)
             dev = device if bound_id == track.id else None
             track.age += 1
-            self._apply_update(track, dets[det_idx] if det_idx is not None else None,
-                               dev, t_now)
+            updates.append((manager, track,
+                            None if det_idx is None else dets[det_idx], dev, t_now))
             if det_idx is not None:
                 track.last_position_update = t_now
             else:
                 track.miss_count += 1
             log.append(AssignmentRecord(t_now, track.id, det_idx, dev is not None))
+        logs.append(log)
+    _update(updates)
 
-        assigned = set(matches.values())
+    for manager, dets, t_now, pairs, log in zip(managers, dets_by_lane, times,
+                                               matches, logs):
+        assigned = set(pairs.values())
         for det_idx in range(len(dets)):
             if det_idx not in assigned:
-                track = self._spawn(dets[det_idx], t_now)
+                track = manager._spawn(dets[det_idx], t_now)
                 log.append(AssignmentRecord(t_now, track.id, det_idx, False))
 
         # prune, then promote; the timeout comparison tolerates grid-time
         # rounding so a gap of nominally exactly `update_timeout` survives
         survivors = []
-        for track in self.tracks:
+        for track in manager.tracks:
             timed_out = ((t_now - track.last_position_update)
-                         > self.config.update_timeout + 1e-9)
-            missed_out = track.miss_count / track.age > self.config.miss_ratio_max
+                         > manager.config.update_timeout + 1e-9)
+            missed_out = track.miss_count / track.age > manager.config.miss_ratio_max
             if timed_out or missed_out:
                 track.status = TrackStatus.LOST
             else:
                 if (track.status is TrackStatus.TENTATIVE
-                        and track.age >= self.config.min_valid_age):
+                        and track.age >= manager.config.min_valid_age):
                     track.status = TrackStatus.VALID
                 survivors.append(track)
-        self.tracks = survivors
-
-        self._last_t = t_now
-        return log
-
-    def valid_tracks(self):
-        return [tr for tr in self.tracks if tr.status is TrackStatus.VALID]
+        manager.tracks = survivors
+        manager._last_t = t_now
+    return logs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (CostMatrix, DeviceResidual, assign_device,
                                    device_residual, gated_cost_matrix,
@@ -70,6 +71,25 @@ class TestMunkres:
             shifted[2, :] += 3.7
             shifted[:, 4] += 1.3
             assert munkres_solve(CostMatrix(shifted)) == base
+
+    def test_single_row_or_column_matches_linear_sum_assignment(self):
+        # the argmin fast path against the solver it stands in for, on
+        # tie-heavy costs with forbidden cells (sentinel cost as in the solver)
+        rng = np.random.default_rng(104)
+        for _ in range(500):
+            k = int(rng.integers(1, 7))
+            shape = (1, k) if rng.random() < 0.5 else (k, 1)
+            cost = rng.integers(0, 3, size=shape).astype(float)
+            forbidden = rng.random(shape) < 0.3
+            cm = CostMatrix(cost, forbidden=forbidden)
+            allowed = ~forbidden
+            expected = []
+            if allowed.any():
+                sentinel = (abs(cost[allowed].max()) + 1.0) * 2
+                rows, cols = linear_sum_assignment(np.where(allowed, cost, sentinel))
+                expected = [(int(r), int(c)) for r, c in zip(rows, cols)
+                            if allowed[r, c]]
+            assert munkres_solve(cm) == expected
 
     def test_rejects_nan_in_allowed_cells(self):
         cost = np.array([[1.0, np.nan], [0.5, 2.0]])

@@ -1,13 +1,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cooptrack import cli
 from cooptrack.config import SEED_ENV_VAR, load_config
-from cooptrack.errors import ConfigError, NumericalError
+from cooptrack.errors import ConfigError, DataError, NumericalError
 from cooptrack.forest import RegressionForest
 
 
@@ -190,6 +192,18 @@ class TestTrack:
         assert run(["--config", cfg] + argv) == 3
         assert f"{name} line {lineno}: non-finite" in capsys.readouterr().err
 
+    def test_non_positive_sigma_v_exits_3(self, scene_batch, tmp_path, capsys):
+        cfg, scenes = scene_batch
+        broken = tmp_path / "broken"
+        shutil.copytree(os.path.join(scenes, "turning_0000"), broken)
+        path = broken / "device.csv"
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",0.000000"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["--config", cfg, "track", broken, "--model", "C"]) == 3
+        assert "device.csv: sigma_v must be strictly positive" in \
+            capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_single_and_pairwise(self, scene_batch, tmp_path, capsys):
@@ -227,14 +241,19 @@ class TestCompare:
         assert len(lines) == 2 + 2 * 2
 
     def test_parallel_jobs_match_serial(self, tmp_path):
+        # more scenes than one lockstep chunk, so the workers split the
+        # batch at a chunk boundary
+        n_scenes = cli.COMPARE_CHUNK_SCENES + 2
         cfg = write_config(tmp_path / "c.json",
-                           scenes={"n_starting": 1, "n_turning": 1,
+                           scenes={"n_starting": n_scenes // 2,
+                                   "n_turning": n_scenes - n_scenes // 2,
                                    "occlusion_durations": [1.0]})
         serial, parallel = tmp_path / "s", tmp_path / "p"
-        run(["--config", cfg, "compare", "--out", serial])
-        run(["--config", cfg, "compare", "--out", parallel, "--jobs", "2"])
-        assert (serial / "per_scene.csv").read_bytes() == \
-            (parallel / "per_scene.csv").read_bytes()
+        assert run(["--config", cfg, "compare", "--out", serial]) == 0
+        assert run(["--config", cfg, "compare", "--out", parallel,
+                    "--jobs", "2"]) == 0
+        for name in ("per_scene.csv", "summary.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 class TestTrainVelocity:
@@ -251,6 +270,11 @@ class TestTrainVelocity:
         model = cli.load_velocity_model(str(out))
         assert isinstance(model.with_gnss, RegressionForest)
         assert model.no_gnss.feature_layout["with_gnss"] is False
+
+    def test_bad_forest_file_is_data_error(self, tmp_path):
+        (tmp_path / "forest_with_gnss.json").write_text('{"format": "x"}')
+        with pytest.raises(DataError, match="forest_with_gnss.json"):
+            cli.load_velocity_model(str(tmp_path))
 
     def test_same_seed_same_model_files(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -269,6 +293,15 @@ class TestExitCodes:
         assert run(["--config", bad, "simulate", "--out", tmp_path / "x"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,scenes", [
+        ("simulate", {"n_starting": 1, "n_turning": 0, "starting": {"duration": -1}}),
+        ("compare", {"n_starting": 1, "n_turning": 0, "occlusion_durations": [20.0]}),
+    ])
+    def test_rejected_scene_value_is_2(self, tmp_path, capsys, command, scenes):
+        cfg = write_config(tmp_path / "c.json", scenes=scenes)
+        assert run(["--config", cfg, command, "--out", tmp_path / "x"]) == 2
+        assert "config error: scenes.starting" in capsys.readouterr().err
+
     def test_numerical_error_is_4(self, monkeypatch, tmp_path, capsys):
         def boom(args):
             raise NumericalError("synthetic failure")
@@ -276,3 +309,11 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_simulate", boom)
         assert cli.main(["simulate"]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, cooptrack.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

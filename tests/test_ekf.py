@@ -5,7 +5,8 @@ import pytest
 
 from cooptrack.ekf import (BikeState, Measurement, MeasurementKind,
                            MeasurementNoiseParams, ProcessNoiseParams,
-                           StateEstimate, ekf_predict, ekf_update, jacobian_f,
+                           StateEstimate, ekf_predict, ekf_predict_batch,
+                           ekf_update, ekf_update_batch, jacobian_f,
                            measurement_noise_cov, newborn_covariance,
                            noise_gain, noisy_transition, predict_state,
                            process_noise_cov, wrap_angle)
@@ -292,6 +293,50 @@ class TestEkfUpdate:
         e0 = StateEstimate(BikeState(0.0, 0.0, 3.0, 0.0, 0.0), np.eye(5))
         e = ekf_update(e0, Measurement.position_only(0.0, 0.0), n, p)
         assert -math.pi < e.state.gamma <= math.pi
+
+
+def random_batch(n, rng):
+    """States (half of them straight-line) with SPD covariances."""
+    x = np.array([s.as_array() for s in random_states(n, rng)])
+    x[::2, 3] = rng.uniform(-1e-7, 1e-7, size=len(x[::2]))
+    A = rng.normal(size=(n, 5, 5))
+    return x, A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(5)
+
+
+class TestBatchKernels:
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(31)
+        p, n = ProcessNoiseParams(), MeasurementNoiseParams()
+        x, P = random_batch(12, rng)
+        T_steps = rng.uniform(0.005, 0.05, size=12)
+        q = np.array([[p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]] * 12)
+        xb, Pb = ekf_predict_batch(x, P, T_steps, q)
+        for k in range(12):
+            pk = ProcessNoiseParams(T=T_steps[k])
+            one = ekf_predict(StateEstimate(BikeState.from_array(x[k]), P[k]), pk)
+            assert (one.state.as_array() == xb[k]).all()
+            assert (one.covariance == Pb[k]).all()
+        z = rng.normal(size=(12, 4))
+        sigma_v = rng.uniform(0.1, 1.0, size=12)
+        r = np.array([measurement_noise_cov(MeasurementKind.POSITION_AND_DEVICE,
+                                            n, p, sigma_v=sv).diagonal()
+                      for sv in sigma_v])
+        xu, Pu = ekf_update_batch(xb, Pb, z, r, MeasurementKind.POSITION_AND_DEVICE)
+        for k in range(12):
+            m = Measurement.position_and_device(*z[k], sigma_v=sigma_v[k])
+            one = ekf_update(StateEstimate(BikeState.from_array(xb[k]), Pb[k]),
+                             m, n, p)
+            assert (one.state.as_array() == xu[k]).all()
+            assert (one.covariance == Pu[k]).all()
+
+    def test_one_indefinite_covariance_fails_the_batch(self):
+        rng = np.random.default_rng(32)
+        p = ProcessNoiseParams()
+        x, P = random_batch(6, rng)
+        P[4] = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
+        q = np.array([[p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]] * 6)
+        with pytest.raises(NumericalError):
+            ekf_predict_batch(x, P, np.full(6, T), q)
 
 
 class TestMeasurementValidation:

@@ -5,6 +5,11 @@ A change that moves any byte of these files (a digit, the comment line, a
 line ending) fails here; if the change is intended, the new digests go in
 together with the diff that explains them.  manifest.json is left out
 because it records the output path.
+
+The seed-12 batch holds a chaotic lane: in starting_0000_none, model P's
+yaw rate is unobservable and wanders far, so a one-ulp change anywhere in
+its filter arithmetic (say x * x in place of x ** 2) moves its MOTP in the
+fourth decimal.
 """
 
 import hashlib
@@ -19,6 +24,13 @@ CONFIG = {"scenes": {"n_starting": 1, "n_turning": 1,
 COMPARE = {
     "per_scene.csv": "bf17ee1a54316276737ff713159239f5635a0d8c080bfc60c55d8e8abd7a7bb9",
     "summary.csv": "4968e6ecd5f7a75fa98d86fb06b9445d33aef91554fbfd1a973edefdde4c2e2e",
+}
+
+CHAOTIC_CONFIG = dict(CONFIG, seed=12)
+
+CHAOTIC_COMPARE = {
+    "per_scene.csv": "66bc51c5251ca0e260a7f1d21b43e5f460c99f0e0f4cdd2cfae552509ff0f29d",
+    "summary.csv": "c4f5f861e2f8e5baecc3fb80d02beeabdf3b2cd00c0ca966e0c44046ec105a99",
 }
 
 TURNING_SCENE = {
@@ -43,15 +55,22 @@ def test_default_config_hash():
     assert load_config().config_hash() == "a227b6db40b4"
 
 
-def test_output_files_match_pinned_digests(tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
-    results, scenes = tmp_path / "results", tmp_path / "scenes"
+def _compare_digests(tmp_path, name, config):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    results = tmp_path / name
     assert cli.main(["--config", str(cfg), "compare", "--out", str(results)]) == 0
+    return cfg, _digests(results, COMPARE)
+
+
+def test_output_files_match_pinned_digests(tmp_path):
+    cfg, compare = _compare_digests(tmp_path, "default", CONFIG)
+    scenes = tmp_path / "scenes"
     assert cli.main(["--config", str(cfg), "simulate", "--out", str(scenes)]) == 0
     scene = scenes / "turning_0000"
     for model in ("P", "C"):
         assert cli.main(["--config", str(cfg), "track", str(scene),
                          "--model", model]) == 0
-    assert _digests(results, COMPARE) == COMPARE
+    assert compare == COMPARE
     assert _digests(scene, TURNING_SCENE) == TURNING_SCENE
+    assert _compare_digests(tmp_path, "chaotic", CHAOTIC_CONFIG)[1] == CHAOTIC_COMPARE

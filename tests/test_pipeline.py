@@ -6,8 +6,8 @@ from cooptrack.config import load_config
 from cooptrack.errors import DataError
 from cooptrack.metrics import motap
 from cooptrack.pipeline import (aggregate, evaluate_rows, read_track_output,
-                                run_tracking, track_and_evaluate,
-                                write_track_output)
+                                run_tracking, run_tracking_batch,
+                                track_and_evaluate, write_track_output)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,21 @@ class TestRunTracking:
         rows, _ = run_tracking(scene, "P", cfg)
         report = evaluate_rows(scene, rows, cfg, "P")
         assert report["motp"] < 0.02
+
+
+class TestLockstep:
+    def test_batch_lanes_equal_lanes_run_alone(self, cfg, turning_scene):
+        starting = scene_sim.generate_scene(scene_sim.SceneSpec(
+            seed=12, occlusions=tuple(scene_sim.aligned_occlusions([2.0], 3.0))),
+            scene_id="start-occluded")
+        assert (len(starting.times), len(turning_scene.times)) == (701, 601)
+        lanes = [(scene, model) for scene in (starting, turning_scene)
+                 for model in ("P", "C")]
+        batch = run_tracking_batch(lanes, cfg)
+        for (scene, model), (rows, assign) in zip(lanes, batch):
+            alone_rows, alone_assign = run_tracking(scene, model, cfg)
+            assert rows == alone_rows
+            assert assign == alone_assign
 
 
 class TestPersistence:
