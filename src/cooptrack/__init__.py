@@ -12,7 +12,7 @@ from .association import (CostMatrix, DeviceResidual, assign_device,
 from .metrics import FrameRecord, MetricConfig, mota, motap, motp
 from .pixel_track import PixelState, cv_predict, cv_update
 from .scene_sim import Scene, SceneSpec, generate_ground_truth, simulate_sensors
-from .track_manager import ManagerConfig, Mode, Track, TrackManager, TrackStatus
+from .track_manager import ManagerConfig, Track, TrackManager, TrackStatus
 from .forest import RegressionForest, train_forest
 from .velocity import VelocityModel, estimate_velocity, train_velocity_model
 

@@ -94,9 +94,9 @@ class RunConfig:
             self.measurement = ekf.MeasurementNoiseParams(**raw["filter"]["measurement"])
             self.metric = metrics.MetricConfig(**raw["metric"])
             self.manager_pixel = track_manager.ManagerConfig(
-                mode=track_manager.Mode.PIXEL_2D, **raw["manager"]["pixel"])
+                **raw["manager"]["pixel"])
             self.manager_coop = track_manager.ManagerConfig(
-                mode=track_manager.Mode.COOP_3D, **raw["manager"]["coop"])
+                **raw["manager"]["coop"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         self.device_gate = float(raw["filter"]["device_gate"])

@@ -136,17 +136,6 @@ def transformed_signals(imu) -> np.ndarray:
     return np.column_stack([acc_h, imu[:, 3], gyr_h, imu[:, 6]])
 
 
-def _rolling_stats(values, half):
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    csum2 = np.concatenate([[0.0], np.cumsum(values ** 2)])
-    n = len(values)
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, n - 1)
-    count = hi - lo + 1
-    return (csum[hi + 1] - csum[lo]) / count, (csum2[hi + 1] - csum2[lo]) / count
-
-
 def _batched_dft_features(values):
     """dft_features for every trailing 256-window; rows align with window ends."""
     n = len(values)
@@ -196,11 +185,11 @@ def motion_feature_matrix(imu) -> np.ndarray:
     n = len(signals)
     if n < DFT_WINDOW_SAMPLES:
         return np.empty((0, N_MOTION_FEATURES))
-    half = int(STAT_WINDOW * SAMPLE_RATE / 2.0)
     stat_cols = []
     for col in range(signals.shape[1]):
-        mean, energy = _rolling_stats(signals[:, col], half)
-        stat_cols += [mean, energy]
+        x = signals[:, col]
+        stat_cols += [moving_average(x, STAT_WINDOW),
+                      moving_average(x ** 2, STAT_WINDOW)]
     stats = np.column_stack(stat_cols)[DFT_WINDOW_SAMPLES - 1:]
     dfts = np.column_stack([_batched_dft_features(signals[:, col])
                             for col in range(signals.shape[1])])

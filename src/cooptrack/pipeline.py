@@ -9,6 +9,7 @@ from . import fileio
 from . import metrics as metrics_mod
 from . import scene_sim
 from .config import RunConfig
+from .errors import DataError
 from .track_manager import TrackManager, TrackStatus, step_lanes
 
 TRACK_HEADER = ("t", "track_id", "x", "y", "gamma", "gamma_dot", "v", "valid")
@@ -36,13 +37,17 @@ def run_tracking_batch(lanes, cfg: RunConfig):
                                      device_gate=cfg.device_gate))
         frame_times = scene.ground_truth[:, 0]
         det_by_frame = {}
-        for row in scene.detections:
-            det_by_frame.setdefault(_frame_index(row[0], frame_times),
-                                    []).append(row[1:3])
+        for i, xy in zip(_frame_indices(scene.detections[:, 0], frame_times,
+                                        f"{scene.scene_id}: detection"),
+                         scene.detections[:, 1:3]):
+            det_by_frame.setdefault(i, []).append(xy)
         dev_by_frame = {}
         if model == MODEL_COOPERATIVE:
-            for row in scene.device:
-                dev_by_frame[_frame_index(row[0], frame_times)] = tuple(row[1:4])
+            idx = _frame_indices(scene.device[:, 0], frame_times,
+                                 f"{scene.scene_id}: device row")
+            if len(set(idx)) < len(idx):
+                raise DataError(f"{scene.scene_id}: two device rows in one frame")
+            dev_by_frame = dict(zip(idx, map(tuple, scene.device[:, 1:4])))
         times.append(frame_times)
         dets.append(det_by_frame)
         devs.append(dev_by_frame)
@@ -76,9 +81,18 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     return run_tracking_batch([(scene, model)], cfg)[0]
 
 
-def _frame_index(t, times):
+def _frame_indices(t, times, what):
+    """Index of the nearest frame in `times` for each timestamp in t (ties
+    to even), as a list of ints.  A timestamp that falls outside the frames
+    is a DataError."""
+    t = np.asarray(t, dtype=float)
     dt = times[1] - times[0] if len(times) > 1 else 1.0
-    return int(round((t - times[0]) / dt))
+    idx = np.rint((t - times[0]) / dt)
+    outside = ~((idx >= 0) & (idx < len(times)))
+    if outside.any():
+        raise DataError(f"{what} at t={t[outside][0]:g} lies outside the "
+                        f"scene's frames [{times[0]:g}, {times[-1]:g}]")
+    return idx.astype(int).tolist()
 
 
 # -- persistence -------------------------------------------------------------
@@ -104,12 +118,11 @@ def read_track_output(path):
 def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str):
     """Per-scene metric report for a model's track rows."""
     times = scene.ground_truth[:, 0]
+    valid = [row for row in track_rows if row[7]]
     by_frame = {}
-    for row in track_rows:
-        t, _tid, x, y = row[0], row[1], row[2], row[3]
-        valid = row[7]
-        if valid:
-            by_frame.setdefault(_frame_index(t, times), []).append((x, y))
+    for i, row in zip(_frame_indices([row[0] for row in valid], times,
+                                     f"{scene.scene_id}: track row"), valid):
+        by_frame.setdefault(i, []).append((row[2], row[3]))
     frames = metrics_mod.frames_from_tracks(times, scene.ground_truth[:, 1:3],
                                             by_frame, cfg.metric)
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)

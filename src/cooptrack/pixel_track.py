@@ -11,6 +11,15 @@ import numpy as np
 from .errors import InvalidStateError, NumericalError
 
 
+@dataclass
+class PixelFilterParams:
+    """Noise defaults for the pixel stage (plausible for 1080p at 50 fps)."""
+
+    q_px: float = 200.0           # px^2/s^3
+    r_px: float = 2.0             # px
+    init_vel_std: float = 100.0   # px/s
+
+
 @dataclass(frozen=True)
 class PixelState:
     px_u: float

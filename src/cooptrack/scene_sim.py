@@ -59,6 +59,18 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind: {self.kind}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
+        for name in ("sigma_detection", "sigma_device_gamma_dot", "sigma_gnss_v",
+                     "sigma_gnss_pos", "device_bias_gamma_dot", "device_bias_v"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        # sigma_device_v is the device stream's sigma_v, which the filter
+        # needs strictly positive; tau divides the OU decay exponent
+        if not self.sigma_device_v > 0:
+            raise ValueError("sigma_device_v must be positive")
+        if not self.device_bias_tau > 0:
+            raise ValueError("device_bias_tau must be positive")
+        if not 0 <= self.dropout_prob <= 1:
+            raise ValueError("dropout_prob must be in [0, 1]")
         self.occlusions = tuple((float(o), float(d)) for o, d in self.occlusions)
         for end_offset, dur in self.occlusions:
             if dur <= 0 or end_offset < 0 or end_offset + dur > self.duration:
@@ -207,13 +219,7 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
     detections = np.column_stack([t[keep], gt[keep, 1] + det_noise[keep, 0],
                                   gt[keep, 2] + det_noise[keep, 1]])
 
-    t_gnss = np.arange(0.0, t[-1] + 1e-9, 1.0 / GNSS_RATE)
-    gnss = np.column_stack([
-        t_gnss,
-        np.interp(t_gnss, t, gt[:, 5]) + rng.normal(0.0, spec.sigma_gnss_v, len(t_gnss)),
-        np.interp(t_gnss, t, gt[:, 1]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
-        np.interp(t_gnss, t, gt[:, 2]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
-    ])
+    gnss = simulate_gnss(gt, spec, rng)
 
     if spec.device_from_imu:
         if velocity_model is None:
@@ -232,6 +238,21 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
     return Scene(scene_id=scene_id, spec=spec, ground_truth=gt,
                  detections=detections, device=device, gnss=gnss,
                  occlusion_mask=occl)
+
+
+def simulate_gnss(trajectory, spec: SceneSpec, rng) -> np.ndarray:
+    """GNSS fixes (t, v, x, y) at GNSS_RATE from t = 0: the ground truth
+    interpolated to the fix times plus noise, drawn from rng in the order
+    speed, x, y."""
+    gt = np.asarray(trajectory, dtype=float)
+    t = gt[:, 0]
+    t_gnss = np.arange(0.0, t[-1] + 1e-9, 1.0 / GNSS_RATE)
+    return np.column_stack([
+        t_gnss,
+        np.interp(t_gnss, t, gt[:, 5]) + rng.normal(0.0, spec.sigma_gnss_v, len(t_gnss)),
+        np.interp(t_gnss, t, gt[:, 1]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
+        np.interp(t_gnss, t, gt[:, 2]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
+    ])
 
 
 def generate_scene(spec: SceneSpec, scene_id="scene", velocity_model=None) -> Scene:

@@ -1,14 +1,13 @@
-"""Track lifecycle with memory functionality.
+"""Track lifecycle with memory functionality for the metric-space stage.
 
-One manager implementation serves both stages: the 2D pixel stage
-(constant-velocity filter, 40 px gate, 30 % miss ratio, 1 s timeout) and the
-3D cooperative stage (bike-model EKF, 2 m gate, 50 % miss ratio, 2 s
-timeout).  Tracks coast on prediction alone through detection gaps and are
-dropped once the miss ratio or the position-update timeout trips.
+Each track carries a bike-model EKF state.  Tracks coast on prediction alone
+through detection gaps and are dropped once the miss ratio or the
+position-update timeout trips; the thresholds come from a ManagerConfig
+(2 m gate, 50 % miss ratio, 2 s timeout by default).
 
 step_lanes advances several managers ("lanes", e.g. one per scene and
-model) by one frame together: the coop filter work of all their tracks runs
-as one batched EKF predict, one batched device-binding distance computation
+model) by one frame together: the filter work of all their tracks runs as
+one batched EKF predict, one batched device-binding distance computation
 and at most one batched EKF update per measurement kind.  TrackManager.step
 is its one-lane case.
 """
@@ -21,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from . import ekf
-from . import pixel_track
 # assign_device binds one reading; step_lanes binds the readings of all
 # lanes at once (_bind_devices).  It stays importable from this module for
 # callers that look it up here.
@@ -29,11 +27,6 @@ from .association import (DEVICE_GATE, assign_device, device_residuals,  # noqa:
                           gated_cost_matrix, munkres_solve, nearest_within_gate,
                           penalized_mahalanobis_batch)
 from .errors import DataError
-
-
-class Mode(Enum):
-    PIXEL_2D = "pixel2d"
-    COOP_3D = "coop3d"
 
 
 class TrackStatus(Enum):
@@ -44,11 +37,10 @@ class TrackStatus(Enum):
 
 @dataclass
 class ManagerConfig:
-    gate_distance: float          # px or m
+    gate_distance: float          # m (px for the pixel stage)
     miss_ratio_max: float
     update_timeout: float         # s
     min_valid_age: int            # frames
-    mode: Mode
 
     def __post_init__(self):
         if not self.gate_distance > 0:
@@ -62,41 +54,34 @@ class ManagerConfig:
 
     @classmethod
     def pixel_defaults(cls):
+        """The 2D pixel pre-tracking stage's thresholds (40 px gate, 30 %
+        miss ratio, 1 s timeout)."""
         return cls(gate_distance=40.0, miss_ratio_max=0.30, update_timeout=1.0,
-                   min_valid_age=4, mode=Mode.PIXEL_2D)
+                   min_valid_age=4)
 
     @classmethod
     def coop_defaults(cls):
         return cls(gate_distance=2.0, miss_ratio_max=0.50, update_timeout=2.0,
-                   min_valid_age=4, mode=Mode.COOP_3D)
-
-
-@dataclass
-class PixelFilterParams:
-    """Noise defaults for the pixel stage (plausible for 1080p at 50 fps)."""
-
-    q_px: float = 200.0           # px^2/s^3
-    r_px: float = 2.0             # px
-    init_vel_std: float = 100.0   # px/s
+                   min_valid_age=4)
 
 
 @dataclass
 class Track:
     id: int
-    x: np.ndarray                 # bike state (coop) or [u, v, u_dot, v_dot] (pixel)
+    x: np.ndarray                 # bike state [x, y, gamma, gamma_dot, v]
     P: np.ndarray                 # covariance of x
     age: int
     miss_count: int
     last_position_update: float
     status: TrackStatus
     # spawning fix; used once to initialize heading/speed from the first
-    # above-noise displacement (coop mode only)
+    # above-noise displacement
     first_fix: tuple | None = None
     heading_initialized: bool = False
 
     @property
     def estimate(self) -> ekf.StateEstimate:
-        """The state of a coop track as a StateEstimate."""
+        """The track state as a StateEstimate."""
         return ekf.StateEstimate(ekf.BikeState.from_array(self.x), self.P)
 
     @estimate.setter
@@ -124,12 +109,10 @@ class TrackManager:
     def __init__(self, config: ManagerConfig,
                  process: ekf.ProcessNoiseParams | None = None,
                  noise: ekf.MeasurementNoiseParams | None = None,
-                 pixel_params: PixelFilterParams | None = None,
                  device_gate: float = DEVICE_GATE):
         self.config = config
         self.process = process or ekf.ProcessNoiseParams()
         self.noise = noise or ekf.MeasurementNoiseParams()
-        self.pixel_params = pixel_params or PixelFilterParams()
         self.device_gate = device_gate
         self.tracks: list[Track] = []
         self._next_id = 0
@@ -147,15 +130,8 @@ class TrackManager:
 
     def _spawn(self, position, t_now):
         px, py = float(position[0]), float(position[1])
-        if self.config.mode is Mode.COOP_3D:
-            x = np.array([px, py, 0.0, 0.0, 0.0])
-            P = ekf.newborn_covariance(self.noise)
-        else:
-            pp = self.pixel_params
-            x = np.array([px, py, 0.0, 0.0])
-            P = np.diag([pp.r_px ** 2, pp.r_px ** 2,
-                         pp.init_vel_std ** 2, pp.init_vel_std ** 2])
-        track = Track(id=self._next_id, x=x, P=P, age=1, miss_count=0,
+        track = Track(id=self._next_id, x=np.array([px, py, 0.0, 0.0, 0.0]),
+                      P=ekf.newborn_covariance(self.noise), age=1, miss_count=0,
                       last_position_update=t_now, status=TrackStatus.TENTATIVE,
                       first_fix=(t_now, px, py))
         self._next_id += 1
@@ -190,8 +166,8 @@ class TrackManager:
     def step(self, detections, t_now, device=None):
         """Advance one frame.
 
-        detections: array-like of (x, y) (or (u, v) in pixel mode);
-        device: optional (gamma_dot, v, sigma_v) tuple, coop mode only.
+        detections: array-like of (x, y);
+        device: optional (gamma_dot, v, sigma_v) tuple.
         Returns the list of AssignmentRecords for this step.
         """
         return step_lanes([self], [detections], [t_now], [device])[0]
@@ -218,19 +194,12 @@ def _stack(tracks):
 
 
 def _predict(items):
-    """Advance each (manager, track, dt): pixel tracks one at a time, coop
-    tracks by one batched EKF predict per round of sub-steps."""
-    coop = []
-    for manager, track, dt in items:
-        if manager.config.mode is Mode.COOP_3D:
-            coop.append((manager, track, _sub_steps(dt, manager.process.T)))
-        else:
-            s = pixel_track.cv_predict(
-                pixel_track.PixelState(*track.x.tolist(), track.P), dt,
-                manager.pixel_params.q_px)
-            track.x, track.P = s.as_array(), s.covariance
-    for i in range(max((len(steps) for _, _, steps in coop), default=0)):
-        live = [(manager, track, steps[i]) for manager, track, steps in coop
+    """Advance each (manager, track, dt) by one batched EKF predict per
+    round of sub-steps."""
+    items = [(manager, track, _sub_steps(dt, manager.process.T))
+             for manager, track, dt in items]
+    for i in range(max((len(steps) for _, _, steps in items), default=0)):
+        live = [(manager, track, steps[i]) for manager, track, steps in items
                 if len(steps) > i]
         x, P = ekf.ekf_predict_batch(
             *_stack([track for _, track, _ in live]),
@@ -270,18 +239,10 @@ def _bind_devices(managers, devices):
 
 
 def _update(items):
-    """Apply each (manager, track, detection or None, device or None, t):
-    pixel tracks one at a time, coop tracks by one batched EKF update per
-    measurement kind."""
+    """Apply each (manager, track, detection or None, device or None, t) by
+    one batched EKF update per measurement kind."""
     groups = {}
     for manager, track, detection, device, t_now in items:
-        if manager.config.mode is Mode.PIXEL_2D:
-            if detection is not None:
-                s = pixel_track.cv_update(
-                    pixel_track.PixelState(*track.x.tolist(), track.P), detection,
-                    manager.pixel_params.r_px)
-                track.x, track.P = s.as_array(), s.covariance
-            continue
         z = []
         if detection is not None:
             manager._maybe_init_heading(track, detection, t_now)
@@ -317,12 +278,10 @@ def step_lanes(managers, detections, times, devices):
     AssignmentRecords of each lane.  Lanes are independent: each gets the
     records and track states it would get stepped alone.
     """
-    for manager, t_now, device in zip(managers, times, devices):
+    for manager, t_now in zip(managers, times):
         if manager._last_t is not None and not t_now > manager._last_t:
             raise DataError(f"timestamps must be strictly increasing "
                             f"({t_now} after {manager._last_t})")
-        if device is not None and manager.config.mode is not Mode.COOP_3D:
-            raise ValueError("device measurements require coop mode")
     dets_by_lane = [np.asarray(d, dtype=float).reshape(-1, 2) for d in detections]
 
     _predict([(manager, track, t_now - manager._last_t)

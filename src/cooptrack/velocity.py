@@ -102,14 +102,7 @@ def build_training_set(seed, n_scenes=24):
         gt = scene_sim.generate_ground_truth(spec)
         rng = np.random.default_rng(spec.seed + 1)
         imu = scene_sim.synthesize_imu(gt, rng)
-        t = gt[:, 0]
-        t_gnss = np.arange(0.0, t[-1] + 1e-9, 1.0)
-        gnss = np.column_stack([
-            t_gnss,
-            np.interp(t_gnss, t, gt[:, 5]) + rng.normal(0, spec.sigma_gnss_v, len(t_gnss)),
-            np.interp(t_gnss, t, gt[:, 1]) + rng.normal(0, spec.sigma_gnss_pos, len(t_gnss)),
-            np.interp(t_gnss, t, gt[:, 2]) + rng.normal(0, spec.sigma_gnss_pos, len(t_gnss)),
-        ])
+        gnss = scene_sim.simulate_gnss(gt, spec, rng)
         motion = feat.motion_feature_matrix(imu)
         times = imu[feat.DFT_WINDOW_SAMPLES - 1:, 0]
         coeffs, age = feat.gnss_poly_track(times, gnss)

@@ -158,6 +158,8 @@ class TestTrack:
     @pytest.mark.parametrize("corrupt", [
         lambda meta: meta["spec"].update(kind="unicycle"),
         lambda meta: meta.update(occlusion_windows=[[1.0]]),
+        lambda meta: meta["spec"].update(sigma_device_v=0.0),
+        lambda meta: meta["spec"].update(dropout_prob=-0.1),
     ])
     def test_bad_scene_json_value_exits_3(self, scene_batch, tmp_path, capsys,
                                           corrupt):
@@ -203,6 +205,25 @@ class TestTrack:
         assert run(["--config", cfg, "track", broken, "--model", "C"]) == 3
         assert "device.csv: sigma_v must be strictly positive" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,name,corrupt,message", [
+        # the device row of frame 2 (t = 0.04) again, stamped 1 ms later
+        ("C", "device.csv", lambda rows: rows.insert(4, "0.041" + rows[3][8:]),
+         "two device rows in one frame"),
+        ("P", "detections.csv", lambda rows: rows.append("12.500000,0.0,0.0"),
+         "detection at t=12.5 lies outside the scene's frames"),
+    ], ids=["duplicate_device_frame", "detection_past_last_frame"])
+    def test_unbinnable_rows_exit_3(self, scene_batch, tmp_path, capsys, model,
+                                    name, corrupt, message):
+        cfg, scenes = scene_batch
+        broken = tmp_path / "broken"
+        shutil.copytree(os.path.join(scenes, "turning_0000"), broken)
+        path = broken / name
+        rows = path.read_text().splitlines()
+        corrupt(rows)
+        path.write_text("\n".join(rows) + "\n")
+        assert run(["--config", cfg, "track", broken, "--model", model]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -296,6 +317,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,scenes", [
         ("simulate", {"n_starting": 1, "n_turning": 0, "starting": {"duration": -1}}),
         ("compare", {"n_starting": 1, "n_turning": 0, "occlusion_durations": [20.0]}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "noise": {"sigma_device_v": 0.0}}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "noise": {"sigma_detection": -1.0}}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "noise": {"device_bias_tau": 0.0}}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "noise": {"dropout_prob": 1.5}}),
     ])
     def test_rejected_scene_value_is_2(self, tmp_path, capsys, command, scenes):
         cfg = write_config(tmp_path / "c.json", scenes=scenes)

@@ -6,8 +6,7 @@ import pytest
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate, ekf_predict)
 from cooptrack.errors import DataError
-from cooptrack.track_manager import (ManagerConfig, Mode, PixelFilterParams,
-                                     TrackManager, TrackStatus)
+from cooptrack.track_manager import ManagerConfig, TrackManager, TrackStatus
 
 T = 0.02
 
@@ -21,8 +20,7 @@ def coop_manager(**overrides):
 
 
 def pixel_manager():
-    return TrackManager(ManagerConfig.pixel_defaults(),
-                        pixel_params=PixelFilterParams())
+    return TrackManager(ManagerConfig.pixel_defaults())
 
 
 def run_frames(manager, frames):
@@ -38,21 +36,19 @@ class TestDefaults:
         cfg = ManagerConfig.pixel_defaults()
         assert (cfg.gate_distance, cfg.miss_ratio_max, cfg.update_timeout,
                 cfg.min_valid_age) == (40.0, 0.30, 1.0, 4)
-        assert cfg.mode is Mode.PIXEL_2D
 
     def test_coop_thresholds(self):
         cfg = ManagerConfig.coop_defaults()
         assert (cfg.gate_distance, cfg.miss_ratio_max, cfg.update_timeout,
                 cfg.min_valid_age) == (2.0, 0.50, 2.0, 4)
-        assert cfg.mode is Mode.COOP_3D
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             ManagerConfig(gate_distance=0.0, miss_ratio_max=0.3,
-                          update_timeout=1.0, min_valid_age=4, mode=Mode.COOP_3D)
+                          update_timeout=1.0, min_valid_age=4)
         with pytest.raises(ValueError):
             ManagerConfig(gate_distance=2.0, miss_ratio_max=1.0,
-                          update_timeout=1.0, min_valid_age=4, mode=Mode.COOP_3D)
+                          update_timeout=1.0, min_valid_age=4)
 
 
 class TestLifecycle:
@@ -171,11 +167,6 @@ class TestAssignment:
         assert manager.tracks[0].status is TrackStatus.VALID
         assert any(r.device_bound for r in log)
 
-    def test_device_requires_coop_mode(self):
-        manager = pixel_manager()
-        with pytest.raises(ValueError):
-            manager.step([(0.0, 0.0)], 0.0, device=(0.0, 1.0, 0.1))
-
 
 class TestHeadingInit:
     def test_init_fires_once_displacement_clears_noise_floor(self):
@@ -243,12 +234,14 @@ class TestCoast:
 
 
 class TestPixelMode:
+    """The pixel stage's pinned thresholds drive the same lifecycle."""
+
     def test_pixel_track_lifecycle(self):
         manager = pixel_manager()
         for i in range(4):
             manager.step([(100.0 + i, 200.0)], i * T)
         assert manager.tracks[0].status is TrackStatus.VALID
-        # one-second timeout in pixel mode
+        # the pixel stage's one-second timeout
         t, steps = 4 * T, 0
         manager.config.miss_ratio_max = 0.99
         while manager.tracks and steps < 60:
