@@ -20,6 +20,7 @@ from . import scene_sim
 from . import velocity as velocity_mod
 from .config import RunConfig, load_config
 from .errors import ConfigError, CoopTrackError, DataError, NumericalError
+from .features import feature_layout
 from .forest import RegressionForest
 from .metrics import pairwise_report
 
@@ -28,22 +29,25 @@ def _scene_specs(cfg: RunConfig, variants):
     """(base scene id, variant label, SceneSpec) per configured scene and
     occlusion variant (label, occlusions).  Seeds are drawn from the master
     seed, starting scenes first, then turning scenes; the variants of a
-    scene share its seed.  A value SceneSpec rejects is a ConfigError."""
+    scene share its seed.  A value SceneSpec rejects is a ConfigError
+    naming its section."""
     rng = np.random.default_rng(cfg.seed)
     scenes_cfg = cfg.scenes
     specs = []
-    for kind, short in ((scene_sim.KIND_STARTING, "starting"),
-                        (scene_sim.KIND_TURNING, "turning")):
-        for i in range(int(scenes_cfg[f"n_{short}"])):
-            seed = int(rng.integers(2 ** 63))
-            for label, occlusions in variants:
-                try:
-                    spec = scene_sim.SceneSpec(
+    section = "scenes.noise"
+    try:
+        scene_sim.SceneSpec(**scenes_cfg["noise"])
+        for kind, short in ((scene_sim.KIND_STARTING, "starting"),
+                            (scene_sim.KIND_TURNING, "turning")):
+            section = f"scenes.{short}"
+            for i in range(int(scenes_cfg[f"n_{short}"])):
+                seed = int(rng.integers(2 ** 63))
+                for label, occlusions in variants:
+                    specs.append((f"{short}_{i:04d}", label, scene_sim.SceneSpec(
                         kind=kind, seed=seed, occlusions=occlusions,
-                        **scenes_cfg[short], **scenes_cfg["noise"])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"scenes.{short}: {exc}") from exc
-                specs.append((f"{short}_{i:04d}", label, spec))
+                        **scenes_cfg[short], **scenes_cfg["noise"])))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
     return specs
 
 
@@ -107,20 +111,15 @@ COMPARE_CHUNK_SCENES = 8
 
 
 def _compare_chunk(payload):
-    """Worker: simulate a chunk of scene variants, track all of them with
-    every model in one lockstep batch and evaluate; returns result rows."""
+    """Worker: simulate a chunk of scene variants, then track and evaluate
+    all of them with every model in one lockstep batch; returns result rows."""
     raw_cfg, entries = payload
     cfg = RunConfig(raw_cfg)
     scenes = [scene_sim.generate_scene(spec, scene_id=scene_id)
               for scene_id, _, spec in entries]
-    lanes = [(scene, model) for scene in scenes for model in cfg.models]
-    outputs = iter(pipeline.run_tracking_batch(lanes, cfg))
-    results = []
-    for scene, (scene_id, label, spec) in zip(scenes, entries):
-        reports = {model: pipeline.evaluate_rows(scene, next(outputs)[0], cfg, model)
-                   for model in cfg.models}
-        results.append((spec.kind, label, scene_id, reports))
-    return results
+    return [(spec.kind, label, scene_id, reports)
+            for (scene_id, label, spec), reports
+            in zip(entries, pipeline.track_and_evaluate(scenes, cfg))]
 
 
 def cmd_compare(args) -> int:
@@ -128,9 +127,8 @@ def cmd_compare(args) -> int:
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     scenes_cfg = cfg.scenes
-    durations = [float(d) for d in scenes_cfg["occlusion_durations"]]
-    aligned = scene_sim.aligned_occlusions(durations,
-                                           scenes_cfg["occlusion_end_offset"])
+    durations = scenes_cfg["occlusion_durations"]
+    aligned = scene_sim.aligned_occlusions(durations, scenes_cfg["occlusion_end_offset"])
     variants = [("none", ())]
     variants += [(f"occ{dur:g}s", (tup,))
                  for tup, dur in zip(aligned, sorted(durations))]
@@ -195,10 +193,9 @@ def cmd_train_velocity(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     vcfg = cfg.velocity
     model, report = velocity_mod.train_velocity_model(
-        seed=cfg.seed, n_scenes=int(vcfg["training_scenes"]),
-        n_trees=int(vcfg["n_trees"]), max_depth=int(vcfg["max_depth"]),
-        n_bins=int(vcfg["n_bins"]),
-        holdout_fraction=float(vcfg["holdout_fraction"]))
+        seed=cfg.seed, n_scenes=vcfg["training_scenes"], n_trees=vcfg["n_trees"],
+        max_depth=vcfg["max_depth"], n_bins=vcfg["n_bins"],
+        holdout_fraction=vcfg["holdout_fraction"])
     fileio.write_text(os.path.join(out_dir, "forest_with_gnss.json"),
                       model.with_gnss.to_json() + "\n")
     fileio.write_text(os.path.join(out_dir, "forest_no_gnss.json"),
@@ -209,15 +206,19 @@ def cmd_train_velocity(args) -> int:
 
 
 def load_velocity_model(directory) -> velocity_mod.VelocityModel:
-    """Read the forest pair written by train-velocity."""
-    def _read(name):
+    """Read the forest pair written by train-velocity; each forest must
+    carry the feature layout it is run on."""
+    def _read(name, with_gnss):
         path = os.path.join(directory, name)
         try:
-            return RegressionForest.from_json(fileio.read_text(path))
+            forest = RegressionForest.from_json(fileio.read_text(path))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: not a forest file ({exc})") from exc
-    return velocity_mod.VelocityModel(with_gnss=_read("forest_with_gnss.json"),
-                                      no_gnss=_read("forest_no_gnss.json"))
+        if forest.feature_layout != feature_layout(with_gnss):
+            raise DataError(f"{path}: not the with_gnss={with_gnss} feature layout")
+        return forest
+    return velocity_mod.VelocityModel(_read("forest_with_gnss.json", True),
+                                      _read("forest_no_gnss.json", False))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """Run configuration: JSON key-value file over fixed defaults.
 
-Unknown keys are rejected anywhere in the tree.  The COOPTRACK_SEED
-environment variable overrides the configured seed.
+Unknown keys, and values whose JSON type is not their default's, are
+rejected anywhere in the tree.  COOPTRACK_SEED overrides the seed.
 """
 
 import copy
@@ -16,6 +16,7 @@ from . import forest
 from . import metrics
 from . import scene_sim
 from . import track_manager
+from . import velocity
 from .errors import ConfigError
 
 SEED_ENV_VAR = "COOPTRACK_SEED"
@@ -69,18 +70,23 @@ DEFAULTS = {
 }
 
 
+def _like(value, default):
+    """Whether a JSON value has the type of default; an int may stand for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
+    return type(value) is type(default) or (type(default), type(value)) == (float, int)
+
+
 def _merge(defaults, overrides, path=""):
     merged = copy.deepcopy(defaults)
     for key, value in overrides.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown configuration key: {here}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be an object")
-            merged[key] = _merge(defaults[key], value, here)
-        else:
-            merged[key] = value
+        if not _like(value, defaults[key]):
+            raise ConfigError(f"{here}: expected a value like {json.dumps(defaults[key])}")
+        merged[key] = (_merge(defaults[key], value, here)
+                       if isinstance(value, dict) else value)
     return merged
 
 
@@ -97,6 +103,9 @@ class RunConfig:
                 **raw["manager"]["pixel"])
             self.manager_coop = track_manager.ManagerConfig(
                 **raw["manager"]["coop"])
+            vel = raw["velocity"]
+            forest.RegressionForest(vel["n_trees"], vel["max_depth"], vel["n_bins"])
+            velocity.holdout_count(vel["training_scenes"], vel["holdout_fraction"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         self.device_gate = float(raw["filter"]["device_gate"])

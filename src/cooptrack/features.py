@@ -19,10 +19,10 @@ GNSS_WINDOW = 5.0            # s
 GNSS_POLY_DEGREE = 3
 
 
-def moving_average(values, window_s, rate=SAMPLE_RATE):
+def moving_average(values, window_s):
     """Centered moving average; edge windows are truncated."""
     values = np.asarray(values, dtype=float)
-    half = int(window_s * rate / 2.0)
+    half = int(window_s * SAMPLE_RATE / 2.0)
     if len(values) == 0:
         return values.copy()
     csum = np.concatenate([[0.0], np.cumsum(values)])
@@ -33,28 +33,14 @@ def moving_average(values, window_s, rate=SAMPLE_RATE):
     return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
 
 
-def yaw_rate(imu, rate=SAMPLE_RATE):
+def yaw_rate(imu):
     """(t, gamma_dot) stream from an IMU array (t, acc xyz, gyr xyz)."""
     imu = np.asarray(imu, dtype=float)
     if imu.size == 0:
         return np.empty((0, 2))
     t = imu[:, 0]
     gyr_z = imu[:, 6]
-    return np.column_stack([t, moving_average(gyr_z, YAW_LOWPASS_WINDOW, rate)])
-
-
-def window_features(signal, window_s=None, rate=SAMPLE_RATE):
-    """(mean, energy) over the trailing window_s seconds of a stream (the
-    whole stream if window_s is None); energy is the mean of squares."""
-    values = np.asarray(signal, dtype=float)
-    if window_s is not None:
-        k = int(round(window_s * rate))
-        if k > len(values):
-            raise ValueError("window does not fit in the stream")
-        values = values[len(values) - k:]
-    if len(values) == 0:
-        raise ValueError("window is empty")
-    return float(values.mean()), float(np.mean(values ** 2))
+    return np.column_stack([t, moving_average(gyr_z, YAW_LOWPASS_WINDOW)])
 
 
 def dft_features(window) -> np.ndarray:
@@ -148,7 +134,7 @@ def _batched_dft_features(values):
     return out
 
 
-def gnss_poly_track(times, gnss, window_s=GNSS_WINDOW, degree=GNSS_POLY_DEGREE):
+def gnss_poly_track(times, gnss):
     """Zero-order-hold GNSS speed polynomial features on the 50 Hz grid.
 
     For each output time, the coefficients computed at the latest GNSS fix
@@ -158,20 +144,20 @@ def gnss_poly_track(times, gnss, window_s=GNSS_WINDOW, degree=GNSS_POLY_DEGREE):
     """
     times = np.asarray(times, dtype=float)
     gnss = np.asarray(gnss, dtype=float).reshape(-1, 4)
-    coeffs = np.full((len(times), degree + 1), np.nan)
+    coeffs = np.full((len(times), GNSS_POLY_DEGREE + 1), np.nan)
     age = np.full(len(times), np.inf)
     if len(gnss) == 0:
         return coeffs, age
     t_fix = gnss[:, 0]
     v_fix = gnss[:, 1]
-    per_fix = np.full((len(gnss), degree + 1), np.nan)
+    per_fix = np.full((len(gnss), GNSS_POLY_DEGREE + 1), np.nan)
     for k in range(len(gnss)):
         # half-open (t-window, t]: a steady 1 Hz stream always yields the
         # same fix count, keeping the coefficient scale consistent
-        in_window = (t_fix > t_fix[k] - window_s + 1e-9) & (t_fix <= t_fix[k] + 1e-9)
+        in_window = (t_fix > t_fix[k] - GNSS_WINDOW + 1e-9) & (t_fix <= t_fix[k] + 1e-9)
         vals = v_fix[in_window]
-        if len(vals) > degree + 1:
-            per_fix[k] = orthopoly_coeffs(vals, degree)
+        if len(vals) > GNSS_POLY_DEGREE + 1:
+            per_fix[k] = orthopoly_coeffs(vals, GNSS_POLY_DEGREE)
     newest = np.searchsorted(t_fix, times + 1e-9) - 1
     has_fix = newest >= 0
     age[has_fix] = times[has_fix] - t_fix[newest[has_fix]]

@@ -91,7 +91,7 @@ class RegressionForest:
     def __init__(self, n_trees=N_TREES, max_depth=MAX_DEPTH, n_bins=N_BINS,
                  seed=0):
         if n_trees < 1 or max_depth < 1 or n_bins < 2:
-            raise ValueError("bad forest hyperparameters")
+            raise ValueError("need n_trees >= 1, max_depth >= 1 and n_bins >= 2")
         self.n_trees = int(n_trees)
         self.max_depth = int(max_depth)
         self.n_bins = int(n_bins)

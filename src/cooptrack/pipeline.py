@@ -128,17 +128,13 @@ def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)
 
 
-def track_and_evaluate(scene: scene_sim.Scene, cfg: RunConfig, out_dir=None):
-    """Run every configured model over a scene; returns reports by model."""
-    reports = {}
-    lanes = [(scene, model) for model in cfg.models]
-    for model, (track_rows, assign_rows) in zip(cfg.models,
-                                                run_tracking_batch(lanes, cfg)):
-        if out_dir is not None:
-            write_track_output(out_dir, model, track_rows, assign_rows, cfg,
-                               scene.scene_id)
-        reports[model] = evaluate_rows(scene, track_rows, cfg, model)
-    return reports
+def track_and_evaluate(scenes, cfg: RunConfig):
+    """Run every configured model over each scene, all (scene, model) lanes
+    in one lockstep batch; returns one {model: report} dict per scene."""
+    lanes = [(scene, model) for scene in scenes for model in cfg.models]
+    outputs = iter(run_tracking_batch(lanes, cfg))
+    return [{model: evaluate_rows(scene, next(outputs)[0], cfg, model)
+             for model in cfg.models} for scene in scenes]
 
 
 def aggregate(reports):

@@ -372,6 +372,11 @@ def read_scene(directory) -> Scene:
     gt = arrays["ground_truth.csv"]
     if gt.size == 0:
         raise DataError(f"{directory}: empty ground truth")
+    # binning assumes the frame grid t0 + i * (t1 - t0), to the CSV's 1 us
+    steps = np.diff(np.rint(gt[:, 0] * 1e6))
+    off = np.flatnonzero((steps <= 0) | (np.abs(steps - steps[:1]) > 1))
+    if len(off):
+        raise DataError(f"{directory}: ground_truth.csv data row {off[0] + 2} is off-grid")
     return Scene(scene_id=meta.get("scene_id", os.path.basename(str(directory))),
                  spec=spec, ground_truth=gt,
                  detections=arrays["detections.csv"],

@@ -75,19 +75,13 @@ class Track:
     last_position_update: float
     status: TrackStatus
     # spawning fix; used once to initialize heading/speed from the first
-    # above-noise displacement
+    # above-noise displacement, then cleared
     first_fix: tuple | None = None
-    heading_initialized: bool = False
 
     @property
     def estimate(self) -> ekf.StateEstimate:
         """The track state as a StateEstimate."""
         return ekf.StateEstimate(ekf.BikeState.from_array(self.x), self.P)
-
-    @estimate.setter
-    def estimate(self, e: ekf.StateEstimate):
-        self.x = e.state.as_array()
-        self.P = np.asarray(e.covariance, dtype=float)
 
     def position(self):
         return float(self.x[0]), float(self.x[1])
@@ -118,16 +112,6 @@ class TrackManager:
         self._next_id = 0
         self._last_t = None
 
-    def coast(self, track: Track, t_now: float) -> Track:
-        """Prediction-only propagation of one track to t_now."""
-        if track.status is TrackStatus.LOST:
-            raise ValueError("cannot coast a lost track")
-        base = self._last_t if self._last_t is not None else t_now
-        dt = t_now - base
-        if dt > 0:
-            _predict([(self, track, dt)])
-        return track
-
     def _spawn(self, position, t_now):
         px, py = float(position[0]), float(position[1])
         track = Track(id=self._next_id, x=np.array([px, py, 0.0, 0.0, 0.0]),
@@ -147,7 +131,7 @@ class TrackManager:
         floor; that baseline pins the heading sign (a wrong sign leaves the
         filter in the mirrored gamma+pi, -v basin).
         """
-        if track.heading_initialized or track.first_fix is None:
+        if track.first_fix is None:
             return
         t_first, x_first, y_first = track.first_fix
         dt = t_now - t_first
@@ -161,7 +145,7 @@ class TrackManager:
         x[2] = math.atan2(dy, dx)
         x[4] = math.hypot(dx, dy) / dt
         track.x = x
-        track.heading_initialized = True
+        track.first_fix = None
 
     def step(self, detections, t_now, device=None):
         """Advance one frame.

@@ -17,45 +17,47 @@ from .forest import RegressionForest, train_forest
 
 GNSS_STALENESS = 2.0     # s without a fix before switching to the outage model
 SIGMA_V_FLOOR = 0.05     # m/s, keeps R invertible when trees agree exactly
-WARMUP = (feat.DFT_WINDOW_SAMPLES - 1) / feat.SAMPLE_RATE   # 5.1 s of history
 
 
 @dataclass
 class VelocityModel:
-    """The trained pair of forests plus the shared runtime settings."""
+    """The trained pair of forests."""
 
     with_gnss: RegressionForest
     no_gnss: RegressionForest
-    staleness: float = GNSS_STALENESS
-    sigma_floor: float = SIGMA_V_FLOOR
 
     def run(self, imu, gnss):
         """Device stream (t, gamma_dot, v, sigma_v) from raw sensor streams."""
-        est = estimate_velocity(imu, gnss, self,
-                                staleness=self.staleness,
-                                sigma_floor=self.sigma_floor)
+        est = estimate_velocity(imu, gnss, self)
         yaw = feat.yaw_rate(imu)
         n_skip = len(yaw) - len(est)
         return np.column_stack([est[:, 0], yaw[n_skip:, 1], est[:, 1], est[:, 2]])
 
 
-def estimate_velocity(imu, gnss, model: VelocityModel, staleness=GNSS_STALENESS,
-                      sigma_floor=SIGMA_V_FLOOR):
+def _feature_rows(imu, gnss):
+    """(times, motion, gnss_coeffs, fresh) for every post-warm-up sample.
+
+    fresh marks the rows whose newest GNSS fix is at most GNSS_STALENESS
+    old and whose polynomial window is full; gnss may be None.
+    """
+    times = imu[feat.DFT_WINDOW_SAMPLES - 1:, 0]
+    coeffs, age = feat.gnss_poly_track(
+        times, np.empty((0, 4)) if gnss is None else gnss)
+    fresh = (age <= GNSS_STALENESS) & ~np.isnan(coeffs).any(axis=1)
+    return times, feat.motion_feature_matrix(imu), coeffs, fresh
+
+
+def estimate_velocity(imu, gnss, model: VelocityModel):
     """(t, v_hat, sigma_v, used_gnss) rows at the sample rate.
 
     Nothing is emitted during the warm-up (the first full feature window).
-    A row uses the GNSS-backed forest iff a fix newer than `staleness`
+    A row uses the GNSS-backed forest iff a fix newer than GNSS_STALENESS
     exists and enough fixes fill the polynomial window.
     """
     imu = np.asarray(imu, dtype=float)
     if len(imu) < feat.DFT_WINDOW_SAMPLES:
         return np.empty((0, 4))
-    times = imu[feat.DFT_WINDOW_SAMPLES - 1:, 0]
-    motion = feat.motion_feature_matrix(imu)
-    gnss = (np.empty((0, 4)) if gnss is None
-            else np.asarray(gnss, dtype=float).reshape(-1, 4))
-    coeffs, age = feat.gnss_poly_track(times, gnss)
-    use_gnss = (age <= staleness) & ~np.isnan(coeffs).any(axis=1)
+    times, motion, coeffs, use_gnss = _feature_rows(imu, gnss)
 
     v_hat = np.empty(len(times))
     var = np.empty(len(times))
@@ -64,7 +66,7 @@ def estimate_velocity(imu, gnss, model: VelocityModel, staleness=GNSS_STALENESS,
         v_hat[use_gnss], var[use_gnss] = model.with_gnss.predict(X)
     if (~use_gnss).any():
         v_hat[~use_gnss], var[~use_gnss] = model.no_gnss.predict(motion[~use_gnss])
-    sigma = np.maximum(np.sqrt(var), sigma_floor)
+    sigma = np.maximum(np.sqrt(var), SIGMA_V_FLOOR)
     return np.column_stack([times, v_hat, sigma, use_gnss.astype(float)])
 
 
@@ -103,15 +105,20 @@ def build_training_set(seed, n_scenes=24):
         rng = np.random.default_rng(spec.seed + 1)
         imu = scene_sim.synthesize_imu(gt, rng)
         gnss = scene_sim.simulate_gnss(gt, spec, rng)
-        motion = feat.motion_feature_matrix(imu)
-        times = imu[feat.DFT_WINDOW_SAMPLES - 1:, 0]
-        coeffs, age = feat.gnss_poly_track(times, gnss)
-        ok = (age <= GNSS_STALENESS) & ~np.isnan(coeffs).any(axis=1)
+        _, motion, coeffs, ok = _feature_rows(imu, gnss)
         rows_X.append(np.column_stack([motion[ok], coeffs[ok]]))
         rows_y.append(gt[feat.DFT_WINDOW_SAMPLES - 1:, 5][ok])
         rows_scene.append(np.full(int(ok.sum()), scene_idx))
     return (np.concatenate(rows_X), np.concatenate(rows_y),
             np.concatenate(rows_scene))
+
+
+def holdout_count(n_scenes, holdout_fraction):
+    """Whole scenes held out of training: at least one, never all."""
+    n_hold = max(1, int(round(n_scenes * holdout_fraction)))
+    if n_hold >= n_scenes:
+        raise ValueError(f"holdout_fraction {holdout_fraction} leaves no training scene")
+    return n_hold
 
 
 def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
@@ -124,9 +131,8 @@ def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
     """
     X, y, scene_ids = build_training_set(seed, n_scenes)
     unique = np.unique(scene_ids)
-    n_hold = max(1, int(round(len(unique) * holdout_fraction)))
-    hold_scenes = set(unique[-n_hold:].tolist())
-    hold = np.isin(scene_ids, list(hold_scenes))
+    n_hold = holdout_count(len(unique), holdout_fraction)
+    hold = np.isin(scene_ids, unique[-n_hold:])
     X_tr, y_tr = X[~hold], y[~hold]
     X_ho, y_ho = X[hold], y[hold]
 

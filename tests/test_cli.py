@@ -10,7 +10,8 @@ import pytest
 from cooptrack import cli
 from cooptrack.config import SEED_ENV_VAR, load_config
 from cooptrack.errors import ConfigError, DataError, NumericalError
-from cooptrack.forest import RegressionForest
+from cooptrack.features import feature_layout
+from cooptrack.forest import RegressionForest, train_forest
 
 
 def write_config(path, **overrides):
@@ -225,6 +226,27 @@ class TestTrack:
         assert run(["--config", cfg, "track", broken, "--model", model]) == 3
         assert message in capsys.readouterr().err
 
+    # rows[0] is the header, so rows[k] is data row k
+    @pytest.mark.parametrize("corrupt", [lambda rows: rows.pop(50),
+                                         lambda rows: rows.insert(50, rows.pop(51))],
+                             ids=["deleted_row", "swapped_rows"])
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    def test_off_grid_ground_truth_exits_3(self, scene_batch, tmp_path, capsys,
+                                           corrupt, command):
+        cfg, scenes = scene_batch
+        broken = tmp_path / "broken"
+        shutil.copytree(os.path.join(scenes, "turning_0000"), broken)
+        assert run(["--config", cfg, "track", broken, "--model", "P"]) == 0
+        path = broken / "ground_truth.csv"
+        rows = path.read_text().splitlines()
+        corrupt(rows)
+        path.write_text("\n".join(rows) + "\n")
+        argv = {"track": ["track", broken, "--model", "P"],
+                "evaluate": ["evaluate", broken, "--tracks", broken / "tracks_P.csv"]}
+        capsys.readouterr()
+        assert run(["--config", cfg] + argv[command]) == 3
+        assert "ground_truth.csv data row 50 is off-grid" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_single_and_pairwise(self, scene_batch, tmp_path, capsys):
@@ -297,6 +319,19 @@ class TestTrainVelocity:
         with pytest.raises(DataError, match="forest_with_gnss.json"):
             cli.load_velocity_model(str(tmp_path))
 
+    def test_swapped_forest_files_are_data_error(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for name, with_gnss in (("forest_with_gnss.json", False),
+                                ("forest_no_gnss.json", True)):
+            layout = feature_layout(with_gnss)
+            X = rng.normal(size=(120, len(layout["names"])))
+            forest = train_forest(X, X[:, 0], seed=0, n_trees=2,
+                                  feature_layout=layout)
+            (tmp_path / name).write_text(forest.to_json())
+        with pytest.raises(DataError, match="forest_with_gnss.json: not the "
+                                            "with_gnss=True feature layout"):
+            cli.load_velocity_model(str(tmp_path))
+
     def test_same_seed_same_model_files(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            velocity={"n_trees": 6, "training_scenes": 6})
@@ -329,7 +364,30 @@ class TestExitCodes:
     def test_rejected_scene_value_is_2(self, tmp_path, capsys, command, scenes):
         cfg = write_config(tmp_path / "c.json", scenes=scenes)
         assert run(["--config", cfg, command, "--out", tmp_path / "x"]) == 2
-        assert "config error: scenes.starting" in capsys.readouterr().err
+        section = "scenes.noise" if "noise" in scenes else "scenes.starting"
+        assert f"config error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,overrides,key", [
+        ("compare", {"seed": "abc"}, "seed"),
+        ("compare", {"filter": {"device_gate": "x"}}, "filter.device_gate"),
+        ("compare", {"scenes": {"n_starting": "a"}}, "scenes.n_starting"),
+        ("compare", {"scenes": {"occlusion_durations": ["x"]}},
+         "scenes.occlusion_durations"),
+        ("train-velocity", {"velocity": {"n_trees": 0}}, "n_trees"),
+        ("train-velocity", {"velocity": {"holdout_fraction": 2}}, "holdout_fraction"),
+        # 0.9 of 3 scenes rounds to all 3
+        ("train-velocity", {"velocity": {"training_scenes": 3,
+                                         "holdout_fraction": 0.9}},
+         "holdout_fraction"),
+    ])
+    def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
+                                                   command, overrides, key):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "x"
+        assert run(["--config", cfg, command, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not out.exists()
 
     def test_numerical_error_is_4(self, monkeypatch, tmp_path, capsys):
         def boom(args):

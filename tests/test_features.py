@@ -8,7 +8,7 @@ from cooptrack.features import (DFT_WINDOW_SAMPLES, N_MOTION_FEATURES,
                                 gnss_poly_track, motion_feature_matrix,
                                 moving_average, orthopoly_basis,
                                 orthopoly_coeffs, transformed_signals,
-                                window_features, yaw_rate)
+                                yaw_rate)
 
 from oracles import naive_dft_magnitudes, polyfit_normal_equations
 
@@ -45,35 +45,6 @@ class TestYawRate:
 
     def test_empty_stream(self):
         assert yaw_rate(np.empty((0, 7))).shape == (0, 2)
-
-
-class TestWindowFeatures:
-    def test_constant(self):
-        assert window_features([2.0] * 50) == (2.0, 4.0)
-
-    def test_zero_signal(self):
-        assert window_features(np.zeros(10)) == (0.0, 0.0)
-
-    def test_ramp_matches_direct_summation(self):
-        n = 500
-        ramp = np.linspace(0.0, 1.0, n)
-        mean, energy = window_features(ramp)
-        assert mean == pytest.approx(ramp.sum() / n, abs=1e-12)
-        assert energy == pytest.approx((ramp ** 2).sum() / n, abs=1e-12)
-        # asymptotic values of the continuous ramp
-        assert mean == pytest.approx(0.5, abs=1e-3)
-        assert energy == pytest.approx(1.0 / 3.0, abs=2e-3)
-
-    def test_trailing_window_selection(self):
-        sig = np.concatenate([np.zeros(100), np.ones(50)])
-        mean, energy = window_features(sig, window_s=1.0, rate=50.0)
-        assert (mean, energy) == (1.0, 1.0)
-
-    def test_window_must_fit(self):
-        with pytest.raises(ValueError):
-            window_features(np.ones(10), window_s=1.0, rate=50.0)
-        with pytest.raises(ValueError):
-            window_features([])
 
 
 class TestDftFeatures:

@@ -1,5 +1,6 @@
-"""Golden outputs: every file `compare`, `simulate` and `track` write for a
-small fixed configuration, pinned by sha256.
+"""Golden outputs: every file `compare`, `simulate`, `track` and
+`train-velocity` write for a small fixed configuration, and the device
+streams `VelocityModel.run` makes from two seeded rides, pinned by sha256.
 
 A change that moves any byte of these files (a digit, the comment line, a
 line ending) fails here; if the change is intended, the new digests go in
@@ -15,7 +16,9 @@ fourth decimal.
 import hashlib
 import json
 
-from cooptrack import cli
+import numpy as np
+
+from cooptrack import cli, scene_sim
 from cooptrack.config import load_config
 
 CONFIG = {"scenes": {"n_starting": 1, "n_turning": 1,
@@ -43,6 +46,20 @@ TURNING_SCENE = {
     "tracks_P.csv": "9e7a36aa753b4760097e15f1bc51215eebf48c4c45bb8f5ca52e22e4155add93",
     "assignments_C.csv": "338bce6d235e78ff65b0d6ed2b25586bf59c1fa917559f12e5392de950c38746",
     "assignments_P.csv": "60079bad9b3891693fbded463c233431aec083e7c2b2fd37c73730afc7c7d8a3",
+}
+
+VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 6}}
+
+VELOCITY_FILES = {
+    "forest_with_gnss.json": "28088d49318cdfe0f5a63bdf71ff3c9adca84ec2e64cc903aa08f15c9fbfd5f5",
+    "forest_no_gnss.json": "d6787c6320029e2e4011a93b3e0b81abba313ab0998ba2a3abe6e2339e450aa9",
+    "rmse_report.json": "40bd2083fef759b8467a83a41ade57ee0b67799749405895a38138fbe572dafa",
+}
+
+# VelocityModel.run on a starting ride with GNSS and a turning ride without
+VELOCITY_RUNS = {
+    "starting_gnss": "456215cb1376f8be9ecb7588f34e6f864c0e4f770c5f183ff7759e05be2147f8",
+    "turning_no_gnss": "8f7916d8d0ef718739537ac5ded7037bdcfff8b22e858f64212f43a3c66bd3a2",
 }
 
 
@@ -74,3 +91,28 @@ def test_output_files_match_pinned_digests(tmp_path):
     assert compare == COMPARE
     assert _digests(scene, TURNING_SCENE) == TURNING_SCENE
     assert _compare_digests(tmp_path, "chaotic", CHAOTIC_CONFIG)[1] == CHAOTIC_COMPARE
+
+
+def _ride(spec, with_gnss):
+    """IMU and (optionally) GNSS streams of a simulated ride."""
+    gt = scene_sim.generate_ground_truth(spec)
+    rng = np.random.default_rng(spec.seed + 1)
+    imu = scene_sim.synthesize_imu(gt, rng)
+    return imu, scene_sim.simulate_gnss(gt, spec, rng) if with_gnss else None
+
+
+def test_velocity_outputs_match_pinned_digests(tmp_path):
+    cfg = tmp_path / "velocity.json"
+    cfg.write_text(json.dumps(VELOCITY_CONFIG))
+    out = tmp_path / "model"
+    assert cli.main(["--config", str(cfg), "train-velocity", "--out", str(out)]) == 0
+    assert _digests(out, VELOCITY_FILES) == VELOCITY_FILES
+    model = cli.load_velocity_model(str(out))
+    rides = {
+        "starting_gnss": _ride(scene_sim.SceneSpec(seed=5, v_peak=5.0), True),
+        "turning_no_gnss": _ride(
+            scene_sim.SceneSpec.turning_defaults(seed=6), False),
+    }
+    runs = {name: hashlib.sha256(model.run(*ride).tobytes()).hexdigest()
+            for name, ride in rides.items()}
+    assert runs == VELOCITY_RUNS

@@ -143,7 +143,7 @@ class TestPersistence:
 
 class TestEvaluation:
     def test_track_and_evaluate_runs_both_models(self, cfg, turning_scene):
-        reports = track_and_evaluate(turning_scene, cfg)
+        [reports] = track_and_evaluate([turning_scene], cfg)
         assert set(reports) == {"P", "C"}
         pair = (motap((reports["C"]["mota"], reports["C"]["motp"]),
                       (reports["P"]["mota"], reports["P"]["motp"]), cfg.metric))

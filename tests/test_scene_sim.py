@@ -161,6 +161,13 @@ class TestSceneIO:
         np.testing.assert_allclose(loaded.detections, scene.detections, atol=1e-6)
         assert np.array_equal(loaded.occlusion_mask, scene.occlusion_mask)
 
+    def test_frame_step_off_whole_microseconds_reads(self, tmp_path):
+        # at 30 Hz the six-decimal times step by 33333 or 33334 us
+        scene = generate_scene(SceneSpec(seed=3))
+        scene.ground_truth[:, 0] = np.arange(len(scene.ground_truth)) / 30.0
+        write_scene(scene, str(tmp_path))
+        assert len(read_scene(str(tmp_path)).ground_truth) == len(scene.ground_truth)
+
     def test_csv_headers(self, tmp_path):
         scene = generate_scene(SceneSpec(seed=3))
         write_scene(scene, str(tmp_path))
