@@ -1,7 +1,6 @@
 """Data association: optimal detection-to-track assignment and
 smart-device-to-track binding via a penalized Mahalanobis distance."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +11,10 @@ from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
 DEVICE_GATE = 5.0
+
+_DEVICE_H = measurement_matrix(MeasurementKind.DEVICE_ONLY)
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 @dataclass
@@ -103,9 +106,8 @@ def device_residuals(z, x, P, r):
     readings z = (gamma_dot, v) per row against predicted track states x
     (N, 5) with covariances P (N, 5, 5); r (N, 2) holds the device noise
     variances, the diagonal of R."""
-    H = measurement_matrix(MeasurementKind.DEVICE_ONLY)
     y = z - x[:, 3:5]
-    S = H @ P @ H.T + r[:, :, None] * np.eye(2)
+    S = _DEVICE_H @ P @ _DEVICE_H.T + r[:, :, None] * _EYE2
     return y, S
 
 
@@ -121,17 +123,25 @@ def device_residual(gamma_dot, v, sigma_v, estimate: StateEstimate,
     return DeviceResidual(y=y[0], S=S[0])
 
 
+def nearest_allowed(cost, allowed, axis=-1):
+    """Along `axis` of cost, the index of the smallest allowed cost (the
+    lowest index on ties) and whether there is one.
+
+    An allowed cost must not be NaN; an infinite one counts as not allowed.
+    Returns two arrays of cost's shape without `axis`.
+    """
+    masked = np.where(allowed, cost, np.inf)
+    return masked.argmin(axis=axis), np.minimum.reduce(masked, axis=axis) < np.inf
+
+
 def nearest_within_gate(distances, gate: float):
     """Index of the smallest distance, the lowest index on ties, if it is
-    not beyond the gate; else None."""
-    best_idx = None
-    best_d = math.inf
-    for idx, d in enumerate(distances):
-        if d < best_d:
-            best_idx, best_d = idx, d
-    if best_idx is None or best_d > gate:
+    finite and not beyond the gate; else None.  NaN distances never win."""
+    d = np.asarray(distances, dtype=float)
+    if not len(d):
         return None
-    return best_idx
+    idx, found = nearest_allowed(d, d <= gate)
+    return int(idx) if found else None
 
 
 def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,

@@ -105,9 +105,11 @@ def cmd_evaluate(args) -> int:
 
 
 # Scenes per lockstep batch of `compare`: with two occlusion variants and
-# both models, 8 scenes are 32 lanes.  Larger batches gain little speed
-# and hold every lane's scene and rows in memory until the batch ends.
-COMPARE_CHUNK_SCENES = 8
+# both models, 16 scenes are 64 lanes.  A frame of the track table costs
+# little more for many lanes than for few, so larger batches run faster,
+# but they hold every lane's scene and rows in memory until the batch ends
+# (CHANGES.md has time and memory measured at 8, 16 and 32).
+COMPARE_CHUNK_SCENES = 16
 
 
 def _compare_chunk(payload):

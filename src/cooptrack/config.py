@@ -90,6 +90,12 @@ def _merge(defaults, overrides, path=""):
     return merged
 
 
+def _require_distinct(key, values):
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{key}: {json.dumps(repeated[0])} is repeated")
+
+
 class RunConfig:
     """Resolved configuration tree with typed accessors."""
 
@@ -109,13 +115,21 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         self.device_gate = float(raw["filter"]["device_gate"])
+        if not self.device_gate > 0:
+            raise ConfigError("filter.device_gate must be positive")
         self.seed = int(raw["seed"])
         self.output_dir = str(raw["output_dir"])
         self.models = list(raw["models"])
         for model in self.models:
             if model not in ("P", "C"):
                 raise ConfigError(f"unknown model: {model}")
+        _require_distinct("models", self.models)
         self.scenes = raw["scenes"]
+        _require_distinct("scenes.occlusion_durations",
+                          self.scenes["occlusion_durations"])
+        for kind in ("starting", "turning"):
+            if self.scenes[f"n_{kind}"] < 0:
+                raise ConfigError(f"scenes.n_{kind} must not be negative")
         self.velocity = raw["velocity"]
 
     def config_hash(self) -> str:

@@ -23,6 +23,16 @@ EPS_YAW = 1e-6
 STATE_DIM = 5
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+# identity matrices of the kernels (measurement sizes 2 and 4, the state),
+# built once and never written
+_IDENTITY = {m: _read_only(np.eye(m)) for m in (2, 4, STATE_DIM)}
+
+
 def wrap_angle(angle):
     """Wrap an angle to (-pi, pi]."""
     wrapped = math.remainder(angle, 2.0 * math.pi)
@@ -141,8 +151,9 @@ class Measurement:
 
 def _require_finite(x):
     """InvalidStateError unless every row of x (N, 5) is finite."""
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = ~finite.all(axis=1)
         raise InvalidStateError(
             f"non-finite state: {BikeState.from_array(x[bad.argmax()])}")
 
@@ -163,7 +174,12 @@ def _wrap_angles(angles):
 
 def _swap(a):
     """Transpose the last two axes (a matrix transpose per stacked matrix)."""
-    return np.swapaxes(a, -1, -2)
+    return a.mT
+
+
+def _columns(*columns):
+    """The (N,) arrays as the columns of an (N, k) array (a view)."""
+    return np.array(columns).T
 
 
 def _transition(x, T):
@@ -176,7 +192,7 @@ def _transition(x, T):
     analytic straight-line limits below EPS_YAW; 1 - cos(wt) is written as
     2 sin^2(wt/2) to avoid cancellation.
     """
-    if not np.all(T > 0):
+    if not (T > 0).all():
         raise ValueError("T must be positive")
     _require_finite(x)
     gamma, gamma_dot, v = x[:, 2], x[:, 3], x[:, 4]
@@ -192,17 +208,17 @@ def _transition(x, T):
     half_T = 0.5 * T
     # columns: a (along heading) or b (lateral), then its derivatives by
     # gamma_dot, by v and by the acceleration noise
-    along = np.stack([v * sin_wt / gd, v * (T * np.cos(wt) - da_dv) * inv,
-                      da_dv, half_T * sin_wt / gd], 1)
-    lateral = np.stack([v * 2.0 * sin_half_sq / gd, v * (T * sin_wt - db_dv) * inv,
-                        db_dv, half_T * 2.0 * sin_half_sq / gd], 1)
+    along = _columns(v * sin_wt / gd, v * (T * np.cos(wt) - da_dv) * inv,
+                     da_dv, half_T * sin_wt / gd)
+    lateral = _columns(v * 2.0 * sin_half_sq / gd, v * (T * sin_wt - db_dv) * inv,
+                       db_dv, half_T * 2.0 * sin_half_sq / gd)
     if straight.any():
         # the second-order Taylor limits at gamma_dot -> 0
         zero = np.zeros_like(T)
         along = np.where(straight[:, None],
-                         np.stack([v * T, zero, T, half_T * T], 1), along)
+                         _columns(v * T, zero, T, half_T * T), along)
         lateral = np.where(straight[:, None],
-                           np.stack([zero, 0.5 * v * T * T, zero, zero], 1), lateral)
+                           _columns(zero, 0.5 * v * T * T, zero, zero), lateral)
     cg, sg = np.cos(gamma), np.sin(gamma)
     # the same columns rotated into east and north
     east = cg[:, None] * along - sg[:, None] * lateral
@@ -213,7 +229,7 @@ def _transition(x, T):
     x_new[:, 1] = x[:, 1] + sg * along[:, 0] + cg * lateral[:, 0]
     x_new[:, 2] = _wrap_angles(gamma + gamma_dot * T)
 
-    F = np.tile(np.eye(STATE_DIM), (len(x), 1, 1))
+    F = _IDENTITY[STATE_DIM][None].repeat(len(x), axis=0)
     F[:, 0, 2] = -north[:, 0]             # -sg * a - cg * b, negation is exact
     F[:, 0, 3:] = east[:, 1:3]
     F[:, 1, 2] = east[:, 0]
@@ -301,7 +317,8 @@ def process_noise_cov(s: BikeState, p: ProcessNoiseParams) -> np.ndarray:
 def ekf_predict_batch(x, P, T, q):
     """Time update of N filters at once: states x (N, 5), covariances
     P (N, 5, 5), step lengths T (N,) and process noise variances q (N, 2)
-    as from process_noise_variances.  Returns the predicted (x, P).
+    as from process_noise_variances, or (1, 2) for every filter.  Returns
+    the predicted (x, P).
 
     Every predicted covariance must be positive semidefinite within 1e-6,
     else NumericalError.
@@ -329,31 +346,45 @@ _MEASURED_ROWS = {
 }
 
 
-def measurement_matrix(kind: MeasurementKind) -> np.ndarray:
-    rows = _MEASURED_ROWS[kind]
+def _selector(rows):
     H = np.zeros((len(rows), STATE_DIM))
     H[range(len(rows)), rows] = 1.0
-    return H
+    return _read_only(H)
+
+
+# shared by every kernel call, so built once and never written
+_H = {kind: _selector(rows) for kind, rows in _MEASURED_ROWS.items()}
+
+
+def measurement_matrix(kind: MeasurementKind) -> np.ndarray:
+    """H for the kind: the rows of the state it measures (read-only)."""
+    return _H[kind]
 
 
 def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams,
                                 p: ProcessNoiseParams, sigma_v=None):
-    """The diagonal of R for the given measurement kind, as a list.
+    """The diagonal of R for the given measurement kind: shape (m,) for one
+    sigma_v (or none), (N, m) for an array of N values of sigma_v.
 
     Device entries are divided by T before squaring when n.r_divide_by_T is
     set (the per-step reading of the device noise); sigma_v comes from the
-    velocity estimator and must be strictly positive.
+    velocity estimator and every value must be strictly positive.
     """
     scale = 1.0 / p.T if n.r_divide_by_T else 1.0
-    diag = []
+    position = []
     if kind in (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.POSITION_ONLY):
-        diag += [n.sigma_x ** 2, n.sigma_y ** 2]
-    if kind in (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.DEVICE_ONLY):
-        if sigma_v is None:
-            raise ValueError("sigma_v required for device measurements")
-        if not sigma_v > 0:
-            raise ValueError("sigma_v must be strictly positive")
-        diag += [(n.sigma_gamma_dot * scale) ** 2, (sigma_v * scale) ** 2]
+        position = [n.sigma_x ** 2, n.sigma_y ** 2]
+    if kind is MeasurementKind.POSITION_ONLY:
+        return np.array(position)
+    if sigma_v is None:
+        raise ValueError("sigma_v required for device measurements")
+    sigma_v = np.asarray(sigma_v, dtype=float)
+    if not (sigma_v > 0).all():
+        raise ValueError("sigma_v must be strictly positive")
+    diag = np.empty(sigma_v.shape + (len(position) + 2,))
+    diag[..., :-2] = position
+    diag[..., -2] = (n.sigma_gamma_dot * scale) ** 2
+    diag[..., -1] = _pow2((sigma_v * scale).ravel()).reshape(sigma_v.shape)
     return diag
 
 
@@ -378,13 +409,13 @@ def ekf_update_batch(x, P, z, r, kind: MeasurementKind):
 
     z (N, m) holds the measured components in the order of the rows of
     measurement_matrix(kind) (x, y, gamma_dot, v as present) and r (N, m)
-    their noise variances, the diagonal of R.  Returns the updated (x, P),
-    gamma re-wrapped and P symmetrized; NumericalError if an innovation
-    covariance has no Cholesky factor.
+    their noise variances, the diagonal of R, or (1, m) for every filter.
+    Returns the updated (x, P), gamma re-wrapped and P symmetrized;
+    NumericalError if an innovation covariance has no Cholesky factor.
     """
     _require_finite(x)
-    H = measurement_matrix(kind)
-    R = r[:, :, None] * np.eye(len(H))
+    H = _H[kind]
+    R = r[:, :, None] * _IDENTITY[len(H)]
     y = z - (H @ x[:, :, None])[:, :, 0]
     S = H @ P @ H.T + R
     try:
@@ -396,7 +427,7 @@ def ekf_update_batch(x, P, z, r, kind: MeasurementKind):
     K = _swap(np.linalg.solve(_swap(S_chol), np.linalg.solve(S_chol, _swap(PHt))))
     x_new = x + (K @ y[:, :, None])[:, :, 0]
     x_new[:, 2] = _wrap_angles(x_new[:, 2])
-    IKH = np.eye(STATE_DIM) - K @ H
+    IKH = _IDENTITY[STATE_DIM] - K @ H
     P_new = _symmetrize(IKH @ P @ _swap(IKH) + K @ R @ _swap(K))
     return x_new, P_new
 

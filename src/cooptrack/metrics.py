@@ -45,10 +45,59 @@ class FrameRecord:
                    d=float(delta) if matched else 0.0)
 
 
+@dataclass(frozen=True)
+class FrameTable:
+    """The FrameRecords of a scene as columns, one entry per frame (delta
+    NaN where no valid track exists)."""
+
+    t: np.ndarray
+    g: np.ndarray
+    delta: np.ndarray
+    dm: np.ndarray
+    lm: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def from_distances(cls, t, delta, has_track, tau):
+        """Frames with ground truth present, each with the distance delta to
+        its nearest valid track where has_track; FrameRecord.from_distance
+        per frame."""
+        has_track = np.asarray(has_track, dtype=bool)
+        delta = np.where(has_track, delta, np.nan)
+        matched = has_track & (delta <= tau)
+        return cls(t=np.asarray(t, dtype=float),
+                   g=np.ones(len(has_track), dtype=np.int64), delta=delta,
+                   dm=(~has_track).astype(np.int64),
+                   lm=(has_track & ~matched).astype(np.int64),
+                   c=matched.astype(np.int64), d=np.where(matched, delta, 0.0))
+
+    @classmethod
+    def from_records(cls, frames):
+        """The table of a sequence of FrameRecords."""
+        def column(name, dtype):
+            return np.array([getattr(f, name) for f in frames], dtype=dtype)
+        return cls(t=column("t", float), g=column("g", np.int64),
+                   delta=np.array([np.nan if f.delta is None else f.delta
+                                   for f in frames], dtype=float),
+                   dm=column("dm", np.int64), lm=column("lm", np.int64),
+                   c=column("c", np.int64), d=column("d", float))
+
+
+def _table(frames) -> FrameTable:
+    return frames if isinstance(frames, FrameTable) else FrameTable.from_records(frames)
+
+
 def motp(frames, cfg: MetricConfig) -> float:
-    """Capped mean distance over frames where a track exists; in [0, tau]."""
-    num = sum(f.d for f in frames) + cfg.tau * sum(f.lm for f in frames)
-    den = sum(f.c for f in frames) + sum(f.lm for f in frames)
+    """Capped mean distance over frames where a track exists; in [0, tau].
+
+    frames is a FrameTable or a sequence of FrameRecords; the distances
+    are summed in frame order.
+    """
+    f = _table(frames)
+    lm = int(f.lm.sum())
+    num = sum(f.d.tolist()) + cfg.tau * lm
+    den = int(f.c.sum()) + lm
     if den == 0:
         raise UndefinedMetricError("MOTP undefined: no matched or localization-miss frames")
     return num / den
@@ -56,10 +105,11 @@ def motp(frames, cfg: MetricConfig) -> float:
 
 def mota(frames) -> float:
     """1 minus the weighted miss rate; localization misses count double."""
-    g_total = sum(f.g for f in frames)
+    f = _table(frames)
+    g_total = int(f.g.sum())
     if g_total == 0:
         raise UndefinedMetricError("MOTA undefined: no ground truth frames")
-    return 1.0 - sum(f.dm + 2 * f.lm for f in frames) / g_total
+    return 1.0 - int((f.dm + 2 * f.lm).sum()) / g_total
 
 
 def motap(a, b, cfg: MetricConfig) -> int:
@@ -76,31 +126,31 @@ def motap(a, b, cfg: MetricConfig) -> int:
     return 1 if (cond_accuracy or cond_precision) else 0
 
 
-def frames_from_tracks(gt_times, gt_xy, tracks_by_frame, cfg: MetricConfig):
-    """FrameRecords for a scene.
+def frames_from_tracks(gt_times, gt_xy, track_frames, track_xy,
+                       cfg: MetricConfig) -> FrameTable:
+    """The FrameTable of a scene.
 
     gt_times/gt_xy: ground truth timestamps and (N, 2) positions;
-    tracks_by_frame: mapping frame index -> (k, 2) array of valid-track
-    positions at that frame (absent or empty means no valid track).
+    track_frames (K,) and track_xy (K, 2): the frame index and position of
+    every valid track row.  A frame's delta is the distance to its nearest
+    valid track.
     """
     gt_xy = np.asarray(gt_xy, dtype=float).reshape(-1, 2)
-    frames = []
-    for i, t in enumerate(gt_times):
-        positions = tracks_by_frame.get(i)
-        if positions is None or len(positions) == 0:
-            frames.append(FrameRecord.from_distance(float(t), None, cfg.tau))
-            continue
-        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-        delta = float(np.hypot(*(pos - gt_xy[i]).T).min())
-        frames.append(FrameRecord.from_distance(float(t), delta, cfg.tau))
-    return frames
+    track_frames = np.asarray(track_frames, dtype=np.intp)
+    track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
+    offset = track_xy - gt_xy[track_frames]
+    delta = np.full(len(gt_xy), np.inf)
+    np.minimum.at(delta, track_frames, np.hypot(offset[:, 0], offset[:, 1]))
+    has_track = np.bincount(track_frames, minlength=len(gt_xy)) > 0
+    return FrameTable.from_distances(gt_times, delta, has_track, cfg.tau)
 
 
 def frame_counts(frames):
+    f = _table(frames)
     return {
-        "matches": int(sum(f.c for f in frames)),
-        "dm": int(sum(f.dm for f in frames)),
-        "lm": int(sum(f.lm for f in frames)),
+        "matches": int(f.c.sum()),
+        "dm": int(f.dm.sum()),
+        "lm": int(f.lm.sum()),
     }
 
 

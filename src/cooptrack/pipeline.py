@@ -10,7 +10,7 @@ from . import metrics as metrics_mod
 from . import scene_sim
 from .config import RunConfig
 from .errors import DataError
-from .track_manager import TrackManager, TrackStatus, step_lanes
+from .track_manager import TrackTable, step_lanes
 
 TRACK_HEADER = ("t", "track_id", "x", "y", "gamma", "gamma_dot", "v", "valid")
 TRACK_TYPES = (float, int, float, float, float, float, float, int)
@@ -20,6 +20,80 @@ MODEL_POSITION_ONLY = "P"
 MODEL_COOPERATIVE = "C"
 
 
+def _by_frame(parts):
+    """(frame, lane, values) of per-lane row groups, stably sorted by frame
+    and then lane, so each lane keeps its rows' order within a frame."""
+    frame = np.concatenate([idx for idx, _, _ in parts])
+    lane = np.concatenate([np.full(len(idx), k) for idx, k, _ in parts])
+    values = np.concatenate([v for _, _, v in parts])
+    order = np.lexsort((lane, frame))
+    return frame[order], lane[order], values[order]
+
+
+def _split_by_lane(n_lanes, lane, *columns):
+    """Per lane, its entries of each column, in their order."""
+    order = np.argsort(lane, kind="stable")
+    bounds = np.searchsorted(lane[order], np.arange(n_lanes + 1))
+    columns = [column[order] for column in columns]
+    return [[column[bounds[k]:bounds[k + 1]] for column in columns]
+            for k in range(n_lanes)]
+
+
+def _track_lanes(lanes, cfg: RunConfig):
+    """Step several (scene, model) lanes in lockstep, frame by frame, on one
+    TrackTable.
+
+    Returns per lane, in lane order, its track rows as arrays (t, track
+    id, state (N, 5), valid) and its assignment log as arrays (t, track id,
+    detection id or -1, device bound).  Lanes may differ in length; a
+    lane's tracks are dropped from the table after its last frame.
+    """
+    for _, model in lanes:
+        if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
+            raise ValueError(f"unknown model: {model}")
+    if not lanes:
+        return []
+    table = TrackTable(len(lanes), cfg.manager_coop, process=cfg.process,
+                       noise=cfg.measurement, device_gate=cfg.device_gate)
+    n_frames = np.array([len(scene.ground_truth) for scene, _ in lanes], dtype=np.int64)
+    shape = (int(n_frames.max(initial=0)), len(lanes))
+    times = np.full(shape, np.nan)
+    devices = np.zeros(shape + (3,))
+    has_device = np.zeros(shape, dtype=bool)
+    det_parts = []
+    for k, (scene, model) in enumerate(lanes):
+        frame_times = scene.ground_truth[:, 0]
+        times[:len(frame_times), k] = frame_times
+        det_parts.append((_frame_indices(scene.detections[:, 0], frame_times,
+                                         f"{scene.scene_id}: detection"),
+                          k, scene.detections[:, 1:3]))
+        if model == MODEL_COOPERATIVE:
+            idx = _frame_indices(scene.device[:, 0], frame_times,
+                                 f"{scene.scene_id}: device row")
+            if len(np.unique(idx)) < len(idx):
+                raise DataError(f"{scene.scene_id}: two device rows in one frame")
+            devices[idx, k] = scene.device[:, 1:4]
+            has_device[idx, k] = True
+    det_frame, det_lane, det_xy = _by_frame(det_parts)
+    det_at = np.searchsorted(det_frame, np.arange(len(times) + 1))
+
+    last_frames = set(n_frames.tolist())
+    empty = np.zeros(0, dtype=np.int64)
+    tracks = [(empty, np.zeros(0), empty, np.zeros((0, 5)), empty.astype(bool))]
+    logs = [(empty, np.zeros(0), empty, empty, empty.astype(bool))]
+    for i, t in enumerate(times):
+        log = step_lanes(table, t, det_lane[det_at[i]:det_at[i + 1]],
+                         det_xy[det_at[i]:det_at[i + 1]], devices[i], has_device[i])
+        logs.append((log.lane, t[log.lane], log.track_id, log.detection_id,
+                     log.device_bound))
+        tracks.append((table.lane, t[table.lane], table.id, table.x.copy(),
+                       table.valid.copy()))
+        if i + 1 in last_frames:
+            table.keep_rows(n_frames[table.lane] > i + 1)
+    return list(zip(_split_by_lane(len(lanes), *map(np.concatenate, zip(*tracks))),
+                    _split_by_lane(len(lanes), *map(np.concatenate, zip(*logs)))))
+
+
 def run_tracking_batch(lanes, cfg: RunConfig):
     """Run several (scene, model) lanes in lockstep, frame by frame.
 
@@ -27,47 +101,14 @@ def run_tracking_batch(lanes, cfg: RunConfig):
     same as run_tracking gives for that lane alone.  Lanes may differ in
     length; a lane stops stepping after its last frame.
     """
-    for _, model in lanes:
-        if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
-            raise ValueError(f"unknown model: {model}")
-    managers, times, dets, devs = [], [], [], []
-    for scene, model in lanes:
-        managers.append(TrackManager(cfg.manager_coop, process=cfg.process,
-                                     noise=cfg.measurement,
-                                     device_gate=cfg.device_gate))
-        frame_times = scene.ground_truth[:, 0]
-        det_by_frame = {}
-        for i, xy in zip(_frame_indices(scene.detections[:, 0], frame_times,
-                                        f"{scene.scene_id}: detection"),
-                         scene.detections[:, 1:3]):
-            det_by_frame.setdefault(i, []).append(xy)
-        dev_by_frame = {}
-        if model == MODEL_COOPERATIVE:
-            idx = _frame_indices(scene.device[:, 0], frame_times,
-                                 f"{scene.scene_id}: device row")
-            if len(set(idx)) < len(idx):
-                raise DataError(f"{scene.scene_id}: two device rows in one frame")
-            dev_by_frame = dict(zip(idx, map(tuple, scene.device[:, 1:4])))
-        times.append(frame_times)
-        dets.append(det_by_frame)
-        devs.append(dev_by_frame)
-
-    outputs = [([], []) for _ in lanes]
-    for i in range(max(map(len, times), default=0)):
-        active = [k for k, frame_times in enumerate(times) if i < len(frame_times)]
-        t_now = [float(times[k][i]) for k in active]
-        logs = step_lanes([managers[k] for k in active],
-                          [dets[k].get(i, []) for k in active], t_now,
-                          [devs[k].get(i) for k in active])
-        for k, t, log in zip(active, t_now, logs):
-            track_rows, assign_rows = outputs[k]
-            for rec in log:
-                det_id = "NONE" if rec.detection_id is None else rec.detection_id
-                assign_rows.append((rec.t, rec.track_id, det_id,
-                                    int(rec.device_bound)))
-            for track in managers[k].tracks:
-                track_rows.append((t, track.id, *track.x.tolist(),
-                                   int(track.status is TrackStatus.VALID)))
+    outputs = []
+    for (t, ids, x, valid), (log_t, log_ids, det, bound) in _track_lanes(lanes, cfg):
+        track_rows = list(zip(t.tolist(), ids.tolist(), *x.T.tolist(),
+                              valid.astype(int).tolist()))
+        assign_rows = list(zip(log_t.tolist(), log_ids.tolist(),
+                               ["NONE" if d < 0 else d for d in det.tolist()],
+                               bound.astype(int).tolist()))
+        outputs.append((track_rows, assign_rows))
     return outputs
 
 
@@ -83,7 +124,7 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
 
 def _frame_indices(t, times, what):
     """Index of the nearest frame in `times` for each timestamp in t (ties
-    to even), as a list of ints.  A timestamp that falls outside the frames
+    to even), as an int array.  A timestamp that falls outside the frames
     is a DataError."""
     t = np.asarray(t, dtype=float)
     dt = times[1] - times[0] if len(times) > 1 else 1.0
@@ -92,7 +133,7 @@ def _frame_indices(t, times, what):
     if outside.any():
         raise DataError(f"{what} at t={t[outside][0]:g} lies outside the "
                         f"scene's frames [{times[0]:g}, {times[-1]:g}]")
-    return idx.astype(int).tolist()
+    return idx.astype(np.int64)
 
 
 # -- persistence -------------------------------------------------------------
@@ -116,15 +157,15 @@ def read_track_output(path):
 # -- evaluation ---------------------------------------------------------------
 
 def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str):
-    """Per-scene metric report for a model's track rows."""
+    """Per-scene metric report for a model's track rows: a sequence of
+    TRACK_HEADER rows or an (N, 8) array of them."""
     times = scene.ground_truth[:, 0]
-    valid = [row for row in track_rows if row[7]]
-    by_frame = {}
-    for i, row in zip(_frame_indices([row[0] for row in valid], times,
-                                     f"{scene.scene_id}: track row"), valid):
-        by_frame.setdefault(i, []).append((row[2], row[3]))
-    frames = metrics_mod.frames_from_tracks(times, scene.ground_truth[:, 1:3],
-                                            by_frame, cfg.metric)
+    rows = np.asarray(track_rows, dtype=float).reshape(-1, len(TRACK_HEADER))
+    valid = rows[rows[:, 7] != 0]
+    frames = metrics_mod.frames_from_tracks(
+        times, scene.ground_truth[:, 1:3],
+        _frame_indices(valid[:, 0], times, f"{scene.scene_id}: track row"),
+        valid[:, 2:4], cfg.metric)
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)
 
 
@@ -132,9 +173,12 @@ def track_and_evaluate(scenes, cfg: RunConfig):
     """Run every configured model over each scene, all (scene, model) lanes
     in one lockstep batch; returns one {model: report} dict per scene."""
     lanes = [(scene, model) for scene in scenes for model in cfg.models]
-    outputs = iter(run_tracking_batch(lanes, cfg))
-    return [{model: evaluate_rows(scene, next(outputs)[0], cfg, model)
-             for model in cfg.models} for scene in scenes]
+    outputs = iter(_track_lanes(lanes, cfg))
+
+    def report(scene, model):
+        (t, ids, x, valid), _ = next(outputs)
+        return evaluate_rows(scene, np.column_stack([t, ids, x, valid]), cfg, model)
+    return [{model: report(scene, model) for model in cfg.models} for scene in scenes]
 
 
 def aggregate(reports):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from cooptrack.ekf import BikeState, predict_state, noisy_transition
+from cooptrack.metrics import FrameRecord
 
 
 def fd_jacobian(fun, x0, h):
@@ -97,3 +98,37 @@ def polyfit_normal_equations(values, degree):
     V = np.vander(i, degree + 1, increasing=True)
     coeffs = np.linalg.solve(V.T @ V, V.T @ values)
     return V @ coeffs
+
+
+def frame_records_from_tracks(gt_times, gt_xy, tracks_by_frame, tau):
+    """FrameRecords of a scene, one frame at a time.
+
+    tracks_by_frame: mapping frame index -> (k, 2) valid-track positions at
+    that frame (absent or empty means no valid track).
+    """
+    gt_xy = np.asarray(gt_xy, dtype=float).reshape(-1, 2)
+    frames = []
+    for i, t in enumerate(gt_times):
+        positions = tracks_by_frame.get(i)
+        if positions is None or len(positions) == 0:
+            frames.append(FrameRecord.from_distance(float(t), None, tau))
+            continue
+        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+        delta = float(np.hypot(*(pos - gt_xy[i]).T).min())
+        frames.append(FrameRecord.from_distance(float(t), delta, tau))
+    return frames
+
+
+def motp_of_records(frames, tau):
+    """MOTP straight from per-frame records, summed in frame order."""
+    num = sum(f.d for f in frames) + tau * sum(f.lm for f in frames)
+    return num / (sum(f.c for f in frames) + sum(f.lm for f in frames))
+
+
+def mota_of_records(frames):
+    return 1.0 - sum(f.dm + 2 * f.lm for f in frames) / sum(f.g for f in frames)
+
+
+def frame_counts_of_records(frames):
+    return {"matches": sum(f.c for f in frames), "dm": sum(f.dm for f in frames),
+            "lm": sum(f.lm for f in frames)}

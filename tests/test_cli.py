@@ -373,6 +373,17 @@ class TestExitCodes:
         ("compare", {"scenes": {"n_starting": "a"}}, "scenes.n_starting"),
         ("compare", {"scenes": {"occlusion_durations": ["x"]}},
          "scenes.occlusion_durations"),
+        # a gate no distance can meet would make model C the position-only one
+        ("compare", {"filter": {"device_gate": 0}}, "filter.device_gate"),
+        ("compare", {"filter": {"device_gate": -1.0}}, "filter.device_gate"),
+        # repeats would repeat per_scene.csv rows and summary columns
+        ("compare", {"models": ["P", "C", "P"]}, "models"),
+        ("compare", {"scenes": {"occlusion_durations": [2.0, 1.0, 2]}},
+         "scenes.occlusion_durations"),
+        ("compare", {"scenes": {"n_starting": -1, "n_turning": 0}},
+         "scenes.n_starting"),
+        ("compare", {"scenes": {"n_starting": 1, "n_turning": -2}},
+         "scenes.n_turning"),
         ("train-velocity", {"velocity": {"n_trees": 0}}, "n_trees"),
         ("train-velocity", {"velocity": {"holdout_fraction": 2}}, "holdout_fraction"),
         # 0.9 of 3 scenes rounds to all 3

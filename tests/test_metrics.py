@@ -7,6 +7,8 @@ from cooptrack.errors import UndefinedMetricError
 from cooptrack.metrics import (FrameRecord, MetricConfig, frame_counts,
                                frames_from_tracks, metric_report, mota, motap,
                                motp, pairwise_report)
+from oracles import (frame_counts_of_records, frame_records_from_tracks,
+                     mota_of_records, motp_of_records)
 
 CFG = MetricConfig()
 
@@ -119,18 +121,59 @@ class TestFramesFromTracks:
     def test_nearest_valid_track_is_evaluated(self):
         times = [0.0, 0.02]
         gt = [(0.0, 0.0), (1.0, 0.0)]
-        tracks = {0: [(0.3, 0.0), (5.0, 5.0)], 1: [(1.2, 0.0)]}
-        frames = frames_from_tracks(times, gt, tracks, CFG)
-        assert frames[0].delta == pytest.approx(0.3)
-        assert frames[1].delta == pytest.approx(0.2)
+        frames = frames_from_tracks(times, gt, [0, 0, 1],
+                                    [(0.3, 0.0), (5.0, 5.0), (1.2, 0.0)], CFG)
+        assert frames.delta[0] == pytest.approx(0.3)
+        assert frames.delta[1] == pytest.approx(0.2)
 
     def test_missing_frames_are_detection_misses(self):
-        frames = frames_from_tracks([0.0, 0.02], [(0, 0), (0, 0)], {}, CFG)
-        assert all(f.dm == 1 for f in frames)
+        frames = frames_from_tracks([0.0, 0.02], [(0, 0), (0, 0)], [], [], CFG)
+        assert all(frames.dm == 1)
 
     def test_distances_use_xy_plane_only(self):
-        frames = frames_from_tracks([0.0], [(3.0, 4.0)], {0: [(0.0, 0.0)]}, CFG)
-        assert frames[0].delta == pytest.approx(5.0)
+        frames = frames_from_tracks([0.0], [(3.0, 4.0)], [0], [(0.0, 0.0)], CFG)
+        assert frames.delta[0] == pytest.approx(5.0)
+
+
+class TestBulkScoring:
+    """frames_from_tracks and the metrics over its table equal the per-frame
+    FrameRecord loop, bit for bit."""
+
+    def test_equals_per_frame_records(self):
+        rng = np.random.default_rng(66)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            times = 0.02 * np.arange(n)
+            # whole-metre ground truth, so the offsets below are exact
+            gt = rng.integers(-5, 5, size=(n, 2)).astype(float)
+            frame_idx, xy = [], []
+            for i in range(n):
+                for _ in range(int(rng.choice([0, 0, 1, 1, 2, 3]))):
+                    offset = ([CFG.tau, 0.0], [0.0, -CFG.tau], [0.6, 0.8],
+                              rng.uniform(-2, 2, 2))[int(rng.integers(4))]
+                    frame_idx.append(i)
+                    xy.append(gt[i] + offset)
+            # rows of one frame need not be adjacent
+            order = rng.permutation(len(frame_idx))
+            frame_idx = np.array(frame_idx, dtype=int)[order]
+            xy = np.array(xy).reshape(-1, 2)[order]
+            by_frame = {}
+            for i, p in zip(frame_idx, xy):
+                by_frame.setdefault(int(i), []).append(p)
+            records = frame_records_from_tracks(times, gt, by_frame, CFG.tau)
+            bulk = frames_from_tracks(times, gt, frame_idx, xy, CFG)
+            expected = [np.nan if f.delta is None else f.delta for f in records]
+            np.testing.assert_array_equal(bulk.delta, expected)
+            assert frame_counts(bulk) == frame_counts_of_records(records)
+            assert mota(bulk) == mota_of_records(records)
+            if any(f.c or f.lm for f in records):
+                assert motp(bulk, CFG) == motp_of_records(records, CFG.tau)
+
+    def test_distance_equal_to_tau_is_a_match(self):
+        frames = frames_from_tracks([0.0, 0.02], [(0.0, 0.0), (1.0, 1.0)], [0, 1],
+                                    [(CFG.tau, 0.0), (1.0, 1.0 + 2 * CFG.tau)], CFG)
+        assert frame_counts(frames) == {"matches": 1, "dm": 0, "lm": 1}
+        assert motp(frames, CFG) == CFG.tau
 
 
 class TestReports:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cooptrack import scene_sim
+from cooptrack import scene_sim, track_manager
+from cooptrack.association import munkres_solve
 from cooptrack.config import load_config
 from cooptrack.errors import DataError
 from cooptrack.metrics import motap
@@ -94,6 +95,13 @@ class TestRunTracking:
         assert report["motp"] < 0.02
 
 
+def _with_detections(scene, scene_id, detections):
+    return scene_sim.Scene(scene_id=scene_id, spec=scene.spec,
+                           ground_truth=scene.ground_truth, detections=detections,
+                           device=scene.device, gnss=scene.gnss,
+                           occlusion_mask=scene.occlusion_mask)
+
+
 class TestLockstep:
     def test_batch_lanes_equal_lanes_run_alone(self, cfg, turning_scene):
         starting = scene_sim.generate_scene(scene_sim.SceneSpec(
@@ -107,6 +115,40 @@ class TestLockstep:
             alone_rows, alone_assign = run_tracking(scene, model, cfg)
             assert rows == alone_rows
             assert assign == alone_assign
+
+    def test_unequal_lanes_equal_lanes_run_alone(self, cfg, turning_scene, monkeypatch):
+        """Lanes with different track counts in one table."""
+        det = turning_scene.detections
+        # a second cyclist 6 m to the side: two tracks and two detections
+        # per frame, so the lane reaches the Munkres solver
+        twin = det + np.array([0.0, 0.0, 6.0])
+        pair = np.concatenate([det, twin])[np.argsort(
+            np.concatenate([det[:, 0], twin[:, 0]]), kind="stable")]
+        # detections only from 2 s to 4 s, plus a far clutter detection
+        # once: tracks spawn and are dropped mid-run
+        brief = det[(det[:, 0] >= 2.0) & (det[:, 0] < 4.0)]
+        brief = np.concatenate([[[1.0, 40.0, 40.0]], brief])
+        lanes = [(_with_detections(turning_scene, "two-cyclists", pair), "C"),
+                 (_with_detections(turning_scene, "brief", brief), "P"),
+                 (_with_detections(turning_scene, "empty", np.empty((0, 3))), "C"),
+                 (turning_scene, "C")]
+        solved = []
+
+        def spy(cm):
+            solved.append(cm.cost.shape)
+            return munkres_solve(cm)
+        monkeypatch.setattr(track_manager, "munkres_solve", spy)
+        batch = run_tracking_batch(lanes, cfg)
+        assert solved and min(min(shape) for shape in solved) >= 2
+        for (scene, model), (rows, assign) in zip(lanes, batch):
+            alone_rows, alone_assign = run_tracking(scene, model, cfg)
+            assert rows == alone_rows
+            assert assign == alone_assign
+        two, brief_rows, empty = (rows for rows, _ in batch[:3])
+        assert len({r[1] for r in two if r[0] == two[-1][0]}) == 2
+        ids = {r[1] for r in brief_rows}
+        assert len(ids) >= 2 and brief_rows[-1][0] < turning_scene.times[-1]
+        assert empty == [] and batch[2][1] == []
 
 
 class TestPersistence:

@@ -5,8 +5,10 @@ import pytest
 
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate, ekf_predict)
+from cooptrack.association import gated_cost_matrix, munkres_solve
 from cooptrack.errors import DataError
-from cooptrack.track_manager import ManagerConfig, TrackManager, TrackStatus
+from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackStatus,
+                                     TrackTable, step_lanes)
 
 T = 0.02
 
@@ -166,6 +168,46 @@ class TestAssignment:
             log = manager.step([(0.0, 0.0)], i * T, device=(0.0, 0.0, 0.3))
         assert manager.tracks[0].status is TrackStatus.VALID
         assert any(r.device_bound for r in log)
+
+
+class TestBatchedAssignment:
+    """Detection assignment over a table of many lanes equals Munkres on each
+    lane's gated cost matrix alone."""
+
+    def test_matches_munkres_lane_by_lane(self):
+        rng = np.random.default_rng(606)
+        cfg = ManagerConfig.coop_defaults()
+        # half-metre grid: many equal distances, and many exactly at the
+        # 2 m gate (which is allowed)
+        grid = np.arange(0.0, 3.01, 0.5)
+        reached = set()
+        for _ in range(200):
+            n_lanes = int(rng.integers(1, 9))
+            tracks = [grid[rng.integers(len(grid), size=(int(rng.integers(4)), 2))]
+                      for _ in range(n_lanes)]
+            dets = [grid[rng.integers(len(grid), size=(int(rng.integers(4)), 2))]
+                    for _ in range(n_lanes)]
+            table = TrackTable(n_lanes, cfg)
+            lanes = np.arange(n_lanes)
+            # frame 0 spawns each lane's tracks at rest; frame 1 predicts
+            # them in place and assigns the detections
+            no_device = (np.zeros((n_lanes, 3)), np.zeros(n_lanes, dtype=bool))
+            step_lanes(table, np.zeros(n_lanes), np.repeat(lanes, [len(t) for t in tracks]),
+                       np.concatenate(tracks), *no_device)
+            log = step_lanes(table, np.full(n_lanes, T),
+                             np.repeat(lanes, [len(d) for d in dets]),
+                             np.concatenate(dets), *no_device)
+            # the log's first entries are the stepped tracks, in table order
+            stepped = log.lane[:sum(len(t) for t in tracks)]
+            for lane in range(n_lanes):
+                in_lane = np.flatnonzero(stepped == lane)
+                got = [(i, d) for i, d in enumerate(log.detection_id[in_lane].tolist())
+                       if d >= 0]
+                expected = munkres_solve(gated_cost_matrix(tracks[lane], dets[lane],
+                                                           cfg.gate_distance))
+                assert got == expected
+                reached.add((min(len(tracks[lane]), 2), min(len(dets[lane]), 2)))
+        assert reached == {(a, b) for a in range(3) for b in range(3)}
 
 
 class TestHeadingInit:
