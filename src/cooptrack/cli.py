@@ -127,15 +127,21 @@ def _compare_chunk(payload):
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     scenes_cfg = cfg.scenes
     durations = scenes_cfg["occlusion_durations"]
     aligned = scene_sim.aligned_occlusions(durations, scenes_cfg["occlusion_end_offset"])
     variants = [("none", ())]
     variants += [(f"occ{dur:g}s", (tup,))
                  for tup, dur in zip(aligned, sorted(durations))]
+    labels = [label for label, _ in variants]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            # the label keys the rows of per_scene.csv and summary.csv
+            raise ConfigError(f"scenes.occlusion_durations: two durations make "
+                              f"the condition {label}")
     entries = [(f"{base_id}_{label}", label, spec)
                for base_id, label, spec in _scene_specs(cfg, variants)]
+    os.makedirs(out_dir, exist_ok=True)
     size = COMPARE_CHUNK_SCENES * len(variants)
     jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]
 

@@ -90,12 +90,6 @@ def _merge(defaults, overrides, path=""):
     return merged
 
 
-def _require_distinct(key, values):
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigError(f"{key}: {json.dumps(repeated[0])} is repeated")
-
-
 class RunConfig:
     """Resolved configuration tree with typed accessors."""
 
@@ -123,10 +117,9 @@ class RunConfig:
         for model in self.models:
             if model not in ("P", "C"):
                 raise ConfigError(f"unknown model: {model}")
-        _require_distinct("models", self.models)
+        if len(set(self.models)) < len(self.models):
+            raise ConfigError("models: a model is repeated")
         self.scenes = raw["scenes"]
-        _require_distinct("scenes.occlusion_durations",
-                          self.scenes["occlusion_durations"])
         for kind in ("starting", "turning"):
             if self.scenes[f"n_{kind}"] < 0:
                 raise ConfigError(f"scenes.n_{kind} must not be negative")

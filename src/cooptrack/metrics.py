@@ -45,7 +45,7 @@ class FrameRecord:
                    d=float(delta) if matched else 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameTable:
     """The FrameRecords of a scene as columns, one entry per frame (delta
     NaN where no valid track exists)."""

@@ -380,6 +380,9 @@ class TestExitCodes:
         ("compare", {"models": ["P", "C", "P"]}, "models"),
         ("compare", {"scenes": {"occlusion_durations": [2.0, 1.0, 2]}},
          "scenes.occlusion_durations"),
+        # distinct durations that print as the same condition label
+        ("compare", {"scenes": {"occlusion_durations": [2.0, 2.0000001]}},
+         "scenes.occlusion_durations"),
         ("compare", {"scenes": {"n_starting": -1, "n_turning": 0}},
          "scenes.n_starting"),
         ("compare", {"scenes": {"n_starting": 1, "n_turning": -2}},
