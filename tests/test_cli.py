@@ -373,6 +373,12 @@ class TestExitCodes:
         ("compare", {"scenes": {"n_starting": "a"}}, "scenes.n_starting"),
         ("compare", {"scenes": {"occlusion_durations": ["x"]}},
          "scenes.occlusion_durations"),
+        ("train-velocity", {"velocity": {"n_trees": 0}}, "n_trees"),
+        ("train-velocity", {"velocity": {"holdout_fraction": 2}}, "holdout_fraction"),
+        # 0.9 of 3 scenes rounds to all 3
+        ("train-velocity", {"velocity": {"training_scenes": 3,
+                                         "holdout_fraction": 0.9}},
+         "holdout_fraction"),
         # a gate no distance can meet would make model C the position-only one
         ("compare", {"filter": {"device_gate": 0}}, "filter.device_gate"),
         ("compare", {"filter": {"device_gate": -1.0}}, "filter.device_gate"),
@@ -387,12 +393,6 @@ class TestExitCodes:
          "scenes.n_starting"),
         ("compare", {"scenes": {"n_starting": 1, "n_turning": -2}},
          "scenes.n_turning"),
-        ("train-velocity", {"velocity": {"n_trees": 0}}, "n_trees"),
-        ("train-velocity", {"velocity": {"holdout_fraction": 2}}, "holdout_fraction"),
-        # 0.9 of 3 scenes rounds to all 3
-        ("train-velocity", {"velocity": {"training_scenes": 3,
-                                         "holdout_fraction": 0.9}},
-         "holdout_fraction"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
                                                    command, overrides, key):
