@@ -414,7 +414,9 @@ class Track:
         """The spawning fix (t, x, y) until it has initialized heading and
         speed, then None."""
         row = self._row()
-        return tuple(self._table.first_fix[row].tolist()) if self._table.has_fix[row] else None
+        if not self._table.has_fix[row]:
+            return None
+        return tuple(self._table.first_fix[row].tolist())
 
     @property
     def estimate(self) -> ekf.StateEstimate:

@@ -192,7 +192,8 @@ class TestBatchedAssignment:
             # frame 0 spawns each lane's tracks at rest; frame 1 predicts
             # them in place and assigns the detections
             no_device = (np.zeros((n_lanes, 3)), np.zeros(n_lanes, dtype=bool))
-            step_lanes(table, np.zeros(n_lanes), np.repeat(lanes, [len(t) for t in tracks]),
+            step_lanes(table, np.zeros(n_lanes),
+                       np.repeat(lanes, [len(t) for t in tracks]),
                        np.concatenate(tracks), *no_device)
             log = step_lanes(table, np.full(n_lanes, T),
                              np.repeat(lanes, [len(d) for d in dets]),
