@@ -6,6 +6,7 @@ window statistics, energy-normalized DFT magnitudes and an orthogonal
 polynomial expansion of the GNSS speed.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -59,10 +60,13 @@ def dft_features(window) -> np.ndarray:
     return np.abs(spectrum[:DFT_ORDERS]) / energy
 
 
+@functools.lru_cache(maxsize=64)
 def orthopoly_basis(n, degree) -> np.ndarray:
     """Orthonormal polynomial basis over indices 0..n-1, columns per degree.
 
     Built by (twice-iterated) Gram-Schmidt on 1, i, i^2, ..., i^degree.
+    Memoized per (n, degree), since the window length takes few values;
+    the shared array is read-only.
     """
     if n <= degree:
         raise ValueError(f"window length {n} must exceed degree {degree}")
@@ -77,6 +81,7 @@ def orthopoly_basis(n, degree) -> np.ndarray:
         if norm == 0.0:
             raise ValueError("degenerate window for polynomial basis")
         basis[:, d] = q / norm
+    basis.setflags(write=False)
     return basis
 
 

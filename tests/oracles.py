@@ -6,6 +6,7 @@ than reusing the library's code paths.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -132,3 +133,122 @@ def mota_of_records(frames):
 def frame_counts_of_records(frames):
     return {"matches": sum(f.c for f in frames), "dm": sum(f.dm for f in frames),
             "lm": sum(f.lm for f in frames)}
+
+
+def _reference_best_split(counts, sums, sumsqs):
+    """Best (feature, bin) cut of one node by squared-error reduction, or None."""
+    total_n = counts[0].sum()
+    total_s = sums[0].sum()
+    total_ss = sumsqs[0].sum()
+    parent_sse = total_ss - total_s ** 2 / total_n
+
+    cn = np.cumsum(counts, axis=1)[:, :-1]
+    cs = np.cumsum(sums, axis=1)[:, :-1]
+    css = np.cumsum(sumsqs, axis=1)[:, :-1]
+    rn = total_n - cn
+    valid = (cn > 0) & (rn > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (css - cs ** 2 / cn) + ((total_ss - css) - (total_s - cs) ** 2 / rn)
+    sse = np.where(valid, sse, np.inf)
+    flat = int(np.argmin(sse))
+    best = sse.flat[flat]
+    if not np.isfinite(best) or not parent_sse - best > 1e-12:
+        return None
+    return np.unravel_index(flat, sse.shape)
+
+
+def _reference_tree(binned, y, rng, bin_edges, max_depth):
+    """One tree grown node by node, recursing left before right."""
+    n, n_features = binned.shape
+    boot = rng.integers(0, n, size=n)
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    y2 = y ** 2
+    nb = max(len(e) for e in bin_edges) + 1
+
+    def build(rows, depth):
+        node = len(tree["feature"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1), ("value", 0.0)):
+            tree[key].append(blank)
+        yv = y[rows]
+        tree["value"][node] = float(yv.mean())
+        if depth >= max_depth or len(rows) < 2 or np.ptp(yv) == 0.0:
+            return node
+        sub = binned[rows]
+        yv2 = y2[rows]
+        counts = np.empty((n_features, nb))
+        sums = np.empty((n_features, nb))
+        sumsqs = np.empty((n_features, nb))
+        for f in range(n_features):
+            b = sub[:, f]
+            counts[f] = np.bincount(b, minlength=nb)
+            sums[f] = np.bincount(b, weights=yv, minlength=nb)
+            sumsqs[f] = np.bincount(b, weights=yv2, minlength=nb)
+        cut = _reference_best_split(counts, sums, sumsqs)
+        if cut is None:
+            return node
+        f, b = int(cut[0]), int(cut[1])
+        go_left = sub[:, f] <= b
+        tree["feature"][node] = f
+        tree["threshold"][node] = float(bin_edges[f][b])
+        tree["left"][node] = build(rows[go_left], depth + 1)
+        tree["right"][node] = build(rows[~go_left], depth + 1)
+        return node
+
+    build(boot, 0)
+    return tree
+
+
+def reference_forest_json(X, y, seed, n_trees, max_depth, n_bins,
+                          feature_layout=None):
+    """The forest file of RegressionForest(...).fit(X, y), grown recursively.
+
+    Quantile bin edges, bootstrap draws and the depth-first node numbering
+    follow the file format's definition one tree and one node at a time.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    bin_edges = [np.unique(np.quantile(X[:, f], qs)) for f in range(X.shape[1])]
+    binned = np.empty(X.shape, dtype=np.int16)
+    for f in range(X.shape[1]):
+        binned[:, f] = np.searchsorted(bin_edges[f], X[:, f], side="left")
+    seqs = np.random.SeedSequence(seed).spawn(n_trees)
+    trees = [_reference_tree(binned, y, np.random.default_rng(seq), bin_edges,
+                             max_depth) for seq in seqs]
+    payload = {
+        "format": "cooptrack-forest-v1",
+        "seed": seed,
+        "n_trees": n_trees,
+        "max_depth": max_depth,
+        "n_bins": n_bins,
+        "n_features": X.shape[1],
+        "feature_layout": feature_layout,
+        "bin_edges": [edges.tolist() for edges in bin_edges],
+        "trees": trees,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def reference_tree_predictions(forest_json, X):
+    """(n_trees, n) tree outputs, each tree walked on its own until every
+    row sits at a leaf."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    preds = []
+    for tree in json.loads(forest_json)["trees"]:
+        feature = np.asarray(tree["feature"])
+        threshold = np.asarray(tree["threshold"])
+        left = np.asarray(tree["left"])
+        right = np.asarray(tree["right"])
+        value = np.asarray(tree["value"])
+        node = np.zeros(len(X), dtype=int)
+        while True:
+            at_leaf = feature[node] < 0
+            if at_leaf.all():
+                break
+            go_left = (X[np.arange(len(X)), np.maximum(feature[node], 0)]
+                       <= threshold[node])
+            node = np.where(at_leaf, node, np.where(go_left, left[node],
+                                                    right[node]))
+        preds.append(value[node])
+    return np.stack(preds)

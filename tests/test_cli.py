@@ -319,6 +319,16 @@ class TestTrainVelocity:
         with pytest.raises(DataError, match="forest_with_gnss.json"):
             cli.load_velocity_model(str(tmp_path))
 
+    def test_self_looped_forest_file_is_data_error(self, tmp_path):
+        layout = feature_layout(True)
+        X = np.random.default_rng(0).normal(size=(120, len(layout["names"])))
+        payload = json.loads(train_forest(X, X[:, 0], seed=0, n_trees=2,
+                                          feature_layout=layout).to_json())
+        payload["trees"][0]["left"][0] = 0
+        (tmp_path / "forest_with_gnss.json").write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="forest_with_gnss.json: not a forest"):
+            cli.load_velocity_model(str(tmp_path))
+
     def test_swapped_forest_files_are_data_error(self, tmp_path):
         rng = np.random.default_rng(0)
         for name, with_gnss in (("forest_with_gnss.json", False),

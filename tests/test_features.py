@@ -107,6 +107,14 @@ class TestOrthopoly:
         with pytest.raises(ValueError):
             orthopoly_coeffs(np.ones(3), 3)
 
+    def test_cached_basis_is_read_only_and_equals_fresh_build(self):
+        cached = orthopoly_basis(6, 3)
+        assert orthopoly_basis(6, 3) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        assert np.array_equal(cached, orthopoly_basis.__wrapped__(6, 3))
+
 
 class TestFeatureMatrix:
     def test_layout_is_closed_and_versioned(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cooptrack.forest import RegressionForest, train_forest
+from oracles import reference_forest_json, reference_tree_predictions
 
 
 def toy_data(n=400, d=5, seed=0):
@@ -46,12 +47,23 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_forest(X, y, seed=0)
 
+    @pytest.mark.parametrize("cell", ["y_nan", "x_inf", "x_minus_inf"])
+    def test_non_finite_training_data_rejected(self, cell):
+        X, y = toy_data(n=200)
+        if cell == "y_nan":
+            y[5] = np.nan
+        else:
+            X[5, 2] = np.inf if cell == "x_inf" else -np.inf
+        X[9, 0] = np.nan
+        with pytest.raises(ValueError, match="row 5"):
+            train_forest(X, y, seed=0, n_trees=2)
+
     def test_depth_bound_respected(self):
         X, y = toy_data(n=500)
         forest = train_forest(X, y, seed=0, n_trees=5, max_depth=3)
-        for tree in forest.trees:
+        for tree in json.loads(forest.to_json())["trees"]:
             # depth <= 3 means at most 2^4 - 1 nodes
-            assert len(tree.feature) <= 15
+            assert len(tree["feature"]) <= 15
 
     def test_learns_signal(self):
         X, y = toy_data(n=1500, seed=3)
@@ -89,9 +101,10 @@ class TestPrediction:
         x = X[:5]
         mean, var = forest.predict(x)
         rng = np.random.default_rng(1)
-        order = rng.permutation(len(forest.trees))
-        forest.trees = [forest.trees[i] for i in order]
-        mean_p, var_p = forest.predict(x)
+        payload = json.loads(forest.to_json())
+        order = rng.permutation(len(payload["trees"]))
+        payload["trees"] = [payload["trees"][i] for i in order]
+        mean_p, var_p = RegressionForest.from_json(json.dumps(payload)).predict(x)
         np.testing.assert_allclose(mean, mean_p, atol=1e-12)
         np.testing.assert_allclose(var, var_p, atol=1e-12)
 
@@ -129,3 +142,115 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             RegressionForest.from_json(json.dumps({"format": "other"}))
+
+    @pytest.mark.parametrize("defect, message", [
+        ("unequal_lengths", "equal length"),
+        ("empty_tree", "non-empty"),
+        ("no_trees", "no trees"),
+        ("feature_too_high", "feature index outside"),
+        ("feature_below_leaf", "feature index outside"),
+        ("float_feature", "integers"),
+        ("child_self_loop", "child index"),
+        ("child_before_node", "child index"),
+        ("child_past_end", "child index"),
+        ("leaf_with_children", "leaf has children"),
+        ("nan_threshold", "non-finite"),
+        ("inf_value", "non-finite"),
+        ("bin_edges_count", "bin edge lists"),
+    ])
+    def test_malformed_tree_rejected(self, defect, message):
+        X, y = toy_data(n=300, seed=10)
+        payload = json.loads(train_forest(X, y, seed=0, n_trees=3).to_json())
+        tree = payload["trees"][1]
+        splits = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+        leaf = tree["feature"].index(-1)
+        if defect == "unequal_lengths":
+            tree["value"].append(0.0)
+        elif defect == "empty_tree":
+            for key in tree:
+                tree[key] = []
+        elif defect == "no_trees":
+            payload["trees"] = []
+        elif defect == "feature_too_high":
+            tree["feature"][splits[0]] = payload["n_features"]
+        elif defect == "feature_below_leaf":
+            tree["feature"][splits[0]] = -2
+        elif defect == "float_feature":
+            tree["feature"][splits[0]] = 0.5
+        elif defect == "child_self_loop":
+            tree["left"][0] = 0
+        elif defect == "child_before_node":
+            tree["right"][splits[-1]] = 0
+        elif defect == "child_past_end":
+            tree["right"][splits[-1]] = len(tree["feature"])
+        elif defect == "leaf_with_children":
+            tree["left"][leaf] = leaf + 1
+        elif defect == "nan_threshold":
+            tree["threshold"][splits[0]] = float("nan")
+        elif defect == "inf_value":
+            tree["value"][leaf] = float("inf")
+        elif defect == "bin_edges_count":
+            payload["bin_edges"].pop()
+        with pytest.raises(ValueError, match=message):
+            RegressionForest.from_json(json.dumps(payload))
+
+
+class TestOracleParity:
+    """The level-order grower and all-trees walk against the recursive
+    node-by-node definition: identical files, identical tree outputs."""
+
+    @staticmethod
+    def _queries(rng, n, d):
+        Q = rng.normal(0, 1.5, (n, d))
+        Q[rng.random(Q.shape) < 0.1] = np.nan
+        Q[rng.random(Q.shape) < 0.05] = np.inf
+        Q[rng.random(Q.shape) < 0.05] = -np.inf
+        return Q
+
+    def _check(self, X, y, seed, n_trees, max_depth, n_bins, queries):
+        forest = RegressionForest(n_trees, max_depth, n_bins, seed=seed).fit(X, y)
+        expected = reference_forest_json(X, y, seed, n_trees, max_depth, n_bins)
+        assert forest.to_json() == expected
+        np.testing.assert_array_equal(
+            forest.tree_predictions(queries),
+            reference_tree_predictions(expected, queries))
+        restored = RegressionForest.from_json(expected)
+        np.testing.assert_array_equal(restored.tree_predictions(queries),
+                                      forest.tree_predictions(queries))
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_random_data(self, case):
+        rng = np.random.default_rng(100 + case)
+        n = int(rng.integers(100, 500))
+        d = int(rng.integers(1, 41))
+        X = rng.normal(0, 1, (n, d))
+        for f in range(d):
+            kind = rng.random()
+            if kind < 0.2:      # few values: tied and empty bins
+                X[:, f] = rng.integers(0, 3, n)
+            elif kind < 0.3:    # constant column
+                X[:, f] = 1.5
+        y = X[:, 0] * 2.0 + rng.normal(0, 0.5, n)
+        if case % 4 == 1:
+            y[:] = -0.75
+        if case % 3 == 2:       # duplicated rows
+            X[n // 2:] = X[:n - n // 2]
+            y[n // 2:] = y[:n - n // 2]
+        self._check(X, y, seed=case, n_trees=int(rng.integers(1, 5)),
+                    max_depth=1 + case % 10, n_bins=int(rng.integers(2, 65)),
+                    queries=self._queries(rng, 200, d))
+
+    @pytest.mark.parametrize("n_features, n_bins, max_depth",
+                             [(40, 64, 10), (1, 2, 1), (3, 64, 8)])
+    def test_edge_sizes(self, n_features, n_bins, max_depth):
+        rng = np.random.default_rng(n_features)
+        X = rng.normal(0, 1, (600, n_features))
+        y = np.sin(X[:, 0] * 3.0) + rng.normal(0, 0.1, 600)
+        self._check(X, y, seed=1, n_trees=3, max_depth=max_depth,
+                    n_bins=n_bins, queries=self._queries(rng, 100, n_features))
+
+    def test_rows_beyond_one_walk_block(self):
+        X, y = toy_data(n=400, seed=12)
+        # 80 trees x 3000 rows is several blocks of tree x row cells
+        self._check(X, y, seed=4, n_trees=80, max_depth=8, n_bins=32,
+                    queries=self._queries(np.random.default_rng(5), 3000, 5))

@@ -56,6 +56,17 @@ VELOCITY_FILES = {
     "rmse_report.json": "40bd2083fef759b8467a83a41ade57ee0b67799749405895a38138fbe572dafa",
 }
 
+# trees deeper than the default 6 levels: pins level-by-level growth and
+# the depth-first node numbering of the forest file
+DEEP_VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 4,
+                                     "max_depth": 10, "n_bins": 16}}
+
+DEEP_VELOCITY_FILES = {
+    "forest_with_gnss.json": "9322b0e739352ca66ca35f446d8b8b1c5254b6b1b58d9ef482cb76aea33d0f70",
+    "forest_no_gnss.json": "deef8f479af12466bc1a96186f75ceeda69c9501aa7de1f98a960eb92aa4a3bf",
+    "rmse_report.json": "6ff19048032cc039bc5fd7e3541b6deba98d530f69eec53685d5c902d671cbcf",
+}
+
 # VelocityModel.run on a starting ride with GNSS and a turning ride without
 VELOCITY_RUNS = {
     "starting_gnss": "456215cb1376f8be9ecb7588f34e6f864c0e4f770c5f183ff7759e05be2147f8",
@@ -116,3 +127,11 @@ def test_velocity_outputs_match_pinned_digests(tmp_path):
     runs = {name: hashlib.sha256(model.run(*ride).tobytes()).hexdigest()
             for name, ride in rides.items()}
     assert runs == VELOCITY_RUNS
+
+
+def test_deep_velocity_forests_match_pinned_digests(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(DEEP_VELOCITY_CONFIG))
+    out = tmp_path / "model"
+    assert cli.main(["--config", str(cfg), "train-velocity", "--out", str(out)]) == 0
+    assert _digests(out, DEEP_VELOCITY_FILES) == DEEP_VELOCITY_FILES
