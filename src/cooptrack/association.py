@@ -134,16 +134,6 @@ def nearest_allowed(cost, allowed, axis=-1):
     return masked.argmin(axis=axis), np.minimum.reduce(masked, axis=axis) < np.inf
 
 
-def nearest_within_gate(distances, gate: float):
-    """Index of the smallest distance, the lowest index on ties, if it is
-    finite and not beyond the gate; else None.  NaN distances never win."""
-    d = np.asarray(distances, dtype=float)
-    if not len(d):
-        return None
-    idx, found = nearest_allowed(d, d <= gate)
-    return int(idx) if found else None
-
-
 def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
                   p: ProcessNoiseParams, gate: float = DEVICE_GATE):
     """Nearest-neighbor device-to-track binding.
@@ -160,7 +150,9 @@ def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
         np.array([e.state.as_array() for e in tracks]),
         np.array([e.covariance for e in tracks], dtype=float),
         np.array([r] * len(tracks)))
-    return nearest_within_gate(penalized_mahalanobis_batch(y, S).tolist(), gate)
+    distance = penalized_mahalanobis_batch(y, S)
+    idx, found = nearest_allowed(distance, distance <= gate)
+    return int(idx) if found else None
 
 
 def gated_cost_matrix(track_positions, detection_positions, gate: float) -> CostMatrix:

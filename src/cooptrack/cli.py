@@ -2,8 +2,9 @@
 
 Subcommands: simulate | track | evaluate | compare | train-velocity.
 `compare` chains simulate -> track(P) -> track(C) -> evaluate over a scene
-batch and writes plot-ready CSV tables.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+batch and writes plot-ready CSV tables.  Exit codes: 0 success, 1 a
+metric undefined for a scene (the error names the scene and the model), 2
+config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
@@ -107,8 +108,8 @@ def cmd_evaluate(args) -> int:
 # Scenes per lockstep batch of `compare`: with two occlusion variants and
 # both models, 16 scenes are 64 lanes.  A frame of the track table costs
 # little more for many lanes than for few, so larger batches run faster,
-# but they hold every lane's scene and rows in memory until the batch ends
-# (CHANGES.md has time and memory measured at 8, 16 and 32).
+# but they hold every lane's scene and tracks in memory until the batch
+# ends (README has time and memory measured at 16, 32 and 64).
 COMPARE_CHUNK_SCENES = 16
 
 
@@ -141,6 +142,9 @@ def cmd_compare(args) -> int:
                               f"the condition {label}")
     entries = [(f"{base_id}_{label}", label, spec)
                for base_id, label, spec in _scene_specs(cfg, variants)]
+    if scenes_cfg["noise"]["dropout_prob"] == 1:
+        raise ConfigError("scenes.noise.dropout_prob: 1 drops every detection, "
+                          "so no scene could be scored")
     os.makedirs(out_dir, exist_ok=True)
     size = COMPARE_CHUNK_SCENES * len(variants)
     jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]

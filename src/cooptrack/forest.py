@@ -344,6 +344,12 @@ class RegressionForest:
             raise ValueError("forest has no trees")
         forest.nodes = NodeTable([_checked_tree(t, i, forest.n_features)
                                   for i, t in enumerate(payload["trees"])])
+        if len(payload["trees"]) != forest.n_trees:
+            raise ValueError(f"header n_trees {forest.n_trees} but "
+                             f"{len(payload['trees'])} trees")
+        if forest.nodes.depth > forest.max_depth:
+            raise ValueError(f"header max_depth {forest.max_depth} but a tree "
+                             f"of depth {forest.nodes.depth}")
         return forest
 
 

@@ -126,6 +126,18 @@ def motap(a, b, cfg: MetricConfig) -> int:
     return 1 if (cond_accuracy or cond_precision) else 0
 
 
+def nearest_track_distances(gt_xy, slot, track_xy):
+    """Per ground-truth position gt_xy[s] (S, 2), the distance to the
+    nearest of the tracks at track_xy (K, 2) whose slot (K,) is s, inf
+    where there is none, and whether slot s has a track."""
+    offset = track_xy - gt_xy[slot]
+    delta = np.full(len(gt_xy), np.inf)
+    np.minimum.at(delta, slot, np.hypot(offset[:, 0], offset[:, 1]))
+    has_track = np.zeros(len(gt_xy), dtype=bool)
+    has_track[slot] = True
+    return delta, has_track
+
+
 def frames_from_tracks(gt_times, gt_xy, track_frames, track_xy,
                        cfg: MetricConfig) -> FrameTable:
     """The FrameTable of a scene.
@@ -135,13 +147,10 @@ def frames_from_tracks(gt_times, gt_xy, track_frames, track_xy,
     every valid track row.  A frame's delta is the distance to its nearest
     valid track.
     """
-    gt_xy = np.asarray(gt_xy, dtype=float).reshape(-1, 2)
-    track_frames = np.asarray(track_frames, dtype=np.intp)
-    track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
-    offset = track_xy - gt_xy[track_frames]
-    delta = np.full(len(gt_xy), np.inf)
-    np.minimum.at(delta, track_frames, np.hypot(offset[:, 0], offset[:, 1]))
-    has_track = np.bincount(track_frames, minlength=len(gt_xy)) > 0
+    delta, has_track = nearest_track_distances(
+        np.asarray(gt_xy, dtype=float).reshape(-1, 2),
+        np.asarray(track_frames, dtype=np.intp),
+        np.asarray(track_xy, dtype=float).reshape(-1, 2))
     return FrameTable.from_distances(gt_times, delta, has_track, cfg.tau)
 
 
@@ -155,14 +164,18 @@ def frame_counts(frames):
 
 
 def metric_report(scene_id, model_id, frames, cfg: MetricConfig) -> dict:
-    """JSON-ready per-scene report."""
-    return {
-        "scene_id": scene_id,
-        "model_id": model_id,
-        "motp": motp(frames, cfg),
-        "mota": mota(frames),
-        "frame_counts": frame_counts(frames),
-    }
+    """JSON-ready per-scene report.  An undefined metric is an
+    UndefinedMetricError naming the scene and the model."""
+    try:
+        return {
+            "scene_id": scene_id,
+            "model_id": model_id,
+            "motp": motp(frames, cfg),
+            "mota": mota(frames),
+            "frame_counts": frame_counts(frames),
+        }
+    except UndefinedMetricError as exc:
+        raise UndefinedMetricError(f"scene {scene_id}, model {model_id}: {exc}") from exc
 
 
 def pairwise_report(report_a, report_b, cfg: MetricConfig) -> dict:

@@ -1,5 +1,6 @@
 """Scene-level pipeline: run a tracking model over a scene, persist the
-per-frame track output and the assignment log, and evaluate metrics."""
+per-frame track output and the assignment log, and evaluate metrics;
+`compare` tracks and scores a batch of scenes without keeping their rows."""
 
 import os
 
@@ -39,20 +40,20 @@ def _split_by_lane(n_lanes, lane, *columns):
             for k in range(n_lanes)]
 
 
-def _track_lanes(lanes, cfg: RunConfig):
+def _track_lanes(lanes, cfg: RunConfig, on_frame):
     """Step several (scene, model) lanes in lockstep, frame by frame, on one
     TrackTable.
 
-    Returns per lane, in lane order, its track rows as arrays (t, track
-    id, state (N, 5), valid) and its assignment log as arrays (t, track id,
-    detection id or -1, device bound).  Lanes may differ in length; a
-    lane's tracks are dropped from the table after its last frame.
+    After the step of frame i, on_frame(i, table, log) sees the table and
+    the frame's StepLog; table.last_t then holds each stepped lane's time
+    of frame i.  Lanes may differ in length; a lane's tracks leave the
+    table once on_frame has seen its last frame.
     """
     for _, model in lanes:
         if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
             raise ValueError(f"unknown model: {model}")
     if not lanes:
-        return []
+        return
     table = TrackTable(len(lanes), cfg.manager_coop, process=cfg.process,
                        noise=cfg.measurement, device_gate=cfg.device_gate)
     n_frames = np.array([len(scene.ground_truth) for scene, _ in lanes], dtype=np.int64)
@@ -78,20 +79,12 @@ def _track_lanes(lanes, cfg: RunConfig):
     det_at = np.searchsorted(det_frame, np.arange(len(times) + 1))
 
     last_frames = set(n_frames.tolist())
-    empty = np.zeros(0, dtype=np.int64)
-    tracks = [(empty, np.zeros(0), empty, np.zeros((0, 5)), empty.astype(bool))]
-    logs = [(empty, np.zeros(0), empty, empty, empty.astype(bool))]
     for i, t in enumerate(times):
         log = step_lanes(table, t, det_lane[det_at[i]:det_at[i + 1]],
                          det_xy[det_at[i]:det_at[i + 1]], devices[i], has_device[i])
-        logs.append((log.lane, t[log.lane], log.track_id, log.detection_id,
-                     log.device_bound))
-        tracks.append((table.lane, t[table.lane], table.id, table.x.copy(),
-                       table.valid.copy()))
+        on_frame(i, table, log)
         if i + 1 in last_frames:
             table.keep_rows(n_frames[table.lane] > i + 1)
-    return list(zip(_split_by_lane(len(lanes), *map(np.concatenate, zip(*tracks))),
-                    _split_by_lane(len(lanes), *map(np.concatenate, zip(*logs)))))
 
 
 def run_tracking_batch(lanes, cfg: RunConfig):
@@ -101,8 +94,21 @@ def run_tracking_batch(lanes, cfg: RunConfig):
     same as run_tracking gives for that lane alone.  Lanes may differ in
     length; a lane stops stepping after its last frame.
     """
+    empty = np.zeros(0, dtype=np.int64)
+    tracks = [(empty, np.zeros(0), empty, np.zeros((0, 5)), empty.astype(bool))]
+    logs = [(empty, np.zeros(0), empty, empty, empty.astype(bool))]
+
+    def collect(i, table, log):
+        t = table.last_t
+        tracks.append((table.lane, t[table.lane], table.id, table.x.copy(),
+                       table.valid.copy()))
+        logs.append((log.lane, t[log.lane], log.track_id, log.detection_id,
+                     log.device_bound))
+    _track_lanes(lanes, cfg, collect)
     outputs = []
-    for (t, ids, x, valid), (log_t, log_ids, det, bound) in _track_lanes(lanes, cfg):
+    for (t, ids, x, valid), (log_t, log_ids, det, bound) in zip(
+            _split_by_lane(len(lanes), *map(np.concatenate, zip(*tracks))),
+            _split_by_lane(len(lanes), *map(np.concatenate, zip(*logs)))):
         track_rows = list(zip(t.tolist(), ids.tolist(), *x.T.tolist(),
                               valid.astype(int).tolist()))
         assign_rows = list(zip(log_t.tolist(), log_ids.tolist(),
@@ -171,14 +177,32 @@ def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str
 
 def track_and_evaluate(scenes, cfg: RunConfig):
     """Run every configured model over each scene, all (scene, model) lanes
-    in one lockstep batch; returns one {model: report} dict per scene."""
-    lanes = [(scene, model) for scene in scenes for model in cfg.models]
-    outputs = iter(_track_lanes(lanes, cfg))
+    in one lockstep batch; returns one {model: report} dict per scene, each
+    report equal to evaluate_rows over run_tracking's rows.
 
-    def report(scene, model):
-        (t, ids, x, valid), _ = next(outputs)
-        return evaluate_rows(scene, np.column_stack([t, ids, x, valid]), cfg, model)
-    return [{model: report(scene, model) for model in cfg.models} for scene in scenes]
+    No track rows are kept: after each frame, each lane's distance from its
+    ground truth to its nearest valid track, and whether it has one, go
+    into (frames x lanes) arrays, and each lane is scored from its column.
+    """
+    lanes = [(scene, model) for scene in scenes for model in cfg.models]
+    n_frames = [len(scene.ground_truth) for scene, _ in lanes]
+    shape = (max(n_frames, default=0), len(lanes))
+    gt_xy = np.full(shape + (2,), np.nan)
+    for k, (scene, _) in enumerate(lanes):
+        gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:3]
+    delta = np.full(shape, np.inf)
+    has_track = np.zeros(shape, dtype=bool)
+
+    def score(i, table, log):
+        valid = table.valid
+        delta[i], has_track[i] = metrics_mod.nearest_track_distances(
+            gt_xy[i], table.lane[valid], table.x[valid, :2])
+    _track_lanes(lanes, cfg, score)
+    reports = (metrics_mod.metric_report(
+        scene.scene_id, model, metrics_mod.FrameTable.from_distances(
+            scene.ground_truth[:, 0], delta[:n, k], has_track[:n, k], cfg.metric.tau),
+        cfg.metric) for k, ((scene, model), n) in enumerate(zip(lanes, n_frames)))
+    return [{model: next(reports) for model in cfg.models} for _ in scenes]
 
 
 def aggregate(reports):

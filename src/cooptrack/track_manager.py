@@ -446,9 +446,6 @@ class TrackManager:
     def tracks(self) -> list[Track]:
         return [Track(self.table, i) for i in self.table.id.tolist()]
 
-    def valid_tracks(self) -> list[Track]:
-        return [Track(self.table, i) for i in self.table.id[self.table.valid].tolist()]
-
     def step(self, detections, t_now, device=None):
         """Advance one frame.
 

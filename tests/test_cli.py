@@ -403,6 +403,9 @@ class TestExitCodes:
          "scenes.n_starting"),
         ("compare", {"scenes": {"n_starting": 1, "n_turning": -2}},
          "scenes.n_turning"),
+        # no detection, so no track: no scene could be scored
+        ("compare", {"scenes": {"noise": {"dropout_prob": 1.0}}},
+         "scenes.noise.dropout_prob"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
                                                    command, overrides, key):
@@ -412,6 +415,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
         assert not out.exists()
+
+    def test_undefined_metric_is_1_naming_scene_and_model(self, tmp_path, capsys):
+        # three frames: no track reaches the four frames it needs to be valid
+        cfg = write_config(tmp_path / "c.json", scenes={
+            "n_starting": 1, "n_turning": 0, "occlusion_durations": [],
+            "starting": {"duration": 0.04}})
+        assert run(["--config", cfg, "compare", "--out", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene starting_0000_none, model P: MOTP undefined")
 
     def test_numerical_error_is_4(self, monkeypatch, tmp_path, capsys):
         def boom(args):

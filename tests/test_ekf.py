@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cooptrack.ekf import (BikeState, Measurement, MeasurementKind,
+from cooptrack import ekf
+from cooptrack.ekf import (EPS_YAW, BikeState, Measurement, MeasurementKind,
                            MeasurementNoiseParams, ProcessNoiseParams,
                            StateEstimate, ekf_predict, ekf_predict_batch,
                            ekf_update, ekf_update_batch, jacobian_f,
@@ -11,6 +14,7 @@ from cooptrack.ekf import (BikeState, Measurement, MeasurementKind,
                            noise_gain, noisy_transition, predict_state,
                            process_noise_cov, wrap_angle)
 from cooptrack.errors import InvalidStateError, NumericalError
+from cooptrack.track_manager import ManagerConfig, TrackManager
 
 from oracles import fd_noise_gain, fd_transition_jacobian, rk4_constant_turn
 
@@ -377,3 +381,58 @@ class TestWrapAngle:
             # same point on the circle
             assert math.cos(w) == pytest.approx(math.cos(angle), abs=1e-9)
             assert math.sin(w) == pytest.approx(math.sin(angle), abs=1e-9)
+
+
+class TestEdgeProperties:
+    """Hypothesis properties at the yaw-rate switch and over long coasts."""
+
+    @given(gamma=st.floats(-3.0, 3.0), v=st.floats(-20.0, 20.0),
+           step=st.one_of(st.just(T), st.floats(1e-3, 4.0)),
+           sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_transition_continuous_across_eps_yaw(self, gamma, v, step, sign):
+        # just above EPS_YAW the exact arc formulas apply, just below their
+        # straight-line limits; the limits drop terms of first order in
+        # gamma_dot, each at most (1 + |v|) (T + T^3) gamma_dot in size, so
+        # the state change, F and G may jump by no more than that at the
+        # switch
+        x = np.array([[1.0, -2.0, gamma, sign * EPS_YAW * (1 + 1e-3), v],
+                      [1.0, -2.0, gamma, sign * EPS_YAW * (1 - 1e-3), v]])
+        x_new, F, G = ekf._transition(x, np.array([step, step]))
+        tol = EPS_YAW * (1 + abs(v)) * (step + step ** 3)
+        change = x_new - x
+        jump = change[0] - change[1]
+        jump[2] = wrap_angle(jump[2])
+        assert np.abs(jump).max() <= tol
+        assert np.abs(F[0] - F[1]).max() <= tol
+        assert np.abs(G[0] - G[1]).max() <= tol
+
+    @given(k=st.integers(2, 200), start=st.integers(0, 3000),
+           gamma=st.floats(-3.0, 3.0),
+           gamma_dot=st.one_of(st.floats(-1.0, 1.0), st.floats(-2e-6, 2e-6)),
+           v=st.floats(0.0, 12.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_long_coast_matches_single_step_predicts(self, k, start, gamma,
+                                                     gamma_dot, v):
+        # a track that gets no detection for k frames is predicted over
+        # dt = k T in one step; it must land where k predicts of T take it,
+        # within 1e-11 (1 + |value|): it takes the same T sub-steps, and only
+        # the last differs from T, by the rounding of t0 + k T
+        p = ProcessNoiseParams()
+        # a timeout past the longest coast, which the 2 s default would end
+        manager = TrackManager(ManagerConfig(gate_distance=2.0, miss_ratio_max=0.5,
+                                             update_timeout=10.0, min_valid_age=4), p)
+        t0 = start * p.T
+        manager.step([(1.0, -2.0)], t0)
+        [track] = manager.tracks
+        track.x = [1.0, -2.0, gamma, gamma_dot, v]
+        expected = StateEstimate(BikeState.from_array(track.x), track.P)
+        for _ in range(k):
+            expected = ekf_predict(expected, p)
+        manager.step([], t0 + k * p.T)
+        [coasted] = manager.tracks
+        x, x_ref = coasted.x, expected.state.as_array()
+        x[2] = x_ref[2] + wrap_angle(x[2] - x_ref[2])
+        np.testing.assert_allclose(x, x_ref, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(coasted.P, expected.covariance,
+                                   rtol=1e-11, atol=1e-11)

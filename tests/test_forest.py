@@ -157,6 +157,8 @@ class TestSerialization:
         ("nan_threshold", "non-finite"),
         ("inf_value", "non-finite"),
         ("bin_edges_count", "bin edge lists"),
+        ("n_trees_not_tree_count", "n_trees"),
+        ("max_depth_below_depth", "max_depth"),
     ])
     def test_malformed_tree_rejected(self, defect, message):
         X, y = toy_data(n=300, seed=10)
@@ -191,8 +193,22 @@ class TestSerialization:
             tree["value"][leaf] = float("inf")
         elif defect == "bin_edges_count":
             payload["bin_edges"].pop()
+        elif defect == "n_trees_not_tree_count":
+            payload["n_trees"] = 300
+        elif defect == "max_depth_below_depth":
+            payload["max_depth"] = 1
         with pytest.raises(ValueError, match=message):
             RegressionForest.from_json(json.dumps(payload))
+
+    def test_header_max_depth_above_tree_depth_loads(self):
+        X, y = toy_data(n=300, seed=10)
+        forest = train_forest(X, y, seed=0, n_trees=3, max_depth=2)
+        payload = json.loads(forest.to_json())
+        payload["max_depth"] = 8
+        loaded = RegressionForest.from_json(json.dumps(payload))
+        assert loaded.max_depth == 8 and loaded.nodes.depth == 2
+        np.testing.assert_array_equal(loaded.tree_predictions(X),
+                                      forest.tree_predictions(X))
 
 
 class TestOracleParity:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,32 @@ class TestEvaluation:
         pair = (motap((reports["C"]["mota"], reports["C"]["motp"]),
                       (reports["P"]["mota"], reports["P"]["motp"]), cfg.metric))
         assert pair in (0, 1)
+
+    def test_track_and_evaluate_equals_row_path(self, cfg, turning_scene):
+        """compare's per-frame scoring against evaluate_rows over the rows:
+        lanes of unequal length, both models, and a lane with two valid
+        tracks per frame whose first track is the far one."""
+        starting = scene_sim.generate_scene(scene_sim.SceneSpec(
+            seed=12, occlusions=tuple(scene_sim.aligned_occlusions([2.0], 3.0))),
+            scene_id="start-occluded")
+        det = turning_scene.detections
+        twin = det + np.array([0.0, 0.0, 6.0])
+        # the twin's detection comes first in each frame, so it spawns the
+        # lane's first track
+        both = np.concatenate([twin, det])
+        pair = both[np.argsort(both[:, 0], kind="stable")]
+        two = _with_detections(turning_scene, "two-cyclists", pair)
+        scenes = [starting, two, turning_scene]
+        assert len(starting.times) != len(turning_scene.times)
+        assert cfg.models == ["P", "C"]
+        for scene, reports in zip(scenes, track_and_evaluate(scenes, cfg)):
+            for model in cfg.models:
+                rows, _ = run_tracking(scene, model, cfg)
+                assert reports[model] == evaluate_rows(scene, rows, cfg, model)
+        rows, _ = run_tracking(two, "C", cfg)
+        last = [r for r in rows if r[0] == rows[-1][0] and r[7]]
+        gt = turning_scene.ground_truth[-1, 1:3]
+        assert len(last) == 2 and math.dist(last[0][2:4], gt) > 5.0
 
     def test_perfect_track_scores_perfectly(self, cfg, turning_scene):
         gt = turning_scene.ground_truth
