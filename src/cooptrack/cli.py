@@ -3,8 +3,9 @@
 Subcommands: simulate | track | evaluate | compare | train-velocity.
 `compare` chains simulate -> track(P) -> track(C) -> evaluate over a scene
 batch and writes plot-ready CSV tables.  Exit codes: 0 success, 1 a
-metric undefined for a scene (the error names the scene and the model), 2
-config error, 3 data error, 4 numerical failure.
+metric undefined for a scene (the error names the scene and the model) or
+a forest fit process that died, 2 config error, 3 data error, 4 numerical
+failure.
 """
 
 import argparse
@@ -145,7 +146,6 @@ def cmd_compare(args) -> int:
     if scenes_cfg["noise"]["dropout_prob"] == 1:
         raise ConfigError("scenes.noise.dropout_prob: 1 drops every detection, "
                           "so no scene could be scored")
-    os.makedirs(out_dir, exist_ok=True)
     size = COMPARE_CHUNK_SCENES * len(variants)
     jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]
 
@@ -190,6 +190,7 @@ def cmd_compare(args) -> int:
                            for stat in ("min", "max", "mean")]
     if both:
         summary_header += ["sum_motap_PC", "sum_motap_CP"]
+    os.makedirs(out_dir, exist_ok=True)
     fileio.write_csv(os.path.join(out_dir, "per_scene.csv"), per_scene_header,
                      per_scene_rows, comment=cfg.provenance())
     fileio.write_csv(os.path.join(out_dir, "summary.csv"), summary_header,
@@ -202,12 +203,12 @@ def cmd_compare(args) -> int:
 def cmd_train_velocity(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     vcfg = cfg.velocity
     model, report = velocity_mod.train_velocity_model(
         seed=cfg.seed, n_scenes=vcfg["training_scenes"], n_trees=vcfg["n_trees"],
         max_depth=vcfg["max_depth"], n_bins=vcfg["n_bins"],
         holdout_fraction=vcfg["holdout_fraction"])
+    os.makedirs(out_dir, exist_ok=True)
     fileio.write_text(os.path.join(out_dir, "forest_with_gnss.json"),
                       model.with_gnss.to_json() + "\n")
     fileio.write_text(os.path.join(out_dir, "forest_no_gnss.json"),

@@ -7,12 +7,14 @@ newer than the staleness limit exists (with its polynomial features held
 between fixes); otherwise the outage forest takes over.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as feat
 from . import scene_sim
+from .errors import CoopTrackError
 from .forest import RegressionForest, train_forest
 
 GNSS_STALENESS = 2.0     # s without a fix before switching to the outage model
@@ -121,11 +123,67 @@ def holdout_count(n_scenes, holdout_fraction):
     return n_hold
 
 
+def _fit_and_send(conn, *args, **kwargs):
+    """Body of the forked child: fit one forest and send (forest, None)
+    back, or (None, exception) if the fit raised."""
+    try:
+        result = train_forest(*args, **kwargs), None
+    except Exception as exc:
+        result = None, exc
+    conn.send(result)
+
+
+def _fit_pair(X_tr, y_tr, seed, hyperparams):
+    """(with-GNSS forest, outage forest), fitted side by side: a forked
+    child fits the with-GNSS forest while this process fits the outage
+    forest.  Each fit is the one a single process would make.
+
+    fork, not spawn: the child inherits X_tr/y_tr instead of a pickled
+    copy, and the package starts no thread whose held lock a fork could
+    copy.
+    """
+    import multiprocessing   # here, so that importing the CLI does not load it
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    # buffered output would otherwise be written by both processes
+    sys.stdout.flush()
+    sys.stderr.flush()
+    child = ctx.Process(target=_fit_and_send, args=(send, X_tr, y_tr),
+                        kwargs=dict(seed=seed,
+                                    feature_layout=feat.feature_layout(True),
+                                    **hyperparams))
+    child.start()
+    send.close()   # so that recv sees end of file once the child is gone
+    try:
+        f_without = train_forest(X_tr[:, :feat.N_MOTION_FEATURES], y_tr,
+                                 seed=seed + 1,
+                                 feature_layout=feat.feature_layout(False),
+                                 **hyperparams)
+        try:
+            f_with, exc = recv.recv()
+        except EOFError:
+            child.join()
+            raise CoopTrackError(
+                f"the with-GNSS forest's fit process exited with code "
+                f"{child.exitcode} without sending its forest") from None
+        if exc is not None:
+            raise exc
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        recv.close()
+    return f_with, f_without
+
+
 def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
                          **hyperparams):
     """Train both forests on synthetic rides; returns (model, report).
 
-    hyperparams (n_trees, max_depth, n_bins) go to both RegressionForests.
+    hyperparams (n_trees, max_depth, n_bins) go to both RegressionForests,
+    which are fitted in two processes (see _fit_pair).
     The report carries held-out RMSE for each forest, evaluated on whole
     scenes kept out of training.
     """
@@ -136,14 +194,9 @@ def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
     X_tr, y_tr = X[~hold], y[~hold]
     X_ho, y_ho = X[hold], y[hold]
 
-    n_motion = feat.N_MOTION_FEATURES
-    f_with = train_forest(X_tr, y_tr, seed=seed,
-                          feature_layout=feat.feature_layout(True), **hyperparams)
-    f_without = train_forest(X_tr[:, :n_motion], y_tr, seed=seed + 1,
-                             feature_layout=feat.feature_layout(False),
-                             **hyperparams)
+    f_with, f_without = _fit_pair(X_tr, y_tr, seed, hyperparams)
     pred_w, _ = f_with.predict(X_ho)
-    pred_wo, _ = f_without.predict(X_ho[:, :n_motion])
+    pred_wo, _ = f_without.predict(X_ho[:, :feat.N_MOTION_FEATURES])
     report = {
         "n_train": int(len(y_tr)),
         "n_holdout": int(len(y_ho)),

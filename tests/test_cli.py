@@ -425,6 +425,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: scene starting_0000_none, model P: MOTP undefined")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_compare_leaves_no_output_directory(self, tmp_path, capsys,
+                                                       jobs):
+        cfg = write_config(tmp_path / "c.json", scenes={
+            "n_starting": 1, "n_turning": 0, "occlusion_durations": [],
+            "starting": {"duration": 0.04}})
+        out = tmp_path / "x"
+        assert run(["--config", cfg, "compare", "--out", out,
+                    "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene starting_0000_none, model P: ")
+        assert not out.exists()
+
     def test_numerical_error_is_4(self, monkeypatch, tmp_path, capsys):
         def boom(args):
             raise NumericalError("synthetic failure")
@@ -436,6 +449,15 @@ class TestExitCodes:
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, cooptrack.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the forest pair forks only when trained; the import must not pay for it
+    code = "import sys, cooptrack.cli; sys.exit('multiprocessing' in sys.modules)"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -384,7 +384,8 @@ class TestWrapAngle:
 
 
 class TestEdgeProperties:
-    """Hypothesis properties at the yaw-rate switch and over long coasts."""
+    """Hypothesis properties at the yaw-rate switch, at standstill and over
+    long coasts."""
 
     @given(gamma=st.floats(-3.0, 3.0), v=st.floats(-20.0, 20.0),
            step=st.one_of(st.just(T), st.floats(1e-3, 4.0)),
@@ -406,6 +407,25 @@ class TestEdgeProperties:
         assert np.abs(jump).max() <= tol
         assert np.abs(F[0] - F[1]).max() <= tol
         assert np.abs(G[0] - G[1]).max() <= tol
+
+    @given(x0=st.floats(-1e3, 1e3), y0=st.floats(-1e3, 1e3),
+           gamma=st.floats(-math.pi, math.pi),
+           gamma_dot=st.one_of(st.floats(-3.0, 3.0), st.floats(-2e-6, 2e-6),
+                               st.sampled_from([-EPS_YAW, EPS_YAW])),
+           v=st.floats(-1e-9, 1e-9),
+           step=st.one_of(st.just(T), st.floats(1e-3, 4.0)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_standstill_moves_at_most_v_step(self, x0, y0, gamma, gamma_dot, v,
+                                             step):
+        # the arc of length |v| step has a chord no longer than itself; a,
+        # b and the rotation carry relative rounding only, and adding the
+        # displacement to x0, y0 rounds by at most half an ulp of each
+        x = np.array([[x0, y0, gamma, gamma_dot, v]])
+        x_new, F, G = ekf._transition(x, np.array([step]))
+        moved = math.hypot(x_new[0, 0] - x0, x_new[0, 1] - y0)
+        rounding = 2.0 * (np.spacing(abs(x0)) + np.spacing(abs(y0)))
+        assert moved <= abs(v) * step * (1 + 16 * np.finfo(float).eps) + rounding
+        assert np.isfinite(F).all() and np.isfinite(G).all()
 
     @given(k=st.integers(2, 200), start=st.integers(0, 3000),
            gamma=st.floats(-3.0, 3.0),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate, ekf_predict)
@@ -209,6 +211,57 @@ class TestBatchedAssignment:
                 assert got == expected
                 reached.add((min(len(tracks[lane]), 2), min(len(dets[lane]), 2)))
         assert reached == {(a, b) for a in range(3) for b in range(3)}
+
+
+class TestEmptyAndDuplicateDetections:
+    """Frames with no detection, or with one detection repeated, in random
+    lanes of a table: no exception, finite states, and every lane gets the
+    log and states it gets run alone through TrackManager.step."""
+
+    @given(data=st.data(), n_lanes=st.integers(1, 4), n_frames=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_lanes_match_lanes_run_alone(self, data, n_lanes, n_frames, seed):
+        # per lane and frame: how many copies of the cyclist's detection
+        # (0: an empty frame) and whether a device reading comes with it
+        frames = data.draw(st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                     min_size=n_lanes, max_size=n_lanes),
+            min_size=n_frames, max_size=n_frames))
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(-20.0, 20.0, size=(n_lanes, 2))
+        velocity = rng.uniform(-6.0, 6.0, size=(n_lanes, 2))
+        speed = np.hypot(*velocity.T)
+        table = TrackTable(n_lanes, ManagerConfig.coop_defaults())
+        managers = [coop_manager() for _ in range(n_lanes)]
+        lanes = np.arange(n_lanes)
+        for i, frame in enumerate(frames):
+            t = i * T
+            counts = [count for count, _ in frame]
+            has_device = np.array([dev for _, dev in frame])
+            xy = start + velocity * t + rng.normal(0.0, 0.1, size=(n_lanes, 2))
+            dets = [np.repeat(xy[lane][None], count, axis=0)
+                    for lane, count in enumerate(counts)]
+            devices = np.column_stack([np.zeros(n_lanes), speed,
+                                       np.full(n_lanes, 0.3)])
+            log = step_lanes(table, np.full(n_lanes, t), np.repeat(lanes, counts),
+                             np.concatenate(dets), devices, has_device)
+            assert np.isfinite(table.x).all() and np.isfinite(table.P).all()
+            for lane, manager in enumerate(managers):
+                records = manager.step(dets[lane], t, device=tuple(devices[lane])
+                                       if has_device[lane] else None)
+                in_lane = log.lane == lane
+                assert [(r.track_id, -1 if r.detection_id is None else r.detection_id,
+                         r.device_bound) for r in records] == list(zip(
+                             log.track_id[in_lane].tolist(),
+                             log.detection_id[in_lane].tolist(),
+                             log.device_bound[in_lane].tolist()))
+                rows = table.lane == lane
+                alone = manager.table
+                assert np.array_equal(table.id[rows], alone.id)
+                assert np.array_equal(table.valid[rows], alone.valid)
+                assert np.array_equal(table.x[rows], alone.x)
+                assert np.array_equal(table.P[rows], alone.P)
 
 
 class TestHeadingInit:

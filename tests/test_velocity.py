@@ -1,10 +1,19 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from cooptrack import cli, velocity
 from cooptrack import features as feat
 from cooptrack import scene_sim
+from cooptrack.errors import CoopTrackError
+from cooptrack.forest import RegressionForest
 from cooptrack.velocity import (GNSS_STALENESS, SIGMA_V_FLOOR, VelocityModel,
                                 build_training_set, estimate_velocity,
                                 train_velocity_model)
@@ -140,3 +149,91 @@ class TestDeviceSynthesis:
         with pytest.raises(ValueError):
             scene_sim.generate_scene(scene_sim.SceneSpec(seed=21,
                                                          device_from_imu=True))
+
+
+class TestForkedFit:
+    """The with-GNSS forest is fitted in a forked child; its failures reach
+    the caller and no child outlives the call."""
+
+    @staticmethod
+    def patch_with_gnss_fit(monkeypatch, with_gnss_fit):
+        """Route the with-GNSS forest's fit through with_gnss_fit(fit, X, ...)."""
+        fit = velocity.train_forest
+
+        def train_forest(X, y, seed, feature_layout=None, **kwargs):
+            if feature_layout["with_gnss"]:
+                return with_gnss_fit(fit, X, y, seed,
+                                     feature_layout=feature_layout, **kwargs)
+            return fit(X, y, seed, feature_layout=feature_layout, **kwargs)
+
+        monkeypatch.setattr(velocity, "train_forest", train_forest)
+
+    def test_child_exception_reaches_caller_unchanged(self, monkeypatch):
+        def non_finite_row(fit, X, y, seed, **kwargs):
+            X = X.copy()
+            X[7, -1] = np.nan
+            return fit(X, y, seed, **kwargs)
+
+        # the error the same fit raises in this process
+        X, y, _ = build_training_set(seed=3, n_scenes=6)
+        X[7, -1] = np.nan
+        with pytest.raises(ValueError) as in_process:
+            RegressionForest(n_trees=2, seed=3).fit(X, y)
+
+        self.patch_with_gnss_fit(monkeypatch, non_finite_row)
+        with pytest.raises(ValueError) as forked:
+            train_velocity_model(seed=3, n_scenes=6, n_trees=2)
+        assert type(forked.value) is type(in_process.value)
+        assert str(forked.value) == str(in_process.value) == \
+            "non-finite training data in row 7"
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_without_result_names_exit_code(self, monkeypatch):
+        self.patch_with_gnss_fit(monkeypatch, lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(CoopTrackError, match="exited with code 3"):
+            train_velocity_model(seed=3, n_scenes=6, n_trees=2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_is_cli_exit_1(self, monkeypatch, tmp_path, capsys):
+        self.patch_with_gnss_fit(monkeypatch, lambda *args, **kwargs: os._exit(3))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"velocity": {"n_trees": 2,
+                                                "training_scenes": 6}}))
+        out = tmp_path / "model"
+        assert cli.main(["--config", str(cfg), "train-velocity",
+                         "--out", str(out)]) == 1
+        assert "exited with code 3" in capsys.readouterr().err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_parent_terminates_child(self, monkeypatch):
+        def interrupted(X, y, seed, feature_layout=None, **kwargs):
+            if feature_layout["with_gnss"]:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(velocity, "train_forest", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train_velocity_model(seed=3, n_scenes=6, n_trees=2)
+        # terminated, not waited for
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_piped_cli_report_printed_once(self, tmp_path):
+        # a piped stdout is block-buffered: output buffered at the fork must
+        # not be written by the child too
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"velocity": {"n_trees": 2,
+                                                "training_scenes": 6}}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cooptrack.cli", "--config", str(cfg),
+             "train-velocity", "--out", str(tmp_path / "model")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            text=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout.count('"n_train"') == 1
+        assert json.loads(proc.stdout) == json.loads(
+            (tmp_path / "model" / "rmse_report.json").read_text())
