@@ -21,17 +21,20 @@ GNSS_POLY_DEGREE = 3
 
 
 def moving_average(values, window_s):
-    """Centered moving average; edge windows are truncated."""
+    """Centered moving average along axis 0, so per column of a 2-D array;
+    edge windows are truncated."""
     values = np.asarray(values, dtype=float)
     half = int(window_s * SAMPLE_RATE / 2.0)
-    if len(values) == 0:
-        return values.copy()
-    csum = np.concatenate([[0.0], np.cumsum(values)])
     n = len(values)
+    if n == 0:
+        return values.copy()
+    csum = np.zeros((n + 1,) + values.shape[1:])
+    np.cumsum(values, axis=0, out=csum[1:])
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    count = (hi - lo + 1).reshape((n,) + (1,) * (values.ndim - 1))
+    return (csum[hi + 1] - csum[lo]) / count
 
 
 def yaw_rate(imu):
@@ -127,42 +130,32 @@ def transformed_signals(imu) -> np.ndarray:
     return np.column_stack([acc_h, imu[:, 3], gyr_h, imu[:, 6]])
 
 
-def _batched_dft_features(values):
-    """dft_features for every trailing 256-window; rows align with window ends."""
-    n = len(values)
-    windows = np.lib.stride_tricks.sliding_window_view(values, DFT_WINDOW_SAMPLES)
-    energy = np.sum(windows ** 2, axis=1)
-    mags = np.abs(np.fft.rfft(windows, axis=1)[:, :DFT_ORDERS])
-    out = np.zeros((n - DFT_WINDOW_SAMPLES + 1, DFT_ORDERS))
-    nz = energy > 0.0
-    out[nz] = mags[nz] / energy[nz, None]
-    return out
-
-
 def gnss_poly_track(times, gnss):
     """Zero-order-hold GNSS speed polynomial features on the 50 Hz grid.
 
-    For each output time, the coefficients computed at the latest GNSS fix
-    (over the trailing window of fixes) are held.  Returns (coeffs, age)
-    where age is the time since the newest fix (inf before the first one);
-    rows without enough fixes for the fit hold NaN.
+    gnss holds (t, v, x, y) fixes with strictly increasing times; an empty
+    array means no fixes.  For each output time, the coefficients computed
+    at the latest GNSS fix (over the trailing window of fixes) are held.
+    Returns (coeffs, age) where age is the time since the newest fix (inf
+    before the first one); rows without enough fixes for the fit hold NaN.
     """
     times = np.asarray(times, dtype=float)
-    gnss = np.asarray(gnss, dtype=float).reshape(-1, 4)
+    gnss = np.asarray(gnss, dtype=float)
     coeffs = np.full((len(times), GNSS_POLY_DEGREE + 1), np.nan)
     age = np.full(len(times), np.inf)
-    if len(gnss) == 0:
+    if gnss.size == 0:
         return coeffs, age
     t_fix = gnss[:, 0]
-    v_fix = gnss[:, 1]
+    # a contiguous copy: on a strided window, basis.T @ window rounds
+    # differently
+    v_fix = np.ascontiguousarray(gnss[:, 1])
+    # half-open (t-window, t]: a steady 1 Hz stream always yields the same
+    # fix count, keeping the coefficient scale consistent
+    first = np.searchsorted(t_fix, t_fix - GNSS_WINDOW + 1e-9, side="right")
+    end = np.searchsorted(t_fix, t_fix + 1e-9, side="right")
     per_fix = np.full((len(gnss), GNSS_POLY_DEGREE + 1), np.nan)
-    for k in range(len(gnss)):
-        # half-open (t-window, t]: a steady 1 Hz stream always yields the
-        # same fix count, keeping the coefficient scale consistent
-        in_window = (t_fix > t_fix[k] - GNSS_WINDOW + 1e-9) & (t_fix <= t_fix[k] + 1e-9)
-        vals = v_fix[in_window]
-        if len(vals) > GNSS_POLY_DEGREE + 1:
-            per_fix[k] = orthopoly_coeffs(vals, GNSS_POLY_DEGREE)
+    for k in np.flatnonzero(end - first > GNSS_POLY_DEGREE + 1):
+        per_fix[k] = orthopoly_coeffs(v_fix[first[k]:end[k]], GNSS_POLY_DEGREE)
     newest = np.searchsorted(t_fix, times + 1e-9) - 1
     has_fix = newest >= 0
     age[has_fix] = times[has_fix] - t_fix[newest[has_fix]]
@@ -171,17 +164,34 @@ def gnss_poly_track(times, gnss):
 
 
 def motion_feature_matrix(imu) -> np.ndarray:
-    """IMU-only features for every sample index from 255 on (one row each)."""
+    """IMU-only features for every sample index from 255 on (one row each).
+
+    One pass over the four transformed signals: their squares are taken
+    once and shared by the moving energies and the window energies, and one
+    rfft covers every trailing 256-window of every signal.  The result is
+    bit for bit the per-signal, per-window computation (moving_average of
+    each column, dft_features of each window): the batched rfft rows equal
+    the per-window rfft, and each window energy is the same pairwise sum of
+    the same 256 squares.  A window whose energy is 0 (or NaN) yields zeros.
+    """
     signals = transformed_signals(imu)
     n = len(signals)
     if n < DFT_WINDOW_SAMPLES:
         return np.empty((0, N_MOTION_FEATURES))
-    stat_cols = []
-    for col in range(signals.shape[1]):
-        x = signals[:, col]
-        stat_cols += [moving_average(x, STAT_WINDOW),
-                      moving_average(x ** 2, STAT_WINDOW)]
-    stats = np.column_stack(stat_cols)[DFT_WINDOW_SAMPLES - 1:]
-    dfts = np.column_stack([_batched_dft_features(signals[:, col])
-                            for col in range(signals.shape[1])])
+    # (4, n) copy, so that each window of a signal is contiguous: on a view
+    # of the (n, 4) columns the window energies are not the pairwise sums
+    # that dft_features takes, and rfft is slower
+    sig = np.ascontiguousarray(signals.T)
+    sq = sig ** 2
+    # columns acc_h, acc_h^2, acc_v, acc_v^2, ...: moving mean and energy
+    stats = moving_average(np.stack([sig, sq], axis=1).reshape(-1, n).T,
+                           STAT_WINDOW)[DFT_WINDOW_SAMPLES - 1:]
+    windows = np.lib.stride_tricks.sliding_window_view
+    energy = windows(sq, DFT_WINDOW_SAMPLES, axis=1).sum(axis=2)[..., None]
+    mags = np.abs(np.fft.rfft(windows(sig, DFT_WINDOW_SAMPLES, axis=1),
+                              axis=2)[..., :DFT_ORDERS])
+    dfts = np.zeros_like(mags)
+    np.divide(mags, energy, out=dfts, where=energy > 0.0)
+    # (4, m, 6) -> (m, 24): the six orders of acc_h, then of acc_v, ...
+    dfts = dfts.transpose(1, 0, 2).reshape(len(stats), -1)
     return np.column_stack([stats, dfts])

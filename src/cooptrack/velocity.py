@@ -14,7 +14,7 @@ import numpy as np
 
 from . import features as feat
 from . import scene_sim
-from .errors import CoopTrackError
+from .errors import CoopTrackError, DataError
 from .forest import RegressionForest, train_forest
 
 GNSS_STALENESS = 2.0     # s without a fix before switching to the outage model
@@ -49,14 +49,38 @@ def _feature_rows(imu, gnss):
     return times, feat.motion_feature_matrix(imu), coeffs, fresh
 
 
+def _checked_stream(name, values, n_cols):
+    """values as a float (rows, n_cols) array of finite cells whose first
+    column strictly increases; DataError names the first bad row, counted
+    from 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != n_cols:
+        raise DataError(f"{name} must be an (n, {n_cols}) array, "
+                        f"got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{name} row {int(np.argmin(finite))}: non-finite value")
+    later = arr[1:, 0] > arr[:-1, 0]
+    if not later.all():
+        i = int(np.argmin(later)) + 1
+        raise DataError(f"{name} row {i}: time {arr[i, 0]:g} is not after "
+                        f"the previous row's {arr[i - 1, 0]:g}")
+    return arr
+
+
 def estimate_velocity(imu, gnss, model: VelocityModel):
     """(t, v_hat, sigma_v, used_gnss) rows at the sample rate.
 
-    Nothing is emitted during the warm-up (the first full feature window).
-    A row uses the GNSS-backed forest iff a fix newer than GNSS_STALENESS
-    exists and enough fixes fill the polynomial window.
+    imu is an (n, 7) array (t, acc xyz, gyr xyz), gnss a (k, 4) array of
+    (t, v, x, y) fixes, or None or an empty array for no fixes.  Both must
+    be finite with strictly increasing times, or DataError names the first
+    bad row.  Nothing is emitted during the warm-up (the first full feature
+    window).  A row uses the GNSS-backed forest iff a fix newer than
+    GNSS_STALENESS exists and enough fixes fill the polynomial window.
     """
-    imu = np.asarray(imu, dtype=float)
+    imu = _checked_stream("imu", imu, 7)
+    if gnss is not None and np.size(gnss) > 0:
+        gnss = _checked_stream("gnss", gnss, 4)
     if len(imu) < feat.DFT_WINDOW_SAMPLES:
         return np.empty((0, 4))
     times, motion, coeffs, use_gnss = _feature_rows(imu, gnss)

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from cooptrack.ekf import BikeState, predict_state, noisy_transition
+from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
+                                dft_features, moving_average)
 from cooptrack.metrics import FrameRecord
 
 
@@ -90,6 +92,26 @@ def naive_dft_magnitudes(window, orders):
         im = sum(window[j] * math.sin(-2.0 * math.pi * k * j / n) for j in range(n))
         mags.append(math.hypot(re, im))
     return np.array(mags)
+
+
+def per_signal_motion_features(imu):
+    """motion_feature_matrix one signal and one window at a time.
+
+    Each of acc_h, acc_v, gyr_h, gyr_v gets its moving mean and energy from
+    the 1-D moving_average and its DFT block from dft_features of every
+    trailing window, the per-window definitions that the batched pass must
+    reproduce bit for bit.
+    """
+    imu = np.asarray(imu, dtype=float)
+    signals = (np.hypot(imu[:, 1], imu[:, 2]), imu[:, 3],
+               np.hypot(imu[:, 4], imu[:, 5]), imu[:, 6])
+    stats, dfts = [], []
+    for x in signals:
+        stats += [moving_average(x, STAT_WINDOW), moving_average(x ** 2, STAT_WINDOW)]
+        rows = [dft_features(x[end - DFT_WINDOW_SAMPLES:end])
+                for end in range(DFT_WINDOW_SAMPLES, len(x) + 1)]
+        dfts.append(np.reshape(rows, (-1, DFT_ORDERS)))
+    return np.column_stack([np.column_stack(stats)[DFT_WINDOW_SAMPLES - 1:], *dfts])
 
 
 def polyfit_normal_equations(values, degree):

@@ -10,7 +10,10 @@ from cooptrack.features import (DFT_WINDOW_SAMPLES, N_MOTION_FEATURES,
                                 orthopoly_coeffs, transformed_signals,
                                 yaw_rate)
 
-from oracles import naive_dft_magnitudes, polyfit_normal_equations
+from cooptrack import scene_sim
+
+from oracles import (naive_dft_magnitudes, per_signal_motion_features,
+                     polyfit_normal_equations)
 
 
 def make_imu(t, gyr_z, n_cols=7):
@@ -142,6 +145,48 @@ class TestFeatureMatrix:
     def test_short_stream_yields_no_rows(self):
         imu = np.zeros((100, 7))
         assert motion_feature_matrix(imu).shape == (0, N_MOTION_FEATURES)
+
+
+def seeded_ride(seed=5, v_peak=4.0):
+    """IMU of a simulated 14 s ride: 701 samples at 50 Hz."""
+    spec = scene_sim.SceneSpec(kind=scene_sim.KIND_STARTING, seed=seed,
+                               v_peak=v_peak, duration=14.0)
+    gt = scene_sim.generate_ground_truth(spec)
+    return scene_sim.synthesize_imu(gt, np.random.default_rng(seed + 1))
+
+
+class TestFeatureMatrixOracle:
+    """The one-pass feature matrix equals the per-signal, per-window
+    definitions bit for bit; forest thresholds compare these values."""
+
+    def test_seeded_ride(self):
+        imu = seeded_ride()
+        assert len(imu) == 701
+        mat = motion_feature_matrix(imu)
+        assert mat.shape == (701 - 255, N_MOTION_FEATURES)
+        assert np.array_equal(mat, per_signal_motion_features(imu))
+
+    def test_zero_energy_stretch(self):
+        # the device lies still for 6 s: no horizontal rotation at all
+        imu = seeded_ride(v_peak=0.0)
+        imu[100:400, 4:6] = 0.0
+        mat = motion_feature_matrix(imu)
+        gyr_h_dft = mat[:, 8 + 2 * 6:8 + 3 * 6]
+        still = slice(355 - 255, 400 - 255)     # windows ending in 355..399
+        assert (gyr_h_dft[still] == 0.0).all()
+        assert (gyr_h_dft[still.stop:] != 0.0).any(axis=1).all()
+        assert np.array_equal(mat, per_signal_motion_features(imu))
+
+    def test_one_window(self):
+        imu = seeded_ride()[:256]
+        mat = motion_feature_matrix(imu)
+        assert mat.shape == (1, N_MOTION_FEATURES)
+        assert np.array_equal(mat, per_signal_motion_features(imu))
+
+    def test_one_sample_short_of_a_window(self):
+        imu = seeded_ride()[:255]
+        assert motion_feature_matrix(imu).shape == (0, N_MOTION_FEATURES)
+        assert per_signal_motion_features(imu).shape == (0, N_MOTION_FEATURES)
 
 
 class TestGnssPolyTrack:

@@ -12,7 +12,7 @@ import pytest
 from cooptrack import cli, velocity
 from cooptrack import features as feat
 from cooptrack import scene_sim
-from cooptrack.errors import CoopTrackError
+from cooptrack.errors import CoopTrackError, DataError
 from cooptrack.forest import RegressionForest
 from cooptrack.velocity import (GNSS_STALENESS, SIGMA_V_FLOOR, VelocityModel,
                                 build_training_set, estimate_velocity,
@@ -127,6 +127,61 @@ class TestEstimateVelocity:
         truth = np.interp(out[:, 0], gt[:, 0], gt[:, 5])
         rmse = math.sqrt(np.mean((out[:, 1] - truth) ** 2))
         assert rmse < 1.0
+
+
+class TestInputValidation:
+    """Malformed sensor streams end in DataError naming the first bad row
+    instead of a traceback or silently wrong estimates."""
+
+    def test_imu_without_seven_columns(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        with pytest.raises(DataError, match=r"imu must be an \(n, 7\) array, "
+                           r"got shape \(701, 6\)"):
+            model.run(imu[:, :6], gnss)
+
+    def test_non_finite_imu_sample(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        imu[300, 4] = np.nan
+        with pytest.raises(DataError, match="imu row 300: non-finite value"):
+            model.run(imu, gnss)
+
+    def test_imu_timestamps_not_increasing(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        imu[400, 0] = imu[399, 0]
+        with pytest.raises(DataError, match="imu row 400: time 7.98 is not "
+                           "after the previous row's 7.98"):
+            estimate_velocity(imu, gnss, model)
+
+    def test_gnss_without_four_columns(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        with pytest.raises(DataError, match=r"gnss must be an \(n, 4\) array, "
+                           r"got shape \(12, 3\)"):
+            estimate_velocity(imu, gnss[:12, :3], model)
+
+    def test_non_finite_gnss_speed(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        gnss[6, 1] = np.nan
+        with pytest.raises(DataError, match="gnss row 6: non-finite value"):
+            model.run(imu, gnss)
+
+    def test_reversed_gnss_fixes(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, gnss = make_ride()
+        with pytest.raises(DataError, match="gnss row 1: time 13 is not after "
+                           "the previous row's 14"):
+            estimate_velocity(imu, gnss[::-1], model)
+
+    def test_empty_gnss_means_no_fixes(self, benchmark_model):
+        model, _ = benchmark_model
+        _, imu, _ = make_ride()
+        expected = estimate_velocity(imu, None, model)
+        for empty in (np.empty((0, 4)), np.empty(0), []):
+            assert np.array_equal(estimate_velocity(imu, empty, model), expected)
 
 
 class TestDeviceSynthesis:
