@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import (MeasurementKind, MeasurementNoiseParams, ProcessNoiseParams,
-                  StateEstimate, measurement_matrix, measurement_noise_variances)
+                  measurement_matrix, measurement_noise_variances)
 from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
@@ -109,18 +109,6 @@ def device_residuals(z, x, P, r):
     y = z - x[:, 3:5]
     S = _DEVICE_H @ P @ _DEVICE_H.T + r[:, :, None] * _EYE2
     return y, S
-
-
-def device_residual(gamma_dot, v, sigma_v, estimate: StateEstimate,
-                    n: MeasurementNoiseParams, p: ProcessNoiseParams) -> DeviceResidual:
-    """Residual and innovation covariance of a device reading against a
-    predicted track estimate."""
-    r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n, p, sigma_v)
-    y, S = device_residuals(np.array([[gamma_dot, v]], dtype=float),
-                            estimate.state.as_array()[None],
-                            np.asarray(estimate.covariance, dtype=float)[None],
-                            np.array([r]))
-    return DeviceResidual(y=y[0], S=S[0])
 
 
 def nearest_allowed(cost, allowed, axis=-1):

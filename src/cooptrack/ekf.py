@@ -254,34 +254,6 @@ def predict_state(s: BikeState, T: float) -> BikeState:
     return BikeState.from_array(_one(s, T)[0][0])
 
 
-def noisy_transition(s: BikeState, w, T: float) -> BikeState:
-    """Transition including the process noise w = [w_gamma_dot, w_v_dot].
-
-    The noise acts as a constant yaw-rate offset and a constant acceleration
-    over the step, so the effective speed for the arc is v + 0.5 T w_v_dot.
-    """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    _require_finite(s.as_array()[None])
-    w_gd, w_vd = float(w[0]), float(w[1])
-    omega = s.gamma_dot + w_gd
-    v_eff = 0.5 * T * w_vd + s.v
-    if abs(omega) < EPS_YAW:
-        a, b = v_eff * T, 0.0
-    else:
-        wt = omega * T
-        a = v_eff * math.sin(wt) / omega
-        b = v_eff * 2.0 * math.sin(0.5 * wt) ** 2 / omega
-    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
-    return BikeState(
-        x=s.x + cg * a - sg * b,
-        y=s.y + sg * a + cg * b,
-        gamma=wrap_angle(s.gamma + omega * T),
-        gamma_dot=omega,
-        v=s.v + w_vd * T,
-    )
-
-
 def jacobian_f(s: BikeState, T: float) -> np.ndarray:
     """Jacobian of the noise-free transition, evaluated at s."""
     return _one(s, T)[1][0]
@@ -306,12 +278,6 @@ def process_noise_variances(p: ProcessNoiseParams):
     """[sigma_w_gamma_dot^2, sigma_w_v_dot^2], the diagonal of the noise
     intensity that noise_gain maps into Q."""
     return [p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]
-
-
-def process_noise_cov(s: BikeState, p: ProcessNoiseParams) -> np.ndarray:
-    """Q = Gamma(s) diag[sigma_w_gd^2, sigma_w_vd^2] Gamma(s)^T, symmetrized."""
-    return _process_noise(noise_gain(s, p.T)[None],
-                          np.array([process_noise_variances(p)]))[0]
 
 
 def ekf_predict_batch(x, P, T, q):
@@ -386,13 +352,6 @@ def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams
     diag[..., -2] = (n.sigma_gamma_dot * scale) ** 2
     diag[..., -1] = _pow2((sigma_v * scale).ravel()).reshape(sigma_v.shape)
     return diag
-
-
-def measurement_noise_cov(kind: MeasurementKind, n: MeasurementNoiseParams,
-                          p: ProcessNoiseParams, sigma_v=None) -> np.ndarray:
-    """Diagonal R for the given measurement kind (see
-    measurement_noise_variances)."""
-    return np.diag(measurement_noise_variances(kind, n, p, sigma_v))
 
 
 def _measurement_vector(m: Measurement) -> np.ndarray:

@@ -172,7 +172,8 @@ def motion_feature_matrix(imu) -> np.ndarray:
     bit for bit the per-signal, per-window computation (moving_average of
     each column, dft_features of each window): the batched rfft rows equal
     the per-window rfft, and each window energy is the same pairwise sum of
-    the same 256 squares.  A window whose energy is 0 (or NaN) yields zeros.
+    the same 256 squares.  A window whose energy is 0 yields zeros, and a
+    window holding a NaN six NaN, as dft_features gives them.
     """
     signals = transformed_signals(imu)
     n = len(signals)
@@ -191,7 +192,7 @@ def motion_feature_matrix(imu) -> np.ndarray:
     mags = np.abs(np.fft.rfft(windows(sig, DFT_WINDOW_SAMPLES, axis=1),
                               axis=2)[..., :DFT_ORDERS])
     dfts = np.zeros_like(mags)
-    np.divide(mags, energy, out=dfts, where=energy > 0.0)
+    np.divide(mags, energy, out=dfts, where=energy != 0.0)
     # (4, m, 6) -> (m, 24): the six orders of acc_h, then of acc_v, ...
     dfts = dfts.transpose(1, 0, 2).reshape(len(stats), -1)
     return np.column_stack([stats, dfts])

@@ -11,15 +11,6 @@ import numpy as np
 from .errors import InvalidStateError, NumericalError
 
 
-@dataclass
-class PixelFilterParams:
-    """Noise defaults for the pixel stage (plausible for 1080p at 50 fps)."""
-
-    q_px: float = 200.0           # px^2/s^3
-    r_px: float = 2.0             # px
-    init_vel_std: float = 100.0   # px/s
-
-
 @dataclass(frozen=True)
 class PixelState:
     px_u: float
@@ -27,9 +18,6 @@ class PixelState:
     px_u_dot: float
     px_v_dot: float
     covariance: np.ndarray   # 4x4
-
-    def position(self):
-        return self.px_u, self.px_v
 
     def as_array(self):
         return np.array([self.px_u, self.px_v, self.px_u_dot, self.px_v_dot])

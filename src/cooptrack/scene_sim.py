@@ -59,6 +59,14 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind: {self.kind}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
+        for name in ("v_peak", "ramp_rate", "ramp_center_time", "turn_radius",
+                     "turn_center_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        # the turn's peak yaw rate is v_peak / turn_radius, and its length
+        # pi turn_radius / v_peak
+        if self.kind == KIND_TURNING and not (self.turn_radius > 0 and self.v_peak > 0):
+            raise ValueError("a turning scene needs positive turn_radius and v_peak")
         for name in ("sigma_detection", "sigma_device_gamma_dot", "sigma_gnss_v",
                      "sigma_gnss_pos", "device_bias_gamma_dot", "device_bias_v"):
             if not getattr(self, name) >= 0:
@@ -73,7 +81,8 @@ class SceneSpec:
             raise ValueError("dropout_prob must be in [0, 1]")
         self.occlusions = tuple((float(o), float(d)) for o, d in self.occlusions)
         for end_offset, dur in self.occlusions:
-            if dur <= 0 or end_offset < 0 or end_offset + dur > self.duration:
+            # written so that a NaN fails it
+            if not (dur > 0 and end_offset >= 0 and end_offset + dur <= self.duration):
                 raise ValueError(f"occlusion window ({end_offset}, {dur}) "
                                  f"outside the scene")
 
@@ -94,10 +103,6 @@ class Scene:
     device: np.ndarray            # (K, 4): t, gamma_dot, v, sigma_v
     gnss: np.ndarray              # (L, 4): t, v, x, y
     occlusion_mask: np.ndarray    # (N,) bool
-
-    @property
-    def times(self):
-        return self.ground_truth[:, 0]
 
     def occlusion_windows(self):
         t_end = float(self.ground_truth[-1, 0])

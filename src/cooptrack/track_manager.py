@@ -13,30 +13,26 @@ sub-steps, detection assignment by a masked argmin (Munkres only for a lane
 with at least two tracks and two detections), one batched device-binding
 distance computation, at most one batched EKF update per measurement kind,
 then heading init, spawn, prune and promote.  TrackManager is the one-lane
-case: it owns a one-lane table and its step calls step_lanes.
+case: it owns a one-lane table and its step calls step_lanes.  No command
+runs it (track and compare step lanes through pipeline.run_tracking_batch);
+it stays because perfbench/tracing.py wraps TrackManager.step.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import ekf
 # assign_device binds one reading; step_lanes binds the readings of all
-# lanes at once (_bind_devices).  It stays importable from this module for
-# callers that look it up here.
+# lanes at once (_bind_devices) and never calls it.  It is imported here
+# because perfbench/tracing.py wraps it at this module, as it does
+# gated_cost_matrix and munkres_solve.
 from .association import (DEVICE_GATE, assign_device, device_residuals,  # noqa: F401
                           gated_cost_matrix, munkres_solve, nearest_allowed,
                           penalized_mahalanobis_batch)
 from .errors import DataError
-
-
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    VALID = "valid"
-    LOST = "lost"
 
 
 @dataclass
@@ -348,86 +344,6 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     return log
 
 
-@dataclass
-class AssignmentRecord:
-    """One log row per live track per step."""
-
-    t: float
-    track_id: int
-    detection_id: int | None
-    device_bound: bool
-
-
-class Track:
-    """One track of a TrackManager, read from and written to its row of the
-    manager's table.  Once the track is dropped its status reads LOST and
-    its state can no longer be read."""
-
-    def __init__(self, table: TrackTable, track_id: int):
-        self._table = table
-        self.id = track_id
-
-    def _rows(self):
-        return np.flatnonzero(self._table.id == self.id)
-
-    def _row(self):
-        rows = self._rows()
-        if not len(rows):
-            raise LookupError(f"track {self.id} has been dropped")
-        return rows[0]
-
-    @property
-    def status(self) -> TrackStatus:
-        rows = self._rows()
-        if not len(rows):
-            return TrackStatus.LOST
-        return TrackStatus.VALID if self._table.valid[rows[0]] else TrackStatus.TENTATIVE
-
-    @property
-    def x(self) -> np.ndarray:
-        """Bike state [x, y, gamma, gamma_dot, v] (a copy)."""
-        return self._table.x[self._row()].copy()
-
-    @x.setter
-    def x(self, value):
-        self._table.x[self._row()] = value
-
-    @property
-    def P(self) -> np.ndarray:
-        """Covariance of x (a copy)."""
-        return self._table.P[self._row()].copy()
-
-    @property
-    def age(self) -> int:
-        return int(self._table.age[self._row()])
-
-    @property
-    def miss_count(self) -> int:
-        return int(self._table.misses[self._row()])
-
-    @property
-    def last_position_update(self) -> float:
-        return float(self._table.last_update[self._row()])
-
-    @property
-    def first_fix(self) -> tuple | None:
-        """The spawning fix (t, x, y) until it has initialized heading and
-        speed, then None."""
-        row = self._row()
-        if not self._table.has_fix[row]:
-            return None
-        return tuple(self._table.first_fix[row].tolist())
-
-    @property
-    def estimate(self) -> ekf.StateEstimate:
-        """The track state as a StateEstimate."""
-        return ekf.StateEstimate(ekf.BikeState.from_array(self.x), self.P)
-
-    def position(self):
-        x = self.x
-        return float(x[0]), float(x[1])
-
-
 class TrackManager:
     """The tracks of one scene, a one-lane TrackTable; single-threaded per
     instance."""
@@ -438,30 +354,18 @@ class TrackManager:
                  device_gate: float = DEVICE_GATE):
         self.table = TrackTable(1, config, process, noise, device_gate)
 
-    @property
-    def config(self) -> ManagerConfig:
-        return self.table.config
-
-    @property
-    def tracks(self) -> list[Track]:
-        return [Track(self.table, i) for i in self.table.id.tolist()]
-
-    def step(self, detections, t_now, device=None):
+    def step(self, detections, t_now, device=None) -> StepLog:
         """Advance one frame.
 
         detections: array-like of (x, y);
         device: optional (gamma_dot, v, sigma_v) tuple.
-        Returns the list of AssignmentRecords for this step.
+        Returns the step's StepLog (every entry in lane 0).
         """
         if not math.isfinite(t_now):
             raise DataError(f"timestamp {t_now} is not finite")
         dets = np.asarray(detections, dtype=float).reshape(-1, 2)
         reading = np.asarray([(0.0, 0.0, 0.0) if device is None else device],
                              dtype=float)
-        log = step_lanes(self.table, np.array([t_now], dtype=float),
-                         np.zeros(len(dets), dtype=np.int64), dets, reading,
-                         np.array([device is not None]))
-        return [AssignmentRecord(t_now, track_id, None if det < 0 else det, bound)
-                for track_id, det, bound in zip(log.track_id.tolist(),
-                                                log.detection_id.tolist(),
-                                                log.device_bound.tolist())]
+        return step_lanes(self.table, np.array([t_now], dtype=float),
+                          np.zeros(len(dets), dtype=np.int64), dets, reading,
+                          np.array([device is not None]))

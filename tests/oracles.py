@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from cooptrack.ekf import BikeState, predict_state, noisy_transition
+from cooptrack.ekf import EPS_YAW, BikeState, predict_state, wrap_angle
 from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
                                 dft_features, moving_average)
 from cooptrack.metrics import FrameRecord
@@ -32,6 +32,33 @@ def fd_transition_jacobian(state: BikeState, T, h=1e-6):
     def fun(arr):
         return predict_state(BikeState.from_array(arr), T).as_array()
     return fd_jacobian(fun, state.as_array(), h)
+
+
+def noisy_transition(s: BikeState, w, T: float) -> BikeState:
+    """Transition including the process noise w = [w_gamma_dot, w_v_dot].
+
+    The noise acts as a constant yaw-rate offset and a constant acceleration
+    over the step, so the effective speed for the arc is v + 0.5 T w_v_dot.
+    """
+    if not T > 0:
+        raise ValueError("T must be positive")
+    w_gd, w_vd = float(w[0]), float(w[1])
+    omega = s.gamma_dot + w_gd
+    v_eff = 0.5 * T * w_vd + s.v
+    if abs(omega) < EPS_YAW:
+        a, b = v_eff * T, 0.0
+    else:
+        wt = omega * T
+        a = v_eff * math.sin(wt) / omega
+        b = v_eff * 2.0 * math.sin(0.5 * wt) ** 2 / omega
+    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
+    return BikeState(
+        x=s.x + cg * a - sg * b,
+        y=s.y + sg * a + cg * b,
+        gamma=wrap_angle(s.gamma + omega * T),
+        gamma_dot=omega,
+        v=s.v + w_vd * T,
+    )
 
 
 def fd_noise_gain(state: BikeState, T, h=1e-7):

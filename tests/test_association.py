@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (CostMatrix, DeviceResidual, assign_device,
-                                   device_residual, gated_cost_matrix,
+                                   device_residuals, gated_cost_matrix,
                                    munkres_solve, penalized_mahalanobis)
-from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
-                           ProcessNoiseParams, StateEstimate)
+from cooptrack.ekf import (BikeState, MeasurementKind, MeasurementNoiseParams,
+                           ProcessNoiseParams, StateEstimate,
+                           measurement_noise_variances)
 from cooptrack.errors import NumericalError
 
 from oracles import brute_force_assignment
@@ -163,10 +164,14 @@ class TestAssignDevice:
         # identical residuals; the second track carries a larger covariance
         tracks = [make_estimate(0.1, 2.0, var=0.5),
                   make_estimate(0.1, 2.0, var=50.0)]
-        d_small = penalized_mahalanobis(
-            device_residual(0.1, 2.0, 0.3, tracks[0], self.noise, self.process))
-        d_large = penalized_mahalanobis(
-            device_residual(0.1, 2.0, 0.3, tracks[1], self.noise, self.process))
+        r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, self.noise,
+                                        self.process, 0.3)
+        y, S = device_residuals(np.array([[0.1, 2.0]] * 2),
+                                np.array([e.state.as_array() for e in tracks]),
+                                np.array([e.covariance for e in tracks]),
+                                np.array([r] * 2))
+        d_small, d_large = (penalized_mahalanobis(DeviceResidual(y[k], S[k]))
+                            for k in range(2))
         assert d_small < d_large
         idx = assign_device(0.1, 2.0, 0.3, tracks, self.noise, self.process,
                             gate=50.0)

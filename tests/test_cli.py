@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -161,6 +162,11 @@ class TestTrack:
         lambda meta: meta.update(occlusion_windows=[[1.0]]),
         lambda meta: meta["spec"].update(sigma_device_v=0.0),
         lambda meta: meta["spec"].update(dropout_prob=-0.1),
+        lambda meta: meta["spec"].update(turn_radius=0.0),
+        lambda meta: meta["spec"].update(v_peak=0.0),
+        lambda meta: meta["spec"].update(v_peak=math.nan),
+        lambda meta: meta["spec"].update(occlusions=[[math.nan, 2.0]]),
+        lambda meta: meta["spec"].update(occlusions=[[3.0, math.nan]]),
     ])
     def test_bad_scene_json_value_exits_3(self, scene_batch, tmp_path, capsys,
                                           corrupt):
@@ -370,11 +376,23 @@ class TestExitCodes:
                      "noise": {"device_bias_tau": 0.0}}),
         ("compare", {"n_starting": 1, "n_turning": 0,
                      "noise": {"dropout_prob": 1.5}}),
+        # the turn's peak yaw rate is v_peak / turn_radius, its length
+        # pi turn_radius / v_peak
+        ("compare", {"n_starting": 0, "n_turning": 1, "turning": {"turn_radius": 0}}),
+        ("compare", {"n_starting": 0, "n_turning": 1, "turning": {"v_peak": 0}}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "starting": {"v_peak": math.nan}}),
+        # a NaN occlusion window would leave every frame unoccluded
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "occlusion_end_offset": math.nan}),
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "occlusion_durations": [math.nan]}),
     ])
     def test_rejected_scene_value_is_2(self, tmp_path, capsys, command, scenes):
         cfg = write_config(tmp_path / "c.json", scenes=scenes)
         assert run(["--config", cfg, command, "--out", tmp_path / "x"]) == 2
-        section = "scenes.noise" if "noise" in scenes else "scenes.starting"
+        section = ("scenes.noise" if "noise" in scenes else
+                   "scenes.turning" if "turning" in scenes else "scenes.starting")
         assert f"config error: {section}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,overrides,key", [

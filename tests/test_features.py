@@ -177,6 +177,20 @@ class TestFeatureMatrixOracle:
         assert (gyr_h_dft[still.stop:] != 0.0).any(axis=1).all()
         assert np.array_equal(mat, per_signal_motion_features(imu))
 
+    def test_window_holding_a_nan(self):
+        # one NaN acc_x sample: each acc_h window that holds it gives six
+        # NaN, as dft_features does; every other DFT entry stays finite
+        imu = seeded_ride()
+        imu[300, 1] = np.nan
+        mat = motion_feature_matrix(imu)
+        acc_h_dft = mat[:, 8:14]
+        holding = np.zeros(len(mat), dtype=bool)
+        holding[300 - 255:300 + 1] = True      # windows ending in 300..555
+        assert np.isnan(acc_h_dft[holding]).all()
+        assert np.isfinite(acc_h_dft[~holding]).all()
+        assert np.isfinite(mat[:, 14:]).all()
+        assert np.array_equal(mat, per_signal_motion_features(imu), equal_nan=True)
+
     def test_one_window(self):
         imu = seeded_ride()[:256]
         mat = motion_feature_matrix(imu)

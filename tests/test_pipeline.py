@@ -80,7 +80,7 @@ class TestRunTracking:
         t_start, t_end = scene.occlusion_windows()[0]
         rows, _ = run_tracking(scene, "P", cfg)
         valid_times = {round(r[0], 6) for r in rows if r[7]}
-        trackless_inside = [t for t in scene.times
+        trackless_inside = [t for t in scene.ground_truth[:, 0]
                             if t_start <= t < t_end
                             and round(float(t), 6) not in valid_times]
         assert trackless_inside
@@ -109,7 +109,7 @@ class TestLockstep:
         starting = scene_sim.generate_scene(scene_sim.SceneSpec(
             seed=12, occlusions=tuple(scene_sim.aligned_occlusions([2.0], 3.0))),
             scene_id="start-occluded")
-        assert (len(starting.times), len(turning_scene.times)) == (701, 601)
+        assert (len(starting.ground_truth), len(turning_scene.ground_truth)) == (701, 601)
         lanes = [(scene, model) for scene in (starting, turning_scene)
                  for model in ("P", "C")]
         batch = run_tracking_batch(lanes, cfg)
@@ -149,7 +149,7 @@ class TestLockstep:
         two, brief_rows, empty = (rows for rows, _ in batch[:3])
         assert len({r[1] for r in two if r[0] == two[-1][0]}) == 2
         ids = {r[1] for r in brief_rows}
-        assert len(ids) >= 2 and brief_rows[-1][0] < turning_scene.times[-1]
+        assert len(ids) >= 2 and brief_rows[-1][0] < turning_scene.ground_truth[-1, 0]
         assert empty == [] and batch[2][1] == []
 
 
@@ -208,7 +208,7 @@ class TestEvaluation:
         pair = both[np.argsort(both[:, 0], kind="stable")]
         two = _with_detections(turning_scene, "two-cyclists", pair)
         scenes = [starting, two, turning_scene]
-        assert len(starting.times) != len(turning_scene.times)
+        assert len(starting.ground_truth) != len(turning_scene.ground_truth)
         assert cfg.models == ["P", "C"]
         for scene, reports in zip(scenes, track_and_evaluate(scenes, cfg)):
             for model in cfg.models:

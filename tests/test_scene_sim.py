@@ -64,7 +64,7 @@ class TestOcclusions:
         spec = clean_spec(duration=14.0, occlusions=((3.0, 2.0),))
         scene = generate_scene(spec)
         assert scene.occlusion_mask.sum() == 100
-        masked_t = scene.times[scene.occlusion_mask]
+        masked_t = scene.ground_truth[scene.occlusion_mask, 0]
         # 100 consecutive frames ending 3 s before the scene end
         assert masked_t[0] == pytest.approx(9.0, abs=1e-9)
         assert masked_t[-1] == pytest.approx(10.98, abs=1e-9)
@@ -84,9 +84,9 @@ class TestOcclusions:
     def test_occlusion_never_removes_device_or_gnss(self):
         spec = clean_spec(duration=14.0, occlusions=((3.0, 2.0),))
         scene = generate_scene(spec)
-        assert len(scene.device) == len(scene.times)
+        assert len(scene.device) == len(scene.ground_truth)
         assert len(scene.gnss) == 15
-        assert len(scene.detections) < len(scene.times)
+        assert len(scene.detections) < len(scene.ground_truth)
 
     def test_windows_outside_scene_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestSensors:
     def test_noise_free_detections_match_ground_truth(self):
         spec = SceneSpec(sigma_detection=1e-300, dropout_prob=0.0, seed=8)
         scene = generate_scene(spec)
-        assert len(scene.detections) == len(scene.times)
+        assert len(scene.detections) == len(scene.ground_truth)
         np.testing.assert_allclose(scene.detections[:, 1:],
                                    scene.ground_truth[:, 1:3], atol=1e-12)
 

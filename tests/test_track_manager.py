@@ -9,8 +9,8 @@ from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate, ekf_predict)
 from cooptrack.association import gated_cost_matrix, munkres_solve
 from cooptrack.errors import DataError
-from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackStatus,
-                                     TrackTable, step_lanes)
+from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackTable,
+                                     step_lanes)
 
 T = 0.02
 
@@ -27,12 +27,9 @@ def pixel_manager():
     return TrackManager(ManagerConfig.pixel_defaults())
 
 
-def run_frames(manager, frames):
-    """frames: list of (detections, device) starting at t=0, spaced by T."""
-    logs = []
-    for i, (dets, dev) in enumerate(frames):
-        logs.append(manager.step(dets, i * T, device=dev))
-    return logs
+def detection_of_track(log):
+    """{track id: index of its detection, -1 for none} of a StepLog."""
+    return dict(zip(log.track_id.tolist(), log.detection_id.tolist()))
 
 
 class TestDefaults:
@@ -59,30 +56,29 @@ class TestLifecycle:
     def test_first_detection_spawns_tentative_track(self):
         manager = coop_manager()
         log = manager.step([(3.0, 4.0)], 0.0)
-        assert len(manager.tracks) == 1
-        track = manager.tracks[0]
-        assert track.status is TrackStatus.TENTATIVE
-        assert track.age == 1
-        assert track.position() == (3.0, 4.0)
-        assert [(r.track_id, r.detection_id) for r in log] == [(0, 0)]
+        table = manager.table
+        assert table.id.tolist() == [0]
+        assert not table.valid[0]
+        assert table.age[0] == 1
+        assert table.x[0, :2].tolist() == [3.0, 4.0]
+        assert detection_of_track(log) == {0: 0}
 
     def test_promotion_at_min_valid_age(self):
         manager = coop_manager()
         for i in range(4):
             manager.step([(0.1 * i, 0.0)], i * T)
-            expected = TrackStatus.VALID if i >= 3 else TrackStatus.TENTATIVE
-            assert manager.tracks[0].status is expected
+            assert manager.table.valid.tolist() == [i >= 3]
 
     def test_timeout_removes_track(self):
         manager = coop_manager()
         manager.step([(0.0, 0.0)], 0.0)
         t, steps = T, 0
-        while manager.tracks and steps < 300:
+        while len(manager.table.id) and steps < 300:
             manager.step([], t)
             t += T
             steps += 1
         # miss ratio trips first here; the track must be gone well before 300
-        assert not manager.tracks
+        assert not len(manager.table.id)
 
     def test_timeout_rule_alone(self):
         # keep the miss ratio low with a huge max, so only the timeout fires
@@ -91,33 +87,35 @@ class TestLifecycle:
         n_gap = int(round(2.0 / T))
         for i in range(1, n_gap + 1):
             manager.step([], i * T)
-            assert manager.tracks, f"track dropped too early at step {i}"
+            assert len(manager.table.id), f"track dropped too early at step {i}"
+            assert manager.table.last_update[0] == 0.0
         # first step where the gap exceeds the 2 s timeout
         manager.step([], (n_gap + 1) * T)
-        assert not manager.tracks
+        assert not len(manager.table.id)
 
     def test_miss_ratio_rule(self):
         manager = coop_manager()
         for i in range(8):
             manager.step([(0.0, 0.0)], i * T)
-        track = manager.tracks[0]
-        # 8 hits; alternate misses until the 50 % ratio trips
-        t = 8 * T
-        while manager.tracks:
+        # 8 hits, then misses until the 50 % ratio trips: the ninth miss
+        # makes 9 of 17 frames
+        t, misses = 8 * T, 0
+        while len(manager.table.id):
+            assert manager.table.misses[0] == misses
             manager.step([], t)
             t += T
-            assert t < 1.0
-        assert track.status is TrackStatus.LOST
+            misses += 1
+        assert misses == 9
 
     def test_device_updates_do_not_reset_position_timeout(self):
         manager = coop_manager(miss_ratio_max=0.99)
         for i in range(6):
             manager.step([(2.0 * i * T, 0.0)], i * T)
-        assert manager.tracks[0].status is TrackStatus.VALID
+        assert manager.table.valid.tolist() == [True]
         # only device data from now on: the filter keeps updating but the
         # position timeout must still remove the track
         t = 6 * T
-        while manager.tracks:
+        while len(manager.table.id):
             manager.step([], t, device=(0.0, 2.0, 0.3))
             t += T
             assert t < 6 * T + 2.5
@@ -135,11 +133,12 @@ class TestAssignment:
         manager = coop_manager()
         positions = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
         manager.step(positions, 0.0)
-        ids = {tuple(np.round(tr.position(), 6)): tr.id for tr in manager.tracks}
+        table = manager.table
+        ids = {tuple(np.round(xy, 6).tolist()): i
+               for xy, i in zip(table.x[:, :2], table.id.tolist())}
         # slightly moved detections must bind to their nearest tracks
         moved = [(0.1, 0.0), (10.1, 0.0), (0.1, 10.0)]
-        log = manager.step(moved, T)
-        by_track = {r.track_id: r.detection_id for r in log}
+        by_track = detection_of_track(manager.step(moved, T))
         assert by_track[ids[(0.0, 0.0)]] == 0
         assert by_track[ids[(10.0, 0.0)]] == 1
         assert by_track[ids[(0.0, 10.0)]] == 2
@@ -148,8 +147,9 @@ class TestAssignment:
         manager = coop_manager()
         manager.step([(0.0, 0.0), (1.0, 0.0)], 0.0)
         log = manager.step([(0.2, 0.0), (0.9, 0.0), (5.0, 5.0)], T)
-        det_ids = [r.detection_id for r in log if r.detection_id is not None]
-        track_ids = [r.track_id for r in log if r.detection_id is not None]
+        matched = log.detection_id >= 0
+        det_ids = log.detection_id[matched].tolist()
+        track_ids = log.track_id[matched].tolist()
         assert len(det_ids) == len(set(det_ids))
         assert len(track_ids) == len(set(track_ids))
 
@@ -157,19 +157,19 @@ class TestAssignment:
         manager = coop_manager()
         manager.step([(0.0, 0.0)], 0.0)
         log = manager.step([(5.0, 0.0)], T)   # 5 m > 2 m gate
-        by_track = {r.track_id: r.detection_id for r in log}
-        assert by_track[0] is None    # old track missed
-        assert by_track[1] == 0       # new track spawned on the detection
-        assert len(manager.tracks) == 2
+        # the old track missed; a new one spawned on the detection
+        assert detection_of_track(log) == {0: -1, 1: 0}
+        assert manager.table.id.tolist() == [0, 1]
 
     def test_device_binds_only_to_valid_tracks(self):
         manager = coop_manager()
         log = manager.step([(0.0, 0.0)], 0.0, device=(0.0, 0.0, 0.3))
-        assert all(not r.device_bound for r in log)
+        assert not log.device_bound.any()
         for i in range(1, 5):
             log = manager.step([(0.0, 0.0)], i * T, device=(0.0, 0.0, 0.3))
-        assert manager.tracks[0].status is TrackStatus.VALID
-        assert any(r.device_bound for r in log)
+            # bound from the step after the one that promotes the track
+            assert log.device_bound.tolist() == [i == 4]
+        assert manager.table.valid.tolist() == [True]
 
 
 class TestBatchedAssignment:
@@ -248,14 +248,12 @@ class TestEmptyAndDuplicateDetections:
                              np.concatenate(dets), devices, has_device)
             assert np.isfinite(table.x).all() and np.isfinite(table.P).all()
             for lane, manager in enumerate(managers):
-                records = manager.step(dets[lane], t, device=tuple(devices[lane])
-                                       if has_device[lane] else None)
+                alone_log = manager.step(dets[lane], t, device=tuple(devices[lane])
+                                         if has_device[lane] else None)
                 in_lane = log.lane == lane
-                assert [(r.track_id, -1 if r.detection_id is None else r.detection_id,
-                         r.device_bound) for r in records] == list(zip(
-                             log.track_id[in_lane].tolist(),
-                             log.detection_id[in_lane].tolist(),
-                             log.device_bound[in_lane].tolist()))
+                assert not alone_log.lane.any()
+                for got, alone in zip(log[1:], alone_log[1:]):
+                    assert np.array_equal(got[in_lane], alone)
                 rows = table.lane == lane
                 alone = manager.table
                 assert np.array_equal(table.id[rows], alone.id)
@@ -268,30 +266,31 @@ class TestHeadingInit:
     def test_init_fires_once_displacement_clears_noise_floor(self):
         manager = coop_manager()
         floor = 3.0 * math.hypot(0.15, 0.15)
+        table = manager.table
         for i in range(12):
             manager.step([(4.0 * i * T, 0.0)], i * T)
-            s = manager.tracks[0].estimate.state
             if 4.0 * i * T <= floor:
-                assert manager.tracks[0].first_fix is not None
-        assert manager.tracks[0].first_fix is None
-        assert s.v == pytest.approx(4.0, abs=0.5)
-        assert abs(s.gamma) < 0.2
+                assert table.has_fix[0]
+                assert table.first_fix[0].tolist() == [0.0, 0.0, 0.0]
+        assert not table.has_fix[0]
+        assert table.x[0, 4] == pytest.approx(4.0, abs=0.5)     # v
+        assert abs(table.x[0, 2]) < 0.2                         # gamma
 
     def test_stationary_track_keeps_neutral_heading(self):
         manager = coop_manager()
         for i in range(20):
             manager.step([(0.01 * (i % 2), 0.0)], i * T)
-        assert manager.tracks[0].first_fix is not None
-        assert manager.tracks[0].estimate.state.v == pytest.approx(0.0, abs=0.3)
+        assert manager.table.has_fix[0]
+        assert manager.table.x[0, 4] == pytest.approx(0.0, abs=0.3)
 
     def test_noise_free_straight_run_converges_tightly(self):
         manager = coop_manager()
         v = 3.0
         for i in range(100):
             manager.step([(v * i * T, 0.0)], i * T)
-        s = manager.tracks[0].estimate.state
-        assert s.x == pytest.approx(v * 99 * T, abs=0.01)
-        assert s.v == pytest.approx(v, abs=0.05)
+        x = manager.table.x[0]
+        assert x[0] == pytest.approx(v * 99 * T, abs=0.01)
+        assert x[4] == pytest.approx(v, abs=0.05)
 
 
 class TestCoast:
@@ -301,26 +300,25 @@ class TestCoast:
     def test_straight_line_coast_advances_position(self):
         manager = coop_manager()
         manager.step([(0.0, 0.0)], 0.0)
-        track = manager.tracks[0]
-        track.x = BikeState(0.0, 0.0, 0.0, 0.0, 2.0).as_array()
+        table = manager.table
+        table.x[0] = BikeState(0.0, 0.0, 0.0, 0.0, 2.0).as_array()
         manager.step([], 1.0)
-        assert track.estimate.state.x == pytest.approx(2.0, abs=1e-9)
-        assert track.estimate.state.y == pytest.approx(0.0, abs=1e-12)
+        assert table.x[0, 0] == pytest.approx(2.0, abs=1e-9)
+        assert table.x[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_turning_coast_matches_chained_single_steps(self):
         manager = coop_manager()
         manager.step([(0.0, 0.0)], 0.0)
-        track = manager.tracks[0]
-        start = StateEstimate(BikeState(0.0, 0.0, 0.3, 0.6, 3.0),
-                              track.estimate.covariance.copy())
-        track.x = start.state.as_array()
+        table = manager.table
+        start = StateEstimate(BikeState(0.0, 0.0, 0.3, 0.6, 3.0), table.P[0].copy())
+        table.x[0] = start.state.as_array()
         manager.step([], 2.0)
         chained = start
         p = ProcessNoiseParams()
         for _ in range(100):
             chained = ekf_predict(chained, p)
-        assert track.estimate.state.x == pytest.approx(chained.state.x, abs=1e-9)
-        assert track.estimate.state.y == pytest.approx(chained.state.y, abs=1e-9)
+        assert table.x[0, 0] == pytest.approx(chained.state.x, abs=1e-9)
+        assert table.x[0, 1] == pytest.approx(chained.state.y, abs=1e-9)
 
 
 class TestPixelMode:
@@ -330,23 +328,22 @@ class TestPixelMode:
         manager = pixel_manager()
         for i in range(4):
             manager.step([(100.0 + i, 200.0)], i * T)
-        assert manager.tracks[0].status is TrackStatus.VALID
+        assert manager.table.valid.tolist() == [True]
         # the pixel stage's one-second timeout
         t, steps = 4 * T, 0
-        manager.config.miss_ratio_max = 0.99
-        while manager.tracks and steps < 60:
+        manager.table.config.miss_ratio_max = 0.99
+        while len(manager.table.id) and steps < 60:
             manager.step([], t)
             t += T
             steps += 1
-        assert not manager.tracks
+        assert not len(manager.table.id)
         assert steps == pytest.approx(1.0 / T + 1, abs=1)
 
     def test_pixel_gate_is_forty_pixels(self):
         manager = pixel_manager()
         manager.step([(100.0, 100.0)], 0.0)
         log = manager.step([(100.0 + 41.0, 100.0)], T)
-        by_track = {r.track_id: r.detection_id for r in log}
-        assert by_track[0] is None   # 41 px exceeds the 40 px gate
-        assert by_track[1] == 0      # the detection starts a new track
+        # 41 px exceeds the 40 px gate: the detection starts a new track
+        assert detection_of_track(log) == {0: -1, 1: 0}
         # the missed newborn trips the 30 % miss ratio and is pruned
-        assert [tr.id for tr in manager.tracks] == [1]
+        assert manager.table.id.tolist() == [1]
