@@ -6,15 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import (MeasurementKind, MeasurementNoiseParams, ProcessNoiseParams,
-                  measurement_matrix, measurement_noise_variances)
+                  measurement_noise_variances)
 from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
 DEVICE_GATE = 5.0
-
-_DEVICE_H = measurement_matrix(MeasurementKind.DEVICE_ONLY)
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
 
 
 @dataclass
@@ -86,7 +82,7 @@ def penalized_mahalanobis_batch(y, S):
         raise NumericalError("innovation covariance is not positive-definite") from exc
     sol = np.linalg.solve(chol, y[:, :, None])[:, :, 0]
     quad = (sol[:, None, :] @ sol[:, :, None])[:, 0, 0]
-    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_det = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
     return np.sqrt(np.maximum(0.0, quad + log_det))
 
 
@@ -99,16 +95,6 @@ def penalized_mahalanobis(r: DeviceResidual) -> float:
     y = np.asarray(r.y, dtype=float)
     S = np.asarray(r.S, dtype=float)
     return float(penalized_mahalanobis_batch(y[None], S[None])[0])
-
-
-def device_residuals(z, x, P, r):
-    """Residuals y (N, 2) and innovation covariances S (N, 2, 2) of device
-    readings z = (gamma_dot, v) per row against predicted track states x
-    (N, 5) with covariances P (N, 5, 5); r (N, 2) holds the device noise
-    variances, the diagonal of R."""
-    y = z - x[:, 3:5]
-    S = _DEVICE_H @ P @ _DEVICE_H.T + r[:, :, None] * _EYE2
-    return y, S
 
 
 def nearest_allowed(cost, allowed, axis=-1):
@@ -133,11 +119,9 @@ def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
     if not tracks:
         return None
     r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n, p, sigma_v)
-    y, S = device_residuals(
-        np.array([[gamma_dot, v]] * len(tracks), dtype=float),
-        np.array([e.state.as_array() for e in tracks]),
-        np.array([e.covariance for e in tracks], dtype=float),
-        np.array([r] * len(tracks)))
+    # y = z - H x and S = H P H^T + R with H selecting gamma_dot and v
+    y = np.array([gamma_dot, v]) - np.array([e.state.as_array()[3:5] for e in tracks])
+    S = np.array([e.covariance[3:5, 3:5] for e in tracks], dtype=float) + np.diag(r)
     distance = penalized_mahalanobis_batch(y, S)
     idx, found = nearest_allowed(distance, distance <= gate)
     return int(idx) if found else None

@@ -28,9 +28,9 @@ def _read_only(a):
     return a
 
 
-# identity matrices of the kernels (measurement sizes 2 and 4, the state),
+# identity matrices of the kernels (the measurement slots, the state),
 # built once and never written
-_IDENTITY = {m: _read_only(np.eye(m)) for m in (2, 4, STATE_DIM)}
+_IDENTITY = {m: _read_only(np.eye(m)) for m in (4, STATE_DIM)}
 
 
 def wrap_angle(angle):
@@ -152,24 +152,29 @@ class Measurement:
 def _require_finite(x):
     """InvalidStateError unless every row of x (N, 5) is finite."""
     finite = np.isfinite(x)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         bad = ~finite.all(axis=1)
         raise InvalidStateError(
             f"non-finite state: {BikeState.from_array(x[bad.argmax()])}")
 
 
 def _pow2(values):
-    """values ** 2 per element through Python's float power (libm pow).
+    """values ** 2 per element through libm pow, as Python's float ** 2.
 
     pow and x * x round differently on some inputs, and chaotic lanes
-    carry a one-ulp difference into the printed results; numpy's `** 2` is
-    x * x.
+    carry a one-ulp difference into the printed results; numpy's `** 2`
+    and `np.power` are x * x, `np.float_power` calls pow.
     """
-    return np.array([value ** 2 for value in values.tolist()])
+    return np.float_power(values, 2.0)
 
 
 def _wrap_angles(angles):
-    return np.array([wrap_angle(angle) for angle in angles.tolist()])
+    """wrap_angle of each element, called only for those outside (-pi, pi]."""
+    wrapped = angles.copy()
+    outside = (angles > math.pi) | (angles <= -math.pi)
+    if np.count_nonzero(outside):
+        wrapped[outside] = [wrap_angle(angle) for angle in angles[outside].tolist()]
+    return wrapped
 
 
 def _swap(a):
@@ -192,7 +197,7 @@ def _transition(x, T):
     analytic straight-line limits below EPS_YAW; 1 - cos(wt) is written as
     2 sin^2(wt/2) to avoid cancellation.
     """
-    if not (T > 0).all():
+    if np.count_nonzero(T > 0) < len(T):
         raise ValueError("T must be positive")
     _require_finite(x)
     gamma, gamma_dot, v = x[:, 2], x[:, 3], x[:, 4]
@@ -201,43 +206,45 @@ def _transition(x, T):
     wt = gd * T
     sin_wt = np.sin(wt)
     sin_half_sq = _pow2(np.sin(0.5 * wt))
-    one_m_cos = 2.0 * sin_half_sq
     inv = 1.0 / gd
-    da_dv = sin_wt * inv
-    db_dv = one_m_cos * inv
-    half_T = 0.5 * T
+    # d a / d v and d b / d v, with 1 - cos(wt) as 2 sin^2(wt/2)
+    d_dv = np.array([sin_wt, 2.0 * sin_half_sq]) * inv
+    # a and b, the arc's displacement along and across the heading, and
+    # their derivatives by the acceleration noise (T / 2 in place of v)
+    v_half_T = np.array([v, 0.5 * T])
+    a_ends = v_half_T * sin_wt / gd
+    b_ends = v_half_T * 2.0 * sin_half_sq / gd
+    # d a / d gamma_dot and d b / d gamma_dot
+    d_dgd = v * (T * np.array([np.cos(wt), sin_wt]) - d_dv) * inv
     # columns: a (along heading) or b (lateral), then its derivatives by
     # gamma_dot, by v and by the acceleration noise
-    along = _columns(v * sin_wt / gd, v * (T * np.cos(wt) - da_dv) * inv,
-                     da_dv, half_T * sin_wt / gd)
-    lateral = _columns(v * 2.0 * sin_half_sq / gd, v * (T * sin_wt - db_dv) * inv,
-                       db_dv, half_T * 2.0 * sin_half_sq / gd)
-    if straight.any():
+    along = _columns(a_ends[0], d_dgd[0], d_dv[0], a_ends[1])
+    lateral = _columns(b_ends[0], d_dgd[1], d_dv[1], b_ends[1])
+    if np.count_nonzero(straight):
         # the second-order Taylor limits at gamma_dot -> 0
         zero = np.zeros_like(T)
         along = np.where(straight[:, None],
-                         _columns(v * T, zero, T, half_T * T), along)
+                         _columns(v * T, zero, T, 0.5 * T * T), along)
         lateral = np.where(straight[:, None],
                            _columns(zero, 0.5 * v * T * T, zero, zero), lateral)
     cg, sg = np.cos(gamma), np.sin(gamma)
-    # the same columns rotated into east and north
-    east = cg[:, None] * along - sg[:, None] * lateral
-    north = sg[:, None] * along + cg[:, None] * lateral
+    # the same columns rotated into east (row 0) and north (row 1):
+    # cg a - sg b and sg a + cg b, as a + (-b) is a - b bit for bit
+    turn_a = _columns(cg, sg)[:, :, None] * along[:, None]
+    turn_b = _columns(-sg, cg)[:, :, None] * lateral[:, None]
+    east_north = turn_a + turn_b
 
     x_new = x.copy()
-    x_new[:, 0] = x[:, 0] + cg * along[:, 0] - sg * lateral[:, 0]
-    x_new[:, 1] = x[:, 1] + sg * along[:, 0] + cg * lateral[:, 0]
+    x_new[:, :2] = x[:, :2] + turn_a[:, :, 0] + turn_b[:, :, 0]
     x_new[:, 2] = _wrap_angles(gamma + gamma_dot * T)
 
     F = _IDENTITY[STATE_DIM][None].repeat(len(x), axis=0)
-    F[:, 0, 2] = -north[:, 0]             # -sg * a - cg * b, negation is exact
-    F[:, 0, 3:] = east[:, 1:3]
-    F[:, 1, 2] = east[:, 0]
-    F[:, 1, 3:] = north[:, 1:3]
+    F[:, 0, 2] = -east_north[:, 1, 0]     # d(x, y) / d gamma: (-north a, east a)
+    F[:, 1, 2] = east_north[:, 0, 0]
+    F[:, :2, 3:] = east_north[:, :, 1:3]
     F[:, 2, 3] = T
     G = np.zeros((len(x), STATE_DIM, 2))
-    G[:, 0] = east[:, 1::2]
-    G[:, 1] = north[:, 1::2]
+    G[:, :2] = east_north[:, :, 1::2]
     G[:, 2, 0] = T
     G[:, 3, 0] = 1.0
     G[:, 4, 1] = T
@@ -291,9 +298,19 @@ def ekf_predict_batch(x, P, T, q):
     """
     x_new, F, G = _transition(x, T)
     P_new = _symmetrize(F @ P @ _swap(F) + _process_noise(G, q))
-    if (np.linalg.eigvalsh(P_new) < -1e-6).any():
-        raise NumericalError("predicted covariance is indefinite")
+    _require_psd(P_new)
     return x_new, P_new
+
+
+def _require_psd(P):
+    """NumericalError unless every eigenvalue of each P (N, 5, 5) is at or
+    above -1e-6.  P + 1e-6 I has a Cholesky factor when they are above it, so
+    one batched Cholesky clears a batch; eigvalsh decides when it fails."""
+    try:
+        np.linalg.cholesky(P + 1e-6 * _IDENTITY[STATE_DIM])
+    except np.linalg.LinAlgError:
+        if (np.linalg.eigvalsh(P) < -1e-6).any():
+            raise NumericalError("predicted covariance is indefinite") from None
 
 
 def ekf_predict(e: StateEstimate, p: ProcessNoiseParams) -> StateEstimate:
@@ -305,26 +322,11 @@ def ekf_predict(e: StateEstimate, p: ProcessNoiseParams) -> StateEstimate:
     return StateEstimate(BikeState.from_array(x[0]), P[0])
 
 
-_MEASURED_ROWS = {
-    MeasurementKind.POSITION_AND_DEVICE: (0, 1, 3, 4),
-    MeasurementKind.DEVICE_ONLY: (3, 4),
-    MeasurementKind.POSITION_ONLY: (0, 1),
-}
+# the state rows a measurement can observe, in slot order: x, y, gamma_dot, v
+MEASURED = _read_only(np.array([0, 1, 3, 4]))
+# H of a measurement that observes every slot
+_H = _read_only(np.eye(STATE_DIM)[MEASURED])
 
-
-def _selector(rows):
-    H = np.zeros((len(rows), STATE_DIM))
-    H[range(len(rows)), rows] = 1.0
-    return _read_only(H)
-
-
-# shared by every kernel call, so built once and never written
-_H = {kind: _selector(rows) for kind, rows in _MEASURED_ROWS.items()}
-
-
-def measurement_matrix(kind: MeasurementKind) -> np.ndarray:
-    """H for the kind: the rows of the state it measures (read-only)."""
-    return _H[kind]
 
 
 def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams,
@@ -350,54 +352,55 @@ def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams
     diag = np.empty(sigma_v.shape + (len(position) + 2,))
     diag[..., :-2] = position
     diag[..., -2] = (n.sigma_gamma_dot * scale) ** 2
-    diag[..., -1] = _pow2((sigma_v * scale).ravel()).reshape(sigma_v.shape)
+    diag[..., -1] = _pow2(sigma_v * scale)
     return diag
 
 
-def _measurement_vector(m: Measurement) -> np.ndarray:
-    z = []
-    if m.position is not None:
-        z += [m.position[0], m.position[1]]
-    if m.gamma_dot is not None:
-        z += [m.gamma_dot, m.v]
-    return np.array(z, dtype=float)
+def ekf_update_masked(x, P, z, r, observed):
+    """Measurement update of N filters, each by the slots it observes.
 
-
-def ekf_update_batch(x, P, z, r, kind: MeasurementKind):
-    """Measurement update of N filters by measurements of one kind.
-
-    z (N, m) holds the measured components in the order of the rows of
-    measurement_matrix(kind) (x, y, gamma_dot, v as present) and r (N, m)
-    their noise variances, the diagonal of R, or (1, m) for every filter.
-    Returns the updated (x, P), gamma re-wrapped and P symmetrized;
-    NumericalError if an innovation covariance has no Cholesky factor.
+    z (N, 4) holds the values of the slots (x, y, gamma_dot, v) of
+    MEASURED, r (N, 4) their noise variances (the diagonal of R) and
+    observed (N, 4) which slots each row has.  An absent slot gets a zero
+    row of H, a zero residual and unit noise, so each row ends as an update
+    by its observed slots alone would leave it.  Returns the updated (x, P),
+    gamma re-wrapped and P symmetrized; NumericalError if an innovation
+    covariance has no Cholesky factor.
     """
     _require_finite(x)
-    H = _H[kind]
-    R = r[:, :, None] * _IDENTITY[len(H)]
-    y = z - (H @ x[:, :, None])[:, :, 0]
-    S = H @ P @ H.T + R
+    H = observed[:, :, None] * _H
+    y = np.where(observed, z - x.take(MEASURED, axis=1), 0.0)
+    r = np.where(observed, r, 1.0)
+    PHt = P @ _swap(H)
+    S = H @ PHt + r[:, :, None] * _IDENTITY[4]
     try:
         S_chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance is not invertible") from exc
-    # K = P H^T S^-1 via the Cholesky factor
-    PHt = P @ H.T
-    K = _swap(np.linalg.solve(_swap(S_chol), np.linalg.solve(S_chol, _swap(PHt))))
-    x_new = x + (K @ y[:, :, None])[:, :, 0]
+    # K^T = S^-1 H P via the Cholesky factor
+    Kt = np.linalg.solve(_swap(S_chol), np.linalg.solve(S_chol, _swap(PHt)))
+    K = _swap(Kt)
+    # K y with each row's observed slots first: BLAS's matrix-vector kernel
+    # rounds differently when zero terms lead, but not when they trail
+    first = (~observed).argsort(axis=1, kind="stable")
+    picked = np.arange(len(x))[:, None], first
+    x_new = x + (_swap(Kt[picked]) @ y[picked][:, :, None])[:, :, 0]
     x_new[:, 2] = _wrap_angles(x_new[:, 2])
     IKH = _IDENTITY[STATE_DIM] - K @ H
-    P_new = _symmetrize(IKH @ P @ _swap(IKH) + K @ R @ _swap(K))
+    P_new = _symmetrize(IKH @ P @ _swap(IKH) + (K * r[:, None, :]) @ Kt)
     return x_new, P_new
 
 
 def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
                p: ProcessNoiseParams) -> StateEstimate:
     """Measurement update; gamma re-wrapped, covariance symmetrized."""
-    r = measurement_noise_variances(m.kind, n, p, sigma_v=m.sigma_v)
-    x, P = ekf_update_batch(e.state.as_array()[None],
-                            np.asarray(e.covariance, dtype=float)[None],
-                            _measurement_vector(m)[None], np.array([r]), m.kind)
+    observed = np.repeat([[m.position is not None, m.gamma_dot is not None]], 2, axis=1)
+    z = np.array([[*(m.position or (0.0, 0.0)), m.gamma_dot or 0.0, m.v or 0.0]])
+    r = np.ones((1, 4))
+    r[observed] = measurement_noise_variances(m.kind, n, p, sigma_v=m.sigma_v)
+    x, P = ekf_update_masked(e.state.as_array()[None],
+                             np.asarray(e.covariance, dtype=float)[None],
+                             z, r, observed)
     return StateEstimate(BikeState.from_array(x[0]), P[0])
 
 

@@ -22,19 +22,26 @@ GNSS_POLY_DEGREE = 3
 
 def moving_average(values, window_s):
     """Centered moving average along axis 0, so per column of a 2-D array;
-    edge windows are truncated."""
+    edge windows are truncated.  A window holding a non-finite sample
+    averages to NaN; the other windows do not see it."""
     values = np.asarray(values, dtype=float)
     half = int(window_s * SAMPLE_RATE / 2.0)
     n = len(values)
     if n == 0:
         return values.copy()
+    finite = np.isfinite(values)
     csum = np.zeros((n + 1,) + values.shape[1:])
-    np.cumsum(values, axis=0, out=csum[1:])
+    np.cumsum(np.where(finite, values, 0.0), axis=0, out=csum[1:])
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
     count = (hi - lo + 1).reshape((n,) + (1,) * (values.ndim - 1))
-    return (csum[hi + 1] - csum[lo]) / count
+    mean = (csum[hi + 1] - csum[lo]) / count
+    if not finite.all():
+        # a window holds a bad sample where the running count of them grows
+        n_bad = np.cumsum(np.concatenate([np.zeros_like(finite[:1]), ~finite]), axis=0)
+        mean[n_bad[hi + 1] > n_bad[lo]] = np.nan
+    return mean
 
 
 def yaw_rate(imu):

@@ -11,11 +11,14 @@ step_lanes advances all lanes of a table by one frame together; each stage
 is a mask operation over the rows: one batched EKF predict per round of
 sub-steps, detection assignment by a masked argmin (Munkres only for a lane
 with at least two tracks and two detections), one batched device-binding
-distance computation, at most one batched EKF update per measurement kind,
-then heading init, spawn, prune and promote.  TrackManager is the one-lane
-case: it owns a one-lane table and its step calls step_lanes.  No command
-runs it (track and compare step lanes through pipeline.run_tracking_batch);
-it stays because perfbench/tracing.py wraps TrackManager.step.
+distance computation, heading init, one masked EKF update of every row
+with a detection, a bound device reading or both, then spawn, prune and
+promote.  TrackManager is the one-lane case: it owns a one-lane table and
+its step calls step_lanes.  No command runs it (track and compare step
+lanes through pipeline.run_tracking_batch); it stays because
+perfbench/tracing.py wraps TrackManager.step.  Call overhead is most of a
+step's cost, so per-frame masks are tested with np.count_nonzero, a third
+the cost of ndarray.any or .all.
 """
 
 import math
@@ -29,7 +32,7 @@ from . import ekf
 # lanes at once (_bind_devices) and never calls it.  It is imported here
 # because perfbench/tracing.py wraps it at this module, as it does
 # gated_cost_matrix and munkres_solve.
-from .association import (DEVICE_GATE, assign_device, device_residuals,  # noqa: F401
+from .association import (DEVICE_GATE, assign_device,  # noqa: F401
                           gated_cost_matrix, munkres_solve, nearest_allowed,
                           penalized_mahalanobis_batch)
 from .errors import DataError
@@ -141,14 +144,14 @@ def _predict(table, dt):
     remaining = dt
     while True:
         whole = remaining > T + 1e-9
-        live = whole | (remaining > 1e-9)
+        live = remaining > 1e-9
         step = np.where(whole, T, remaining)
-        if live.all():
+        if np.count_nonzero(live) == len(live):
             table.x, table.P = ekf.ekf_predict_batch(table.x, table.P, step, table._q)
-        elif live.any():
+        elif np.count_nonzero(live):
             table.x[live], table.P[live] = ekf.ekf_predict_batch(
                 table.x[live], table.P[live], step[live], table._q)
-        if not whole.any():
+        if not np.count_nonzero(whole):
             return
         remaining = remaining - T
 
@@ -173,7 +176,7 @@ def _assign_detections(table, det_lane, det_xy):
     det_of_row, found = nearest_allowed(cost, allowed, axis=1)
     match = np.where(found, det_of_row, -1)
     n_rows = np.bincount(table.lane, minlength=table.n_lanes)
-    if n_rows.max() == 1:
+    if not np.count_nonzero(n_rows > 1):
         return match
     # lanes with several tracks: one detection goes to its nearest track,
     # several go through the solver
@@ -197,29 +200,29 @@ def _bind_devices(table, devices, has_device):
     on ties, unless that distance is beyond the device gate; one batch over
     every lane.
 
-    Returns the bound rows and the POSITION_AND_DEVICE noise variances of
-    each, the diagonal of R.
+    Returns the bound rows and the device noise variances of each, the
+    (gamma_dot, v) diagonal of R.
     """
     rows = (table.valid & has_device[table.lane]).nonzero()[0]
     if not len(rows):
-        return rows, np.zeros((0, 4))
+        return rows, np.zeros((0, 2))
     lanes = table.lane[rows]
     reading = devices[lanes]
-    r = ekf.measurement_noise_variances(ekf.MeasurementKind.POSITION_AND_DEVICE,
+    r = ekf.measurement_noise_variances(ekf.MeasurementKind.DEVICE_ONLY,
                                         table.noise, table.process, reading[:, 2])
-    y, S = device_residuals(reading[:, :2], table.x[rows], table.P[rows], r[:, 2:])
-    distance = np.full((table.n_lanes, len(rows)), np.inf)
-    distance[lanes, np.arange(len(rows))] = penalized_mahalanobis_batch(y, S)
-    best, found = nearest_allowed(distance, distance <= table.device_gate)
+    # y = z - H x and S = H P H^T + R with H selecting gamma_dot and v
+    distance = penalized_mahalanobis_batch(
+        reading[:, :2] - table.x[rows, 3:5],
+        table.P[rows, 3:5, 3:5] + r[:, :, None] * np.eye(2))
+    near = distance <= table.device_gate
+    if not np.count_nonzero(np.bincount(lanes) > 1):
+        # one candidate per lane: it binds if it is within the gate
+        return rows[near], r[near]
+    by_lane = np.full((table.n_lanes, len(rows)), np.inf)
+    by_lane[lanes, np.arange(len(rows))] = distance
+    best, found = nearest_allowed(by_lane, by_lane <= table.device_gate)
     best = best[found]
     return rows[best], r[best]
-
-
-def _update(table, kind, rows, z, r):
-    """One batched EKF update of the given rows by measurements of a kind."""
-    if len(rows):
-        table.x[rows], table.P[rows] = ekf.ekf_update_batch(
-            table.x[rows], table.P[rows], z, r, kind)
 
 
 def _init_heading(table, rows, det_xy, t_now):
@@ -278,12 +281,13 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     and track states it would get stepped alone.
     """
     late = times <= table.last_t        # NaN on either side compares False
-    if late.any():
+    if np.count_nonzero(late):
         k = late.argmax()
         raise DataError(f"timestamps must be strictly increasing "
                         f"({times[k]} after {table.last_t[k]})")
     t_row = times[table.lane]
-    if np.isnan(t_row).any() or np.isnan(times[det_lane]).any():
+    idle = np.isnan(times)
+    if np.count_nonzero(idle[table.lane]) or np.count_nonzero(idle[det_lane]):
         raise ValueError("a lane that does not step holds tracks or detections")
     if len(t_row):
         _predict(table, t_row - table.last_t[table.lane])
@@ -291,7 +295,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     # detection assignment and device binding on the predicted states
     match = _assign_detections(table, det_lane, det_xy)
     has_det = match >= 0
-    det_id = np.arange(len(det_lane)) - np.searchsorted(det_lane, det_lane)
+    det_id = np.arange(len(det_lane)) - det_lane.searchsorted(det_lane)
     bound = np.zeros(len(t_row), dtype=bool)
     bound_rows, r_device = _bind_devices(table, devices, has_device)
     bound[bound_rows] = True
@@ -305,22 +309,24 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     if len(waiting):
         _init_heading(table, waiting, det_xy[match[waiting]], t_row[waiting])
 
-    # one batched update per measurement kind
-    position_only = has_det
-    if len(bound_rows):
-        with_det = has_det[bound_rows]
-        dev = devices[table.lane[bound_rows], :2]
-        rows = bound_rows[with_det]
-        _update(table, ekf.MeasurementKind.POSITION_AND_DEVICE, rows,
-                np.concatenate((det_xy[match[rows]], dev[with_det]), axis=1),
-                r_device[with_det])
-        without = ~with_det
-        _update(table, ekf.MeasurementKind.DEVICE_ONLY, bound_rows[without],
-                dev[without], r_device[without, 2:])
-        position_only = has_det & ~bound
-    rows = position_only.nonzero()[0]
-    _update(table, ekf.MeasurementKind.POSITION_ONLY, rows, det_xy[match[rows]],
-            table._r_position)
+    # one masked update of every row with a detection, a bound device
+    # reading or both: slots (x, y) from the detection, (gamma_dot, v) from
+    # the device
+    update = has_det | bound
+    if np.count_nonzero(update):
+        observed = np.array([has_det, has_det, bound, bound]).T
+        # absent slots may hold anything: the update ignores them
+        det = det_xy[match] if len(det_xy) else np.zeros((len(t_row), 2))
+        z = np.concatenate((det, devices[table.lane, :2]), axis=1)
+        r = np.ones((len(t_row), 4))
+        r[:, :2] = table._r_position
+        r[bound_rows, 2:] = r_device
+        if np.count_nonzero(update) == len(update):
+            table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
+        else:
+            table.x[update], table.P[update] = ekf.ekf_update_masked(
+                table.x[update], table.P[update], z[update], r[update],
+                observed[update])
 
     log = stepped
     assigned = match[has_det]
@@ -337,7 +343,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     cfg = table.config
     lost = (((t_row - table.last_update) > cfg.update_timeout + 1e-9)
             | (table.misses / table.age > cfg.miss_ratio_max))
-    if lost.any():
+    if np.count_nonzero(lost):
         table.keep_rows(~lost)
     table.valid |= table.age >= cfg.min_valid_age
     table.last_t = np.fmax(table.last_t, times)

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from cooptrack.ekf import EPS_YAW, BikeState, predict_state, wrap_angle
+from cooptrack.ekf import (EPS_YAW, BikeState, MeasurementKind, predict_state,
+                           wrap_angle)
+from cooptrack.errors import NumericalError
 from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
                                 dft_features, moving_average)
 from cooptrack.metrics import FrameRecord
@@ -84,6 +86,42 @@ def rk4_constant_turn(x0, y0, gamma0, gamma_dot, v, duration, step=1e-6):
         y += step / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
         gamma += step * gamma_dot
     return x, y, gamma
+
+
+# the state rows each measurement kind observes, in measurement order
+MEASURED_ROWS = {
+    MeasurementKind.POSITION_AND_DEVICE: (0, 1, 3, 4),
+    MeasurementKind.DEVICE_ONLY: (3, 4),
+    MeasurementKind.POSITION_ONLY: (0, 1),
+}
+
+
+def ekf_update_batch(x, P, z, r, kind):
+    """Measurement update of N filters by measurements of one kind, with
+    the kind's own (m, 5) selector H and R = diag(r): the textbook EKF
+    update that ekf_update_masked must reproduce bit for bit.
+
+    z (N, m) holds the measured components of MEASURED_ROWS[kind] and r
+    (N, m) or (1, m) their noise variances.  K = P H^T S^-1 goes through
+    the Cholesky factor of S; P is updated in Joseph form.
+    """
+    rows = MEASURED_ROWS[kind]
+    H = np.zeros((len(rows), 5))
+    H[range(len(rows)), rows] = 1.0
+    R = r[:, :, None] * np.eye(len(rows))
+    y = z - (H @ x[:, :, None])[:, :, 0]
+    S = H @ P @ H.T + R
+    try:
+        S_chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is not invertible") from exc
+    PHt = P @ H.T
+    K = np.linalg.solve(S_chol.mT, np.linalg.solve(S_chol, PHt.mT)).mT
+    x_new = x + (K @ y[:, :, None])[:, :, 0]
+    x_new[:, 2] = [wrap_angle(g) for g in x_new[:, 2].tolist()]
+    IKH = np.eye(5) - K @ H
+    P_new = IKH @ P @ IKH.mT + K @ R @ K.mT
+    return x_new, 0.5 * (P_new + P_new.mT)
 
 
 def brute_force_assignment(cost):

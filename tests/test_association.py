@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (CostMatrix, DeviceResidual, assign_device,
-                                   device_residuals, gated_cost_matrix,
-                                   munkres_solve, penalized_mahalanobis)
+                                   gated_cost_matrix, munkres_solve,
+                                   penalized_mahalanobis)
 from cooptrack.ekf import (BikeState, MeasurementKind, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate,
                            measurement_noise_variances)
@@ -166,10 +166,8 @@ class TestAssignDevice:
                   make_estimate(0.1, 2.0, var=50.0)]
         r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, self.noise,
                                         self.process, 0.3)
-        y, S = device_residuals(np.array([[0.1, 2.0]] * 2),
-                                np.array([e.state.as_array() for e in tracks]),
-                                np.array([e.covariance for e in tracks]),
-                                np.array([r] * 2))
+        y = np.array([0.1, 2.0]) - np.array([e.state.as_array()[3:5] for e in tracks])
+        S = np.array([e.covariance[3:5, 3:5] for e in tracks]) + np.diag(r)
         d_small, d_large = (penalized_mahalanobis(DeviceResidual(y[k], S[k]))
                             for k in range(2))
         assert d_small < d_large

@@ -9,15 +9,15 @@ from cooptrack import ekf
 from cooptrack.ekf import (EPS_YAW, BikeState, Measurement, MeasurementKind,
                            MeasurementNoiseParams, ProcessNoiseParams,
                            StateEstimate, ekf_predict, ekf_predict_batch,
-                           ekf_update, ekf_update_batch, jacobian_f,
+                           ekf_update, ekf_update_masked, jacobian_f,
                            measurement_noise_variances, newborn_covariance,
                            noise_gain, predict_state, process_noise_variances,
                            wrap_angle)
 from cooptrack.errors import InvalidStateError, NumericalError
 from cooptrack.track_manager import ManagerConfig, TrackManager
 
-from oracles import (fd_noise_gain, fd_transition_jacobian, noisy_transition,
-                     rk4_constant_turn)
+from oracles import (MEASURED_ROWS, ekf_update_batch, fd_noise_gain,
+                     fd_transition_jacobian, noisy_transition, rk4_constant_turn)
 
 T = 0.02
 
@@ -335,7 +335,7 @@ class TestBatchKernels:
         sigma_v = rng.uniform(0.1, 1.0, size=12)
         r = measurement_noise_variances(MeasurementKind.POSITION_AND_DEVICE, n, p,
                                         sigma_v=sigma_v)
-        xu, Pu = ekf_update_batch(xb, Pb, z, r, MeasurementKind.POSITION_AND_DEVICE)
+        xu, Pu = ekf_update_masked(xb, Pb, z, r, np.ones((12, 4), dtype=bool))
         for k in range(12):
             m = Measurement.position_and_device(*z[k], sigma_v=sigma_v[k])
             one = ekf_update(StateEstimate(BikeState.from_array(xb[k]), Pb[k]),
@@ -351,6 +351,133 @@ class TestBatchKernels:
         q = np.array([[p.sigma_w_gamma_dot ** 2, p.sigma_w_v_dot ** 2]] * 6)
         with pytest.raises(NumericalError):
             ekf_predict_batch(x, P, np.full(6, T), q)
+
+
+def test_squares_round_as_python_pow():
+    # _pow2 must be libm pow, as Python's float ** 2, not x * x
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=200_000) * 10.0 ** rng.integers(-5, 5, 200_000)
+    expected = np.array([a ** 2 for a in v.tolist()])
+    assert (expected != v * v).any()
+    assert np.array_equal(ekf._pow2(v), expected)
+
+
+KINDS = (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.DEVICE_ONLY,
+         MeasurementKind.POSITION_ONLY)
+
+
+class TestMaskedUpdate:
+    """One masked update over rows of every kind equals the per-kind
+    updates of tests/oracles.py, bit for bit."""
+
+    @given(kinds=st.lists(st.sampled_from(KINDS), max_size=9),
+           gamma=st.lists(st.one_of(st.floats(-math.pi, math.pi),
+                                    st.sampled_from([math.pi, -math.pi + 1e-12,
+                                                     math.pi - 1e-12, 3.1])),
+                          min_size=12, max_size=12),
+           gamma_dot=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                        st.floats(-2e-6, 2e-6),
+                                        st.sampled_from([-EPS_YAW, EPS_YAW])),
+                              min_size=12, max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mixed_batch_equals_per_kind_oracle(self, kinds, gamma, gamma_dot, seed):
+        # every batch holds each kind at least once, device-only rows too
+        kinds = list(KINDS) + kinds
+        n = len(kinds)
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.uniform(-50, 50, n), rng.uniform(-50, 50, n),
+                             gamma[:n], gamma_dot[:n], rng.uniform(0, 12, n)])
+        A = rng.normal(size=(n, 5, 5)) * rng.uniform(0.01, 3.0, (n, 1, 1))
+        P = A @ A.mT + 1e-4 * np.eye(5)
+        # residuals large enough to carry the heading across +-pi
+        z = (x[:, ekf.MEASURED] + rng.normal(size=(n, 4))
+             * [1.0, 1.0, 0.3, 2.0])
+        r = measurement_noise_variances(
+            MeasurementKind.POSITION_AND_DEVICE, MeasurementNoiseParams(),
+            ProcessNoiseParams(), sigma_v=rng.uniform(0.05, 2.0, n))
+        observed = np.array([[row in MEASURED_ROWS[kind] for row in ekf.MEASURED]
+                             for kind in kinds])
+        x_new, P_new = ekf.ekf_update_masked(x, P, z, r, observed)
+        for kind in KINDS:
+            rows = np.array([k is kind for k in kinds])
+            slots = observed[rows][0]
+            x_ref, P_ref = ekf_update_batch(x[rows], P[rows], z[rows][:, slots],
+                                            r[rows][:, slots], kind)
+            assert np.array_equal(x_new[rows], x_ref)
+            assert np.array_equal(P_new[rows], P_ref)
+
+    def test_absent_slots_ignore_their_values(self):
+        rng = np.random.default_rng(5)
+        x, P = random_batch(4, rng)
+        z, r = rng.normal(size=(4, 4)), rng.uniform(0.1, 1.0, size=(4, 4))
+        observed = np.array([[True, True, False, False]] * 2
+                            + [[False, False, True, True]] * 2)
+        junk_z, junk_r = z.copy(), r.copy()
+        junk_z[~observed] = 1e9
+        junk_r[~observed] = 1e-9
+        for a, b in zip(ekf.ekf_update_masked(x, P, z, r, observed),
+                        ekf.ekf_update_masked(x, P, junk_z, junk_r, observed)):
+            assert np.array_equal(a, b)
+
+
+def rotated(eigenvalues, rng):
+    """A symmetric matrix with the given eigenvalues in a random basis."""
+    Q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    M = Q @ np.diag(eigenvalues) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+class TestPsdGuard:
+    """The predicted-covariance guard: eigenvalues down to -1e-6 pass, below
+    that NumericalError; a Cholesky factor of P + 1e-6 I clears a batch and
+    eigvalsh decides only when that factor does not exist."""
+
+    def healthy(self, n, rng):
+        return np.array([rotated(rng.uniform(0.01, 5.0, 5), rng) for _ in range(n)])
+
+    def test_eigenvalue_just_above_the_bound_passes(self):
+        rng = np.random.default_rng(60)
+        P = self.healthy(4, rng)
+        P[2] = rotated([-5e-7, 0.5, 1.0, 2.0, 3.0], rng)
+        assert np.linalg.eigvalsh(P[2]).min() == pytest.approx(-5e-7, abs=1e-12)
+        ekf._require_psd(P)
+
+    def test_eigenvalue_below_the_bound_raises(self):
+        rng = np.random.default_rng(61)
+        P = self.healthy(4, rng)
+        P[1] = rotated([-2e-6, 0.5, 1.0, 2.0, 3.0], rng)
+        with pytest.raises(NumericalError):
+            ekf._require_psd(P)
+
+    def test_healthy_batch_needs_no_eigenvalues(self, monkeypatch):
+        def no_eigvalsh(P):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        ekf._require_psd(self.healthy(6, np.random.default_rng(62)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_one_matrix_without_a_factor_falls_back_to_eigvalsh(self, scale):
+        # eigenvalue exactly -1e-6: P + 1e-6 I has a zero pivot, so its
+        # Cholesky fails, and eigvalsh accepts -1e-6 as within the bound
+        rng = np.random.default_rng(63)
+        P = self.healthy(5, rng) * scale
+        P[3] = np.diag([scale, scale, -1e-6, scale, scale])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(P + 1e-6 * np.eye(5))
+        ekf._require_psd(P)
+        P[3, 2, 2] = -2e-6
+        with pytest.raises(NumericalError):
+            ekf._require_psd(P)
+
+    def test_large_scale_covariance_passes(self):
+        # a singular covariance of scale 1e6: rounding puts its zero
+        # eigenvalues near +-1e-10, well inside the bound
+        rng = np.random.default_rng(64)
+        P = self.healthy(3, rng)
+        P[0] = rotated([0.0, 0.0, 1e6, 2e6, 3e6], rng)
+        assert np.linalg.eigvalsh(P[0]).min() > -1e-6
+        ekf._require_psd(P)
 
 
 class TestMeasurementValidation:

@@ -50,6 +50,27 @@ class TestYawRate:
         assert yaw_rate(np.empty((0, 7))).shape == (0, 2)
 
 
+class TestMovingAverage:
+    def test_finite_input_keeps_the_running_sum_bits(self):
+        values = np.random.default_rng(4).normal(size=(300, 3))
+        half = 25
+        csum = np.concatenate([np.zeros((1, 3)), np.cumsum(values, axis=0)])
+        lo = np.maximum(np.arange(300) - half, 0)
+        hi = np.minimum(np.arange(300) + half, 299)
+        expected = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
+        assert np.array_equal(moving_average(values, 1.0), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_spoils_only_its_windows(self, bad):
+        values = np.ones(200)
+        values[100] = bad
+        out = moving_average(values, 1.0)
+        holding = np.zeros(200, dtype=bool)
+        holding[75:126] = True
+        assert np.isnan(out[holding]).all()
+        assert (out[~holding] == 1.0).all()
+
+
 class TestDftFeatures:
     def test_zero_window(self):
         np.testing.assert_array_equal(dft_features(np.zeros(256)), np.zeros(6))
@@ -190,6 +211,23 @@ class TestFeatureMatrixOracle:
         assert np.isfinite(acc_h_dft[~holding]).all()
         assert np.isfinite(mat[:, 14:]).all()
         assert np.array_equal(mat, per_signal_motion_features(imu), equal_nan=True)
+
+    def test_nan_sample_reaches_only_the_stat_windows_holding_it(self):
+        # acc_x NaN at sample 300: the moving mean and energy of acc_h are
+        # NaN in the rows whose centred 1 s window (samples 275..325) holds
+        # it, rows 20..70, and every other stat stays finite
+        imu = seeded_ride()
+        imu[300, 1] = np.nan
+        stats = motion_feature_matrix(imu)[:, :8]
+        holding = np.zeros(len(stats), dtype=bool)
+        holding[300 - 25 - 255:300 + 25 - 255 + 1] = True
+        assert np.flatnonzero(holding).tolist() == list(range(20, 71))
+        assert np.isnan(stats[holding, :2]).all()
+        assert np.isfinite(stats[~holding, :2]).all()
+        assert np.isfinite(stats[:, 2:]).all()
+        # the finite rows keep the bits of the ride without the NaN
+        clean = motion_feature_matrix(seeded_ride())[:, :8]
+        assert np.array_equal(stats[:, 2:], clean[:, 2:])
 
     def test_one_window(self):
         imu = seeded_ride()[:256]

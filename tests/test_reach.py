@@ -89,7 +89,6 @@ ALLOWED = {
     "ekf.jacobian_f": "acceptance criterion 1",
     "ekf.noise_gain": "acceptance criterion 1",
     "ekf.ekf_predict": _TRACED,
-    "ekf._measurement_vector": _TRACED + ", through ekf_update",
     "ekf.ekf_update": _TRACED,
     "features.yaw_rate": _WORKLOAD + ", through VelocityModel.run",
     "features.dft_features": "acceptance criterion 8",
