@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import (MeasurementKind, MeasurementNoiseParams, ProcessNoiseParams,
-                  measurement_noise_variances)
+from .ekf import MeasurementNoiseParams, ProcessNoiseParams, measurement_noise_variances
 from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
@@ -97,6 +96,16 @@ def penalized_mahalanobis(r: DeviceResidual) -> float:
     return float(penalized_mahalanobis_batch(y[None], S[None])[0])
 
 
+def device_distances(z, x, P, r):
+    """penalized_mahalanobis of N device readings z (N, 2) of (gamma_dot, v)
+    against predicted states x (N, 5) with covariances P (N, 5, 5), the
+    readings' noise variances r (N, 2), or (2,) for every reading, on the
+    diagonal of R: y = z - H x and S = H P H^T + R with H selecting
+    gamma_dot and v.  Returns the (N,) distances."""
+    return penalized_mahalanobis_batch(z - x[:, 3:5],
+                                       P[:, 3:5, 3:5] + r[..., None] * np.eye(2))
+
+
 def nearest_allowed(cost, allowed, axis=-1):
     """Along `axis` of cost, the index of the smallest allowed cost (the
     lowest index on ties) and whether there is one.
@@ -118,11 +127,10 @@ def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
     """
     if not tracks:
         return None
-    r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n, p, sigma_v)
-    # y = z - H x and S = H P H^T + R with H selecting gamma_dot and v
-    y = np.array([gamma_dot, v]) - np.array([e.state.as_array()[3:5] for e in tracks])
-    S = np.array([e.covariance[3:5, 3:5] for e in tracks], dtype=float) + np.diag(r)
-    distance = penalized_mahalanobis_batch(y, S)
+    distance = device_distances(
+        np.array([gamma_dot, v]), np.array([e.state.as_array() for e in tracks]),
+        np.array([e.covariance for e in tracks], dtype=float),
+        measurement_noise_variances(n, p, sigma_v)[2:])
     idx, found = nearest_allowed(distance, distance <= gate)
     return int(idx) if found else None
 

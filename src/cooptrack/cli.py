@@ -2,10 +2,10 @@
 
 Subcommands: simulate | track | evaluate | compare | train-velocity.
 `compare` chains simulate -> track(P) -> track(C) -> evaluate over a scene
-batch and writes plot-ready CSV tables.  Exit codes: 0 success, 1 a
-metric undefined for a scene (the error names the scene and the model) or
-a forest fit process that died, 2 config error, 3 data error, 4 numerical
-failure.
+batch and writes plot-ready CSV tables; `compare --jobs` below 1 is a
+config error.  Exit codes: 0 success, 1 a metric undefined for a scene
+(the error names the scene and the model) or a forest fit process that
+died, 2 config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
@@ -127,6 +127,8 @@ def _compare_chunk(payload):
 
 
 def cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
     scenes_cfg = cfg.scenes

@@ -99,6 +99,11 @@ class MeasurementNoiseParams:
         if not (self.sigma_x > 0 and self.sigma_y > 0 and self.sigma_gamma_dot > 0):
             raise ValueError("measurement noise parameters must be strictly positive")
 
+    @property
+    def position_variances(self):
+        """[sigma_x^2, sigma_y^2], the noise of one position fix."""
+        return [self.sigma_x ** 2, self.sigma_y ** 2]
+
 
 class MeasurementKind(Enum):
     POSITION_AND_DEVICE = "position_and_device"
@@ -108,45 +113,33 @@ class MeasurementKind(Enum):
 
 @dataclass(frozen=True)
 class Measurement:
-    """One fused observation; fields are present iff the kind requires them."""
+    """One fused observation: a position fix, a device reading or both.
 
-    kind: MeasurementKind
+    Its kind follows from the fields that are set; the device fields
+    gamma_dot, v and sigma_v come all together or not at all.
+    """
+
     position: tuple | None = None    # (x, y) in m
     gamma_dot: float | None = None   # rad/s
     v: float | None = None           # m/s
     sigma_v: float | None = None     # m/s
-    timestamp: float = 0.0
 
     def __post_init__(self):
-        needs_pos = self.kind in (MeasurementKind.POSITION_AND_DEVICE,
-                                  MeasurementKind.POSITION_ONLY)
-        needs_dev = self.kind in (MeasurementKind.POSITION_AND_DEVICE,
-                                  MeasurementKind.DEVICE_ONLY)
-        if needs_pos != (self.position is not None):
-            raise ValueError(f"position must be set iff kind requires it ({self.kind})")
-        has_dev = (self.gamma_dot is not None and self.v is not None
-                   and self.sigma_v is not None)
-        no_dev = (self.gamma_dot is None and self.v is None and self.sigma_v is None)
-        if needs_dev and not has_dev:
-            raise ValueError(f"gamma_dot, v and sigma_v required for {self.kind}")
-        if not needs_dev and not no_dev:
-            raise ValueError(f"device fields must be absent for {self.kind}")
+        device = [f is not None for f in (self.gamma_dot, self.v, self.sigma_v)]
+        if any(device) and not all(device):
+            raise ValueError("gamma_dot, v and sigma_v must be set together")
+        if self.position is None and not all(device):
+            raise ValueError("a measurement needs a position, a device reading or both")
         if self.sigma_v is not None and not self.sigma_v > 0:
             raise ValueError("sigma_v must be strictly positive")
 
-    @classmethod
-    def position_only(cls, x, y, timestamp=0.0):
-        return cls(MeasurementKind.POSITION_ONLY, position=(x, y), timestamp=timestamp)
-
-    @classmethod
-    def device_only(cls, gamma_dot, v, sigma_v, timestamp=0.0):
-        return cls(MeasurementKind.DEVICE_ONLY, gamma_dot=gamma_dot, v=v,
-                   sigma_v=sigma_v, timestamp=timestamp)
-
-    @classmethod
-    def position_and_device(cls, x, y, gamma_dot, v, sigma_v, timestamp=0.0):
-        return cls(MeasurementKind.POSITION_AND_DEVICE, position=(x, y),
-                   gamma_dot=gamma_dot, v=v, sigma_v=sigma_v, timestamp=timestamp)
+    @property
+    def kind(self) -> MeasurementKind:
+        if self.position is None:
+            return MeasurementKind.DEVICE_ONLY
+        if self.sigma_v is None:
+            return MeasurementKind.POSITION_ONLY
+        return MeasurementKind.POSITION_AND_DEVICE
 
 
 def _require_finite(x):
@@ -328,31 +321,24 @@ MEASURED = _read_only(np.array([0, 1, 3, 4]))
 _H = _read_only(np.eye(STATE_DIM)[MEASURED])
 
 
+def measurement_noise_variances(n: MeasurementNoiseParams, p: ProcessNoiseParams,
+                                sigma_v):
+    """The diagonal of R over the slots (x, y, gamma_dot, v) of MEASURED:
+    shape (4,) for one sigma_v, (N, 4) for an array of N values.
 
-def measurement_noise_variances(kind: MeasurementKind, n: MeasurementNoiseParams,
-                                p: ProcessNoiseParams, sigma_v=None):
-    """The diagonal of R for the given measurement kind: shape (m,) for one
-    sigma_v (or none), (N, m) for an array of N values of sigma_v.
-
-    Device entries are divided by T before squaring when n.r_divide_by_T is
-    set (the per-step reading of the device noise); sigma_v comes from the
-    velocity estimator and every value must be strictly positive.
+    The device entries are divided by T before squaring when
+    n.r_divide_by_T is set (the per-step reading of the device noise);
+    sigma_v comes from the velocity estimator and every value must be
+    strictly positive.  The position entries do not depend on sigma_v.
     """
-    scale = 1.0 / p.T if n.r_divide_by_T else 1.0
-    position = []
-    if kind in (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.POSITION_ONLY):
-        position = [n.sigma_x ** 2, n.sigma_y ** 2]
-    if kind is MeasurementKind.POSITION_ONLY:
-        return np.array(position)
-    if sigma_v is None:
-        raise ValueError("sigma_v required for device measurements")
     sigma_v = np.asarray(sigma_v, dtype=float)
     if not (sigma_v > 0).all():
         raise ValueError("sigma_v must be strictly positive")
-    diag = np.empty(sigma_v.shape + (len(position) + 2,))
-    diag[..., :-2] = position
-    diag[..., -2] = (n.sigma_gamma_dot * scale) ** 2
-    diag[..., -1] = _pow2(sigma_v * scale)
+    scale = 1.0 / p.T if n.r_divide_by_T else 1.0
+    diag = np.empty(sigma_v.shape + (len(MEASURED),))
+    diag[..., :2] = n.position_variances
+    diag[..., 2] = (n.sigma_gamma_dot * scale) ** 2
+    diag[..., 3] = _pow2(sigma_v * scale)
     return diag
 
 
@@ -396,8 +382,8 @@ def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
     """Measurement update; gamma re-wrapped, covariance symmetrized."""
     observed = np.repeat([[m.position is not None, m.gamma_dot is not None]], 2, axis=1)
     z = np.array([[*(m.position or (0.0, 0.0)), m.gamma_dot or 0.0, m.v or 0.0]])
-    r = np.ones((1, 4))
-    r[observed] = measurement_noise_variances(m.kind, n, p, sigma_v=m.sigma_v)
+    # the update ignores the noise of absent slots
+    r = measurement_noise_variances(n, p, m.sigma_v or 1.0)[None]
     x, P = ekf_update_masked(e.state.as_array()[None],
                              np.asarray(e.covariance, dtype=float)[None],
                              z, r, observed)
@@ -410,4 +396,4 @@ def newborn_covariance(n: MeasurementNoiseParams) -> np.ndarray:
     gamma and v are unobservable from one fix, so their variances are wide:
     (pi/2)^2 for yaw, 1 for yaw rate, 2^2 for speed.
     """
-    return np.diag([n.sigma_x ** 2, n.sigma_y ** 2, (math.pi / 2) ** 2, 1.0, 4.0])
+    return np.diag([*n.position_variances, (math.pi / 2) ** 2, 1.0, 4.0])

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from . import ekf
 from . import fileio
 from . import metrics as metrics_mod
 from . import scene_sim
@@ -47,7 +48,8 @@ def _track_lanes(lanes, cfg: RunConfig, on_frame):
     After the step of frame i, on_frame(i, table, log) sees the table and
     the frame's StepLog; table.last_t then holds each stepped lane's time
     of frame i.  Lanes may differ in length; a lane's tracks leave the
-    table once on_frame has seen its last frame.
+    table once on_frame has seen its last frame.  Each cooperative lane's
+    device readings get their noise variances in one call before frame 0.
     """
     for _, model in lanes:
         if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
@@ -59,7 +61,7 @@ def _track_lanes(lanes, cfg: RunConfig, on_frame):
     n_frames = np.array([len(scene.ground_truth) for scene, _ in lanes], dtype=np.int64)
     shape = (int(n_frames.max(initial=0)), len(lanes))
     times = np.full(shape, np.nan)
-    devices = np.zeros(shape + (3,))
+    devices = np.zeros(shape + (4,))
     has_device = np.zeros(shape, dtype=bool)
     det_parts = []
     for k, (scene, model) in enumerate(lanes):
@@ -73,7 +75,9 @@ def _track_lanes(lanes, cfg: RunConfig, on_frame):
                                  f"{scene.scene_id}: device row")
             if len(np.unique(idx)) < len(idx):
                 raise DataError(f"{scene.scene_id}: two device rows in one frame")
-            devices[idx, k] = scene.device[:, 1:4]
+            devices[idx, k, :2] = scene.device[:, 1:3]
+            devices[idx, k, 2:] = ekf.measurement_noise_variances(
+                cfg.measurement, cfg.process, scene.device[:, 3])[:, 2:]
             has_device[idx, k] = True
     det_frame, det_lane, det_xy = _by_frame(det_parts)
     det_at = np.searchsorted(det_frame, np.arange(len(times) + 1))

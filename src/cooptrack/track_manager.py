@@ -29,12 +29,13 @@ import numpy as np
 
 from . import ekf
 # assign_device binds one reading; step_lanes binds the readings of all
-# lanes at once (_bind_devices) and never calls it.  It is imported here
-# because perfbench/tracing.py wraps it at this module, as it does
+# lanes at once (_bind_devices) and never calls it, though both take their
+# distances from device_distances.  It is imported here because
+# perfbench/tracing.py wraps it at this module, as it does
 # gated_cost_matrix and munkres_solve.
 from .association import (DEVICE_GATE, assign_device,  # noqa: F401
-                          gated_cost_matrix, munkres_solve, nearest_allowed,
-                          penalized_mahalanobis_batch)
+                          device_distances, gated_cost_matrix, munkres_solve,
+                          nearest_allowed)
 from .errors import DataError
 
 
@@ -109,8 +110,9 @@ class TrackTable:
         self.has_fix = np.zeros(0, dtype=bool)
         # per-table constants of the filter
         self._q = np.array([ekf.process_noise_variances(self.process)])
+        # the position slots of R, which do not depend on sigma_v
         self._r_position = ekf.measurement_noise_variances(
-            ekf.MeasurementKind.POSITION_ONLY, self.noise, self.process)[None]
+            self.noise, self.process, 1.0)[None, :2]
         self._newborn_P = ekf.newborn_covariance(self.noise)
         self._noise_floor = 3.0 * math.hypot(self.noise.sigma_x, self.noise.sigma_y)
 
@@ -195,34 +197,24 @@ def _assign_detections(table, det_lane, det_xy):
 
 
 def _bind_devices(table, devices, has_device):
-    """Where each lane's device reading binds: per reading, the valid track
-    of its lane nearest by penalized Mahalanobis distance, the lowest index
-    on ties, unless that distance is beyond the device gate; one batch over
-    every lane.
-
-    Returns the bound rows and the device noise variances of each, the
-    (gamma_dot, v) diagonal of R.
-    """
+    """The rows bound to a device reading: per lane's reading, the valid
+    track of its lane nearest by penalized Mahalanobis distance, the lowest
+    index on ties, unless that distance is beyond the device gate; one batch
+    over every lane."""
     rows = (table.valid & has_device[table.lane]).nonzero()[0]
     if not len(rows):
-        return rows, np.zeros((0, 2))
+        return rows
     lanes = table.lane[rows]
     reading = devices[lanes]
-    r = ekf.measurement_noise_variances(ekf.MeasurementKind.DEVICE_ONLY,
-                                        table.noise, table.process, reading[:, 2])
-    # y = z - H x and S = H P H^T + R with H selecting gamma_dot and v
-    distance = penalized_mahalanobis_batch(
-        reading[:, :2] - table.x[rows, 3:5],
-        table.P[rows, 3:5, 3:5] + r[:, :, None] * np.eye(2))
-    near = distance <= table.device_gate
+    distance = device_distances(reading[:, :2], table.x[rows], table.P[rows],
+                                reading[:, 2:])
     if not np.count_nonzero(np.bincount(lanes) > 1):
         # one candidate per lane: it binds if it is within the gate
-        return rows[near], r[near]
+        return rows[distance <= table.device_gate]
     by_lane = np.full((table.n_lanes, len(rows)), np.inf)
     by_lane[lanes, np.arange(len(rows))] = distance
     best, found = nearest_allowed(by_lane, by_lane <= table.device_gate)
-    best = best[found]
-    return rows[best], r[best]
+    return rows[best[found]]
 
 
 def _init_heading(table, rows, det_xy, t_now):
@@ -275,8 +267,10 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     step this frame; such a lane must hold no tracks and get no input.
     det_lane (D,) and det_xy (D, 2): the frame's detections with their
     lanes, in ascending lane order; a detection's index among its lane's
-    detections is its detection id.  devices (n_lanes, 3): each lane's
-    device reading (gamma_dot, v, sigma_v) where has_device (n_lanes,).
+    detections is its detection id.  devices (n_lanes, 4): each lane's
+    device reading (gamma_dot, v) and its noise variances, the (gamma_dot,
+    v) entries of ekf.measurement_noise_variances, where has_device
+    (n_lanes,).
     Returns the StepLog.  Lanes are independent: each gets the log entries
     and track states it would get stepped alone.
     """
@@ -297,8 +291,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     has_det = match >= 0
     det_id = np.arange(len(det_lane)) - det_lane.searchsorted(det_lane)
     bound = np.zeros(len(t_row), dtype=bool)
-    bound_rows, r_device = _bind_devices(table, devices, has_device)
-    bound[bound_rows] = True
+    bound[_bind_devices(table, devices, has_device)] = True
     row_det_id = match.copy()
     row_det_id[has_det] = det_id[match[has_det]]
     stepped = StepLog(table.lane, table.id, row_det_id, bound)
@@ -317,10 +310,10 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
         observed = np.array([has_det, has_det, bound, bound]).T
         # absent slots may hold anything: the update ignores them
         det = det_xy[match] if len(det_xy) else np.zeros((len(t_row), 2))
-        z = np.concatenate((det, devices[table.lane, :2]), axis=1)
-        r = np.ones((len(t_row), 4))
-        r[:, :2] = table._r_position
-        r[bound_rows, 2:] = r_device
+        device = devices[table.lane]
+        z = np.concatenate((det, device[:, :2]), axis=1)
+        r = np.concatenate((table._r_position.repeat(len(t_row), axis=0),
+                            device[:, 2:]), axis=1)
         if np.count_nonzero(update) == len(update):
             table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
         else:
@@ -370,8 +363,11 @@ class TrackManager:
         if not math.isfinite(t_now):
             raise DataError(f"timestamp {t_now} is not finite")
         dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-        reading = np.asarray([(0.0, 0.0, 0.0) if device is None else device],
-                             dtype=float)
+        reading = np.zeros((1, 4))
+        if device is not None:
+            gamma_dot, v, sigma_v = device
+            reading[0] = gamma_dot, v, *ekf.measurement_noise_variances(
+                self.table.noise, self.table.process, sigma_v)[2:]
         return step_lanes(self.table, np.array([t_now], dtype=float),
                           np.zeros(len(dets), dtype=np.int64), dets, reading,
                           np.array([device is not None]))

@@ -94,6 +94,9 @@ MEASURED_ROWS = {
     MeasurementKind.DEVICE_ONLY: (3, 4),
     MeasurementKind.POSITION_ONLY: (0, 1),
 }
+# the entry of measurement_noise_variances' (x, y, gamma_dot, v) diagonal
+# that holds the noise of a measured state row
+NOISE_ENTRY = {0: 0, 1: 1, 3: 2, 4: 3}
 
 
 def ekf_update_batch(x, P, z, r, kind):
@@ -102,13 +105,15 @@ def ekf_update_batch(x, P, z, r, kind):
     update that ekf_update_masked must reproduce bit for bit.
 
     z (N, m) holds the measured components of MEASURED_ROWS[kind] and r
-    (N, m) or (1, m) their noise variances.  K = P H^T S^-1 goes through
-    the Cholesky factor of S; P is updated in Joseph form.
+    (N, 4) or (1, 4) the noise variances of all four slots, as
+    measurement_noise_variances gives them; R takes the kind's entries.
+    K = P H^T S^-1 goes through the Cholesky factor of S; P is updated in
+    Joseph form.
     """
     rows = MEASURED_ROWS[kind]
     H = np.zeros((len(rows), 5))
     H[range(len(rows)), rows] = 1.0
-    R = r[:, :, None] * np.eye(len(rows))
+    R = r[:, [NOISE_ENTRY[row] for row in rows], None] * np.eye(len(rows))
     y = z - (H @ x[:, :, None])[:, :, 0]
     S = H @ P @ H.T + R
     try:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (CostMatrix, DeviceResidual, assign_device,
-                                   gated_cost_matrix, munkres_solve,
-                                   penalized_mahalanobis)
-from cooptrack.ekf import (BikeState, MeasurementKind, MeasurementNoiseParams,
-                           ProcessNoiseParams, StateEstimate,
-                           measurement_noise_variances)
+                                   device_distances, gated_cost_matrix,
+                                   munkres_solve, penalized_mahalanobis)
+from cooptrack.ekf import (BikeState, MeasurementNoiseParams, ProcessNoiseParams,
+                           StateEstimate, measurement_noise_variances)
 from cooptrack.errors import NumericalError
 
 from oracles import brute_force_assignment
@@ -141,6 +140,43 @@ class TestPenalizedMahalanobis:
         assert d ** 2 == pytest.approx(plain_sq, abs=1e-9)
 
 
+class TestDeviceDistances:
+    """Each row of device_distances is penalized_mahalanobis of that row's
+    residual and innovation covariance, bit for bit."""
+
+    @given(n=st.integers(1, 8), twins=st.lists(st.integers(0, 7), max_size=4),
+           near_singular=st.lists(st.booleans(), min_size=8, max_size=8),
+           ridge=st.sampled_from([0.0, 1e-12, 1e-6]),
+           sigma_v=st.floats(1e-4, 3.0), divide_by_T=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rows_equal_the_scalar_distance(self, n, twins, near_singular, ridge,
+                                            sigma_v, divide_by_T, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 5)) * [50.0, 50.0, 3.0, 2.0, 8.0]
+        A = rng.normal(size=(n, 5, 5)) * rng.uniform(0.01, 3.0, (n, 1, 1))
+        P = A @ A.mT
+        # near-singular (gamma_dot, v) blocks: rank one plus a tiny ridge
+        u = rng.normal(size=(n, 2, 1)) * rng.uniform(0.1, 30.0, (n, 1, 1))
+        singular = np.array(near_singular[:n])
+        P[singular, 3:5, 3:5] = (u @ u.mT + ridge * np.eye(2))[singular]
+        z = x[:, 3:5] + rng.normal(size=(n, 2)) * [0.5, 2.0]
+        r = measurement_noise_variances(
+            MeasurementNoiseParams(r_divide_by_T=divide_by_T), ProcessNoiseParams(),
+            sigma_v * rng.uniform(0.5, 2.0, n))[:, 2:]
+        # ties: exact copies of some rows
+        copies = [k for k in twins if k < n]
+        z, x, P, r = (np.concatenate([a, a[copies]]) for a in (z, x, P, r))
+        distance = device_distances(z, x, P, r)
+        for k, d in enumerate(distance.tolist()):
+            S = P[k, 3:5, 3:5] + np.diag(r[k])
+            assert d == penalized_mahalanobis(DeviceResidual(z[k] - x[k, 3:5], S))
+        assert np.array_equal(distance[n:], distance[copies])
+        # one noise row for every reading broadcasts as its copies would
+        assert np.array_equal(device_distances(z, x, P, r[0]),
+                              device_distances(z, x, P, np.tile(r[0], (len(r), 1))))
+
+
 def make_estimate(gamma_dot, v, var=0.1):
     state = BikeState(0.0, 0.0, 0.0, gamma_dot, v)
     return StateEstimate(state, np.eye(5) * var)
@@ -164,8 +200,7 @@ class TestAssignDevice:
         # identical residuals; the second track carries a larger covariance
         tracks = [make_estimate(0.1, 2.0, var=0.5),
                   make_estimate(0.1, 2.0, var=50.0)]
-        r = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, self.noise,
-                                        self.process, 0.3)
+        r = measurement_noise_variances(self.noise, self.process, 0.3)[2:]
         y = np.array([0.1, 2.0]) - np.array([e.state.as_array()[3:5] for e in tracks])
         S = np.array([e.covariance[3:5, 3:5] for e in tracks]) + np.diag(r)
         d_small, d_large = (penalized_mahalanobis(DeviceResidual(y[k], S[k]))

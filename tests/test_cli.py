@@ -456,6 +456,14 @@ class TestExitCodes:
         assert err.startswith("error: scene starting_0000_none, model P: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_2_before_any_work(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "x"
+        assert run(["--config", cfg, "compare", "--out", out, "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("config error: --jobs must be at least 1")
+        assert not out.exists()
+
     def test_numerical_error_is_4(self, monkeypatch, tmp_path, capsys):
         def boom(args):
             raise NumericalError("synthetic failure")

@@ -241,8 +241,8 @@ class TestEkfPredict:
         for i in range(200):
             e = ekf_predict(e, p)
             if i % 3 == 0:
-                m = Measurement.position_only(e.state.x + rng.normal(0, 0.1),
-                                              e.state.y + rng.normal(0, 0.1))
+                m = Measurement(position=(e.state.x + rng.normal(0, 0.1),
+                                          e.state.y + rng.normal(0, 0.1)))
                 e = ekf_update(e, m, n, p)
             P = e.covariance
             assert np.abs(P - P.T).max() < 1e-9
@@ -255,7 +255,7 @@ class TestEkfUpdate:
         P0 = np.diag([1.0, 1.0, 0.5, 0.5, 0.5])
         s = BikeState(1.0, 2.0, 0.3, 0.2, 4.0)
         e = ekf_update(StateEstimate(s, P0),
-                       Measurement.position_only(1.0, 2.0), n, p)
+                       Measurement(position=(1.0, 2.0)), n, p)
         assert e.state == s
         H = np.zeros((2, 5))
         H[0, 0] = H[1, 1] = 1.0
@@ -267,7 +267,7 @@ class TestEkfUpdate:
         n = MeasurementNoiseParams(sigma_x=1e9, sigma_y=1e9)
         s = BikeState(0.0, 0.0, 0.1, 0.2, 3.0)
         e = ekf_update(StateEstimate(s, np.eye(5)),
-                       Measurement.position_only(5.0, -4.0), n, p)
+                       Measurement(position=(5.0, -4.0)), n, p)
         np.testing.assert_allclose(e.state.as_array(), s.as_array(), atol=1e-6)
 
     def test_scalar_case_matches_hand_kalman_update(self):
@@ -277,7 +277,7 @@ class TestEkfUpdate:
         n = MeasurementNoiseParams(sigma_x=1.0, sigma_y=1.0)
         e0 = StateEstimate(BikeState(0.0, 0.0, 0.0, 0.0, 0.0),
                            np.diag([1.0, 0.0, 0.0, 0.0, 0.0]))
-        e = ekf_update(e0, Measurement.position_only(2.0, 0.0), n, p)
+        e = ekf_update(e0, Measurement(position=(2.0, 0.0)), n, p)
         assert e.state.x == pytest.approx(1.0, abs=1e-12)
         assert e.covariance[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -287,26 +287,35 @@ class TestEkfUpdate:
         P0 = np.diag([0.5, 0.5, 0.3, 0.8, 0.8])
         s = BikeState(3.0, -1.0, 0.2, 0.1, 2.0)
         e = ekf_update(StateEstimate(s, P0),
-                       Measurement.device_only(0.9, 4.0, sigma_v=0.3), n, p)
+                       Measurement(gamma_dot=0.9, v=4.0, sigma_v=0.3), n, p)
         assert e.state.x == s.x and e.state.y == s.y
         assert (e.state.gamma_dot, e.state.v) != (s.gamma_dot, s.v)
 
     def test_r_division_by_step(self):
         p = ProcessNoiseParams()
         n = MeasurementNoiseParams()
-        r = measurement_noise_variances(MeasurementKind.POSITION_AND_DEVICE, n, p,
-                                        sigma_v=0.4)
+        r = measurement_noise_variances(n, p, sigma_v=0.4)
         np.testing.assert_allclose(
             r, [0.15 ** 2, 0.15 ** 2, (0.3 / p.T) ** 2, (0.4 / p.T) ** 2])
         n_flat = MeasurementNoiseParams(r_divide_by_T=False)
-        r_flat = measurement_noise_variances(MeasurementKind.DEVICE_ONLY, n_flat, p,
-                                             sigma_v=0.4)
-        np.testing.assert_allclose(r_flat, [0.3 ** 2, 0.4 ** 2])
+        r_flat = measurement_noise_variances(n_flat, p, sigma_v=0.4)
+        np.testing.assert_allclose(r_flat, [0.15 ** 2, 0.15 ** 2, 0.3 ** 2, 0.4 ** 2])
+
+    def test_noise_rows_per_sigma_v(self):
+        p, n = ProcessNoiseParams(), MeasurementNoiseParams()
+        sigma_v = np.array([0.1, 0.4, 2.0])
+        r = measurement_noise_variances(n, p, sigma_v)
+        assert r.shape == (3, 4)
+        for k in range(3):
+            assert np.array_equal(r[k], measurement_noise_variances(n, p, sigma_v[k]))
+        for bad in (0.0, -0.2, [0.3, 0.0]):
+            with pytest.raises(ValueError):
+                measurement_noise_variances(n, p, bad)
 
     def test_gamma_renormalized(self):
         p, n = ProcessNoiseParams(), MeasurementNoiseParams()
         e0 = StateEstimate(BikeState(0.0, 0.0, 3.0, 0.0, 0.0), np.eye(5))
-        e = ekf_update(e0, Measurement.position_only(0.0, 0.0), n, p)
+        e = ekf_update(e0, Measurement(position=(0.0, 0.0)), n, p)
         assert -math.pi < e.state.gamma <= math.pi
 
 
@@ -333,11 +342,11 @@ class TestBatchKernels:
             assert (one.covariance == Pb[k]).all()
         z = rng.normal(size=(12, 4))
         sigma_v = rng.uniform(0.1, 1.0, size=12)
-        r = measurement_noise_variances(MeasurementKind.POSITION_AND_DEVICE, n, p,
-                                        sigma_v=sigma_v)
+        r = measurement_noise_variances(n, p, sigma_v=sigma_v)
         xu, Pu = ekf_update_masked(xb, Pb, z, r, np.ones((12, 4), dtype=bool))
         for k in range(12):
-            m = Measurement.position_and_device(*z[k], sigma_v=sigma_v[k])
+            m = Measurement(position=(z[k, 0], z[k, 1]), gamma_dot=z[k, 2], v=z[k, 3],
+                            sigma_v=sigma_v[k])
             one = ekf_update(StateEstimate(BikeState.from_array(xb[k]), Pb[k]),
                              m, n, p)
             assert (one.state.as_array() == xu[k]).all()
@@ -394,8 +403,8 @@ class TestMaskedUpdate:
         z = (x[:, ekf.MEASURED] + rng.normal(size=(n, 4))
              * [1.0, 1.0, 0.3, 2.0])
         r = measurement_noise_variances(
-            MeasurementKind.POSITION_AND_DEVICE, MeasurementNoiseParams(),
-            ProcessNoiseParams(), sigma_v=rng.uniform(0.05, 2.0, n))
+            MeasurementNoiseParams(), ProcessNoiseParams(),
+            sigma_v=rng.uniform(0.05, 2.0, n))
         observed = np.array([[row in MEASURED_ROWS[kind] for row in ekf.MEASURED]
                              for kind in kinds])
         x_new, P_new = ekf.ekf_update_masked(x, P, z, r, observed)
@@ -403,7 +412,7 @@ class TestMaskedUpdate:
             rows = np.array([k is kind for k in kinds])
             slots = observed[rows][0]
             x_ref, P_ref = ekf_update_batch(x[rows], P[rows], z[rows][:, slots],
-                                            r[rows][:, slots], kind)
+                                            r[rows], kind)
             assert np.array_equal(x_new[rows], x_ref)
             assert np.array_equal(P_new[rows], P_ref)
 
@@ -482,20 +491,32 @@ class TestPsdGuard:
 
 class TestMeasurementValidation:
     def test_fields_present_iff_kind_requires(self):
+        # a measurement fills the position slots, the device slots or both;
+        # a device reading is gamma_dot, v and sigma_v together
         with pytest.raises(ValueError):
-            Measurement(MeasurementKind.POSITION_ONLY)
-        with pytest.raises(ValueError):
-            Measurement(MeasurementKind.DEVICE_ONLY, position=(0, 0),
-                        gamma_dot=0.1, v=1.0, sigma_v=0.1)
-        with pytest.raises(ValueError):
-            Measurement(MeasurementKind.POSITION_AND_DEVICE, position=(0, 0))
-        with pytest.raises(ValueError):
-            Measurement.device_only(0.1, 1.0, sigma_v=0.0)
+            Measurement()
+        for partial in ({"gamma_dot": 0.1}, {"v": 1.0, "sigma_v": 0.1},
+                        {"gamma_dot": 0.1, "v": 1.0}):
+            with pytest.raises(ValueError):
+                Measurement(**partial)
+            with pytest.raises(ValueError):
+                Measurement(position=(0, 0), **partial)
+        for sigma_v in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                Measurement(gamma_dot=0.1, v=1.0, sigma_v=sigma_v)
+            with pytest.raises(ValueError):
+                Measurement(position=(0, 0), gamma_dot=0.1, v=1.0, sigma_v=sigma_v)
 
     def test_constructors(self):
-        m = Measurement.position_and_device(1, 2, 0.3, 4.0, 0.2, timestamp=1.5)
+        m = Measurement(position=(1, 2), gamma_dot=0.3, v=4.0, sigma_v=0.2)
         assert m.kind is MeasurementKind.POSITION_AND_DEVICE
-        assert m.timestamp == 1.5
+        assert (m.position, m.gamma_dot, m.v, m.sigma_v) == ((1, 2), 0.3, 4.0, 0.2)
+        assert Measurement(position=(1, 2)).kind is MeasurementKind.POSITION_ONLY
+        # a zero yaw rate or speed is a reading all the same
+        device = {"gamma_dot": 0.0, "v": 0.0, "sigma_v": 0.2}
+        assert Measurement(**device).kind is MeasurementKind.DEVICE_ONLY
+        assert Measurement(position=(0, 0), **device).kind \
+            is MeasurementKind.POSITION_AND_DEVICE
 
 
 class TestWrapAngle:

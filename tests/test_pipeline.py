@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cooptrack import scene_sim, track_manager
+from cooptrack import ekf, scene_sim, track_manager
 from cooptrack.association import munkres_solve
 from cooptrack.config import load_config
 from cooptrack.errors import DataError
@@ -42,6 +42,20 @@ class TestRunTracking:
         assert any(rec[3] == 1 for rec in assign)
         _, assign_p = run_tracking(turning_scene, "P", cfg)
         assert all(rec[3] == 0 for rec in assign_p)
+
+    def test_device_noise_computed_once_per_lane(self, cfg, turning_scene, monkeypatch):
+        sigma_v_args = []
+        noise = ekf.measurement_noise_variances
+
+        def counted(n, p, sigma_v):
+            sigma_v_args.append(np.asarray(sigma_v))
+            return noise(n, p, sigma_v)
+        monkeypatch.setattr(ekf, "measurement_noise_variances", counted)
+        _, assign = run_tracking(turning_scene, "C", cfg)
+        assert sum(rec[3] for rec in assign) > 100
+        # one call for the table's position slots, one for the lane's readings
+        assert len(sigma_v_args) == 2
+        assert np.array_equal(sigma_v_args[1], turning_scene.device[:, 3])
 
     def test_unknown_model_rejected(self, cfg, turning_scene):
         with pytest.raises(ValueError):

@@ -81,9 +81,7 @@ ALLOWED = {
     "ekf.BikeState.as_array": "acceptance criteria 1 and 2, through predict_state",
     "ekf.BikeState.from_array": "acceptance criteria 1 and 2, through predict_state",
     "ekf.Measurement.__post_init__": _TRACED_ARG,
-    "ekf.Measurement.position_only": _TRACED_ARG,
-    "ekf.Measurement.device_only": _TRACED_ARG,
-    "ekf.Measurement.position_and_device": _TRACED_ARG,
+    "ekf.Measurement.kind": _TRACED_ARG,
     "ekf._one": "acceptance criteria 1 and 2, through predict_state",
     "ekf.predict_state": "acceptance criteria 1 and 2",
     "ekf.jacobian_f": "acceptance criterion 1",

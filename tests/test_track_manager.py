@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
-                           ProcessNoiseParams, StateEstimate, ekf_predict)
+                           ProcessNoiseParams, StateEstimate, ekf_predict,
+                           measurement_noise_variances)
 from cooptrack.association import gated_cost_matrix, munkres_solve
 from cooptrack.errors import DataError
 from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackTable,
@@ -193,7 +194,7 @@ class TestBatchedAssignment:
             lanes = np.arange(n_lanes)
             # frame 0 spawns each lane's tracks at rest; frame 1 predicts
             # them in place and assigns the detections
-            no_device = (np.zeros((n_lanes, 3)), np.zeros(n_lanes, dtype=bool))
+            no_device = (np.zeros((n_lanes, 4)), np.zeros(n_lanes, dtype=bool))
             step_lanes(table, np.zeros(n_lanes),
                        np.repeat(lanes, [len(t) for t in tracks]),
                        np.concatenate(tracks), *no_device)
@@ -244,8 +245,12 @@ class TestEmptyAndDuplicateDetections:
                     for lane, count in enumerate(counts)]
             devices = np.column_stack([np.zeros(n_lanes), speed,
                                        np.full(n_lanes, 0.3)])
+            # step_lanes takes each reading with its noise variances
+            r = measurement_noise_variances(MeasurementNoiseParams(),
+                                            ProcessNoiseParams(), devices[:, 2])
             log = step_lanes(table, np.full(n_lanes, t), np.repeat(lanes, counts),
-                             np.concatenate(dets), devices, has_device)
+                             np.concatenate(dets),
+                             np.column_stack([devices[:, :2], r[:, 2:]]), has_device)
             assert np.isfinite(table.x).all() and np.isfinite(table.P).all()
             for lane, manager in enumerate(managers):
                 alone_log = manager.step(dets[lane], t, device=tuple(devices[lane])
