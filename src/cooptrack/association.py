@@ -60,16 +60,11 @@ def munkres_solve(c: CostMatrix):
     max_allowed = float(c.cost[allowed].max())
     sentinel = (abs(max_allowed) + 1.0) * (min(n_rows, n_cols) + 1)
     work = np.where(allowed, c.cost, sentinel)
-    if n_rows == 1 or n_cols == 1:
-        # one row or column: the optimum is its cheapest cell, and on ties
-        # the first one, as linear_sum_assignment picks it
-        pairs = [divmod(int(work.argmin()), n_cols)]
-    else:
-        # imported here: scipy.optimize takes longer to import than a whole
-        # small tracking run, and single-cyclist scenes never get this far
-        from scipy.optimize import linear_sum_assignment
-        pairs = zip(*linear_sum_assignment(work))
-    return sorted((int(r), int(col)) for r, col in pairs if allowed[r, col])
+    # imported here: scipy.optimize takes longer to import than a whole
+    # small tracking run, and single-track lanes never get this far
+    from scipy.optimize import linear_sum_assignment
+    return sorted((int(r), int(col)) for r, col in zip(*linear_sum_assignment(work))
+                  if allowed[r, col])
 
 
 def penalized_mahalanobis_batch(y, S):

@@ -151,8 +151,10 @@ def cmd_compare(args) -> int:
     size = COMPARE_CHUNK_SCENES * len(variants)
     jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             all_results = list(pool.map(_compare_chunk, jobs))
     else:
         all_results = [_compare_chunk(job) for job in jobs]

@@ -66,7 +66,8 @@ DEFAULTS = {
     },
     "velocity": {"n_trees": forest.N_TREES, "max_depth": forest.MAX_DEPTH,
                  "n_bins": forest.N_BINS,
-                 "training_scenes": 24, "holdout_fraction": 0.25},
+                 "training_scenes": velocity.TRAINING_SCENES,
+                 "holdout_fraction": velocity.HOLDOUT_FRACTION},
 }
 
 
@@ -112,6 +113,9 @@ class RunConfig:
         if not self.device_gate > 0:
             raise ConfigError("filter.device_gate must be positive")
         self.seed = int(raw["seed"])
+        if self.seed < 0:
+            # numpy's generators take no negative seed
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         self.output_dir = str(raw["output_dir"])
         self.models = list(raw["models"])
         for model in self.models:

@@ -2,6 +2,7 @@
 per-frame track output and the assignment log, and evaluate metrics;
 `compare` tracks and scores a batch of scenes without keeping their rows."""
 
+import itertools
 import os
 
 import numpy as np
@@ -30,15 +31,6 @@ def _by_frame(parts):
     values = np.concatenate([v for _, _, v in parts])
     order = np.lexsort((lane, frame))
     return frame[order], lane[order], values[order]
-
-
-def _split_by_lane(n_lanes, lane, *columns):
-    """Per lane, its entries of each column, in their order."""
-    order = np.argsort(lane, kind="stable")
-    bounds = np.searchsorted(lane[order], np.arange(n_lanes + 1))
-    columns = [column[order] for column in columns]
-    return [[column[bounds[k]:bounds[k + 1]] for column in columns]
-            for k in range(n_lanes)]
 
 
 def _track_lanes(lanes, cfg: RunConfig, on_frame):
@@ -91,37 +83,6 @@ def _track_lanes(lanes, cfg: RunConfig, on_frame):
             table.keep_rows(n_frames[table.lane] > i + 1)
 
 
-def run_tracking_batch(lanes, cfg: RunConfig):
-    """Run several (scene, model) lanes in lockstep, frame by frame.
-
-    Returns (track_rows, assignment_rows) per lane, in lane order, each the
-    same as run_tracking gives for that lane alone.  Lanes may differ in
-    length; a lane stops stepping after its last frame.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    tracks = [(empty, np.zeros(0), empty, np.zeros((0, 5)), empty.astype(bool))]
-    logs = [(empty, np.zeros(0), empty, empty, empty.astype(bool))]
-
-    def collect(i, table, log):
-        t = table.last_t
-        tracks.append((table.lane, t[table.lane], table.id, table.x.copy(),
-                       table.valid.copy()))
-        logs.append((log.lane, t[log.lane], log.track_id, log.detection_id,
-                     log.device_bound))
-    _track_lanes(lanes, cfg, collect)
-    outputs = []
-    for (t, ids, x, valid), (log_t, log_ids, det, bound) in zip(
-            _split_by_lane(len(lanes), *map(np.concatenate, zip(*tracks))),
-            _split_by_lane(len(lanes), *map(np.concatenate, zip(*logs)))):
-        track_rows = list(zip(t.tolist(), ids.tolist(), *x.T.tolist(),
-                              valid.astype(int).tolist()))
-        assign_rows = list(zip(log_t.tolist(), log_ids.tolist(),
-                               ["NONE" if d < 0 else d for d in det.tolist()],
-                               bound.astype(int).tolist()))
-        outputs.append((track_rows, assign_rows))
-    return outputs
-
-
 def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     """Run one model over a scene.
 
@@ -129,7 +90,17 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     live track and the assignment log.  Model P never looks at the device
     stream; model C binds it via the penalized Mahalanobis distance.
     """
-    return run_tracking_batch([(scene, model)], cfg)[0]
+    track_rows, assign_rows = [], []
+
+    def collect(i, table, log):
+        t = table.last_t.item()
+        track_rows.extend(zip(itertools.repeat(t), table.id.tolist(), *table.x.T.tolist(),
+                              table.valid.astype(int).tolist()))
+        assign_rows.extend(zip(itertools.repeat(t), log.track_id.tolist(),
+                               ["NONE" if d < 0 else d for d in log.detection_id.tolist()],
+                               log.device_bound.astype(int).tolist()))
+    _track_lanes([(scene, model)], cfg, collect)
+    return track_rows, assign_rows
 
 
 def _frame_indices(t, times, what):

@@ -9,13 +9,12 @@ A TrackTable holds every track of a group of "lanes" (e.g. one per scene and
 model of a compare chunk) as one set of arrays, one row per track.
 step_lanes advances all lanes of a table by one frame together; each stage
 is a mask operation over the rows: one batched EKF predict per round of
-sub-steps, detection assignment by a masked argmin (Munkres only for a lane
-with at least two tracks and two detections), one batched device-binding
-distance computation, heading init, one masked EKF update of every row
-with a detection, a bound device reading or both, then spawn, prune and
-promote.  TrackManager is the one-lane case: it owns a one-lane table and
-its step calls step_lanes.  No command runs it (track and compare step
-lanes through pipeline.run_tracking_batch); it stays because
+sub-steps, detection assignment by a masked argmin (Munkres for a lane with
+at least two tracks and a detection), one batched device-binding distance
+computation, heading init, one masked EKF update of the whole table, then
+spawn, prune and promote.  TrackManager is the one-lane case: it owns a
+one-lane table and its step calls step_lanes.  No command runs it (track
+and compare step lanes through pipeline._track_lanes); it stays because
 perfbench/tracing.py wraps TrackManager.step.  Call overhead is most of a
 step's cost, so per-frame masks are tested with np.count_nonzero, a third
 the cost of ndarray.any or .all.
@@ -161,11 +160,9 @@ def _predict(table, dt):
 def _assign_detections(table, det_lane, det_xy):
     """Per row, the index into det_xy of the detection assigned to it, or -1.
 
-    Per lane this is munkres_solve(gated_cost_matrix(...)) over the lane's
-    tracks and detections.  A lane with one track takes its nearest
-    allowed detection, a lane with one detection its nearest allowed
-    track, the lowest index on ties, as the solver does; only a lane with
-    at least two of each runs the solver.
+    A lane with one track takes its nearest allowed detection, the lowest
+    index on ties, as the solver does; a lane with two or more tracks goes
+    through munkres_solve(gated_cost_matrix(...)).
     """
     if not len(table.lane) or not len(det_lane):
         return np.full(len(table.lane), -1)
@@ -180,14 +177,9 @@ def _assign_detections(table, det_lane, det_xy):
     n_rows = np.bincount(table.lane, minlength=table.n_lanes)
     if not np.count_nonzero(n_rows > 1):
         return match
-    # lanes with several tracks: one detection goes to its nearest track,
-    # several go through the solver
-    n_dets = np.bincount(det_lane, minlength=table.n_lanes)
     match[(n_rows > 1)[table.lane]] = -1
-    row_of_det, found = nearest_allowed(cost, allowed, axis=0)
-    pick = found & ((n_dets == 1) & (n_rows > 1))[det_lane]
-    match[row_of_det[pick]] = np.flatnonzero(pick)
-    for lane in np.flatnonzero((n_rows > 1) & (n_dets > 1)).tolist():
+    n_dets = np.bincount(det_lane, minlength=table.n_lanes)
+    for lane in np.flatnonzero((n_rows > 1) & (n_dets > 0)).tolist():
         rows = np.flatnonzero(table.lane == lane)
         dets = np.flatnonzero(det_lane == lane)
         pairs = munkres_solve(gated_cost_matrix(table.x[rows, :2], det_xy[dets], gate))
@@ -302,11 +294,10 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     if len(waiting):
         _init_heading(table, waiting, det_xy[match[waiting]], t_row[waiting])
 
-    # one masked update of every row with a detection, a bound device
-    # reading or both: slots (x, y) from the detection, (gamma_dot, v) from
-    # the device
-    update = has_det | bound
-    if np.count_nonzero(update):
+    # one masked update of the whole table: slots (x, y) from the detection,
+    # (gamma_dot, v) from the device; a row with neither gets K = 0 and
+    # keeps its x and P
+    if np.count_nonzero(has_det) or np.count_nonzero(bound):
         observed = np.array([has_det, has_det, bound, bound]).T
         # absent slots may hold anything: the update ignores them
         det = det_xy[match] if len(det_xy) else np.zeros((len(t_row), 2))
@@ -314,12 +305,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
         z = np.concatenate((det, device[:, :2]), axis=1)
         r = np.concatenate((table._r_position.repeat(len(t_row), axis=0),
                             device[:, 2:]), axis=1)
-        if np.count_nonzero(update) == len(update):
-            table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
-        else:
-            table.x[update], table.P[update] = ekf.ekf_update_masked(
-                table.x[update], table.P[update], z[update], r[update],
-                observed[update])
+        table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
 
     log = stepped
     assigned = match[has_det]

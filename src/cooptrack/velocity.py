@@ -19,6 +19,8 @@ from .forest import RegressionForest, train_forest
 
 GNSS_STALENESS = 2.0     # s without a fix before switching to the outage model
 SIGMA_V_FLOOR = 0.05     # m/s, keeps R invertible when trees agree exactly
+TRAINING_SCENES = 24     # synthetic rides per training run
+HOLDOUT_FRACTION = 0.25  # share of the rides held out for the RMSE report
 
 
 @dataclass
@@ -119,7 +121,7 @@ def _training_specs(seed, n_scenes):
     return specs
 
 
-def build_training_set(seed, n_scenes=24):
+def build_training_set(seed, n_scenes=TRAINING_SCENES):
     """Feature matrix (motion + GNSS columns), targets and scene ids.
 
     Each ride contributes one row per post-warm-up frame; targets are the
@@ -202,7 +204,8 @@ def _fit_pair(X_tr, y_tr, seed, hyperparams):
     return f_with, f_without
 
 
-def train_velocity_model(seed, n_scenes=24, holdout_fraction=0.25,
+def train_velocity_model(seed, n_scenes=TRAINING_SCENES,
+                         holdout_fraction=HOLDOUT_FRACTION,
                          **hyperparams):
     """Train both forests on synthetic rides; returns (model, report).
 

@@ -304,6 +304,32 @@ class TestCompare:
         for name in ("per_scene.csv", "summary.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process: starts no worker."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        for n_starting, workers in [(1, []), (cli.COMPARE_CHUNK_SCENES + 1, [2])]:
+            cfg = write_config(tmp_path / "c.json", scenes={
+                "n_starting": n_starting, "n_turning": 0, "occlusion_durations": [],
+                "starting": {"duration": 1.0}})
+            assert run(["--config", cfg, "compare", "--out", tmp_path / "x",
+                        "--jobs", 64]) == 0
+            assert pools == workers
+
 
 class TestTrainVelocity:
     def test_writes_models_and_report(self, tmp_path):
@@ -424,6 +450,10 @@ class TestExitCodes:
         # no detection, so no track: no scene could be scored
         ("compare", {"scenes": {"noise": {"dropout_prob": 1.0}}},
          "scenes.noise.dropout_prob"),
+        # numpy's default_rng takes no negative seed
+        ("compare", {"seed": -3}, "seed"),
+        ("simulate", {"seed": -3}, "seed"),
+        ("train-velocity", {"seed": -3}, "seed"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
                                                    command, overrides, key):
@@ -432,6 +462,17 @@ class TestExitCodes:
         assert run(["--config", cfg, command, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "simulate", "train-velocity"])
+    def test_negative_seed_from_env_is_2_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        out = tmp_path / "x"
+        assert run(["--config", write_config(tmp_path / "c.json"), command,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed" in err
         assert not out.exists()
 
     def test_undefined_metric_is_1_naming_scene_and_model(self, tmp_path, capsys):
@@ -446,8 +487,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_compare_leaves_no_output_directory(self, tmp_path, capsys,
                                                        jobs):
+        # two chunks, so that --jobs 2 starts two workers
         cfg = write_config(tmp_path / "c.json", scenes={
-            "n_starting": 1, "n_turning": 0, "occlusion_durations": [],
+            "n_starting": cli.COMPARE_CHUNK_SCENES + 1, "n_turning": 0,
+            "occlusion_durations": [],
             "starting": {"duration": 0.04}})
         out = tmp_path / "x"
         assert run(["--config", cfg, "compare", "--out", out,

@@ -375,38 +375,49 @@ KINDS = (MeasurementKind.POSITION_AND_DEVICE, MeasurementKind.DEVICE_ONLY,
          MeasurementKind.POSITION_ONLY)
 
 
+MIXED_BATCHES = dict(
+    kinds=st.lists(st.sampled_from(KINDS), max_size=9),
+    gamma=st.lists(st.one_of(st.floats(-math.pi, math.pi),
+                             st.sampled_from([math.pi, -math.pi + 1e-12,
+                                              math.pi - 1e-12, 3.1])),
+                   min_size=12, max_size=12),
+    gamma_dot=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                 st.floats(-2e-6, 2e-6),
+                                 st.sampled_from([-EPS_YAW, EPS_YAW])),
+                       min_size=12, max_size=12),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def mixed_batch(kinds, gamma, gamma_dot, seed):
+    """(x, P, z, r, observed) of one row per kind, each row observing the
+    slots of its kind."""
+    n = len(kinds)
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(-50, 50, n), rng.uniform(-50, 50, n),
+                         gamma[:n], gamma_dot[:n], rng.uniform(0, 12, n)])
+    A = rng.normal(size=(n, 5, 5)) * rng.uniform(0.01, 3.0, (n, 1, 1))
+    P = A @ A.mT + 1e-4 * np.eye(5)
+    # residuals large enough to carry the heading across +-pi
+    z = (x[:, ekf.MEASURED] + rng.normal(size=(n, 4))
+         * [1.0, 1.0, 0.3, 2.0])
+    r = measurement_noise_variances(
+        MeasurementNoiseParams(), ProcessNoiseParams(),
+        sigma_v=rng.uniform(0.05, 2.0, n))
+    observed = np.array([[row in MEASURED_ROWS[kind] for row in ekf.MEASURED]
+                         for kind in kinds])
+    return x, P, z, r, observed
+
+
 class TestMaskedUpdate:
     """One masked update over rows of every kind equals the per-kind
     updates of tests/oracles.py, bit for bit."""
 
-    @given(kinds=st.lists(st.sampled_from(KINDS), max_size=9),
-           gamma=st.lists(st.one_of(st.floats(-math.pi, math.pi),
-                                    st.sampled_from([math.pi, -math.pi + 1e-12,
-                                                     math.pi - 1e-12, 3.1])),
-                          min_size=12, max_size=12),
-           gamma_dot=st.lists(st.one_of(st.floats(-3.0, 3.0),
-                                        st.floats(-2e-6, 2e-6),
-                                        st.sampled_from([-EPS_YAW, EPS_YAW])),
-                              min_size=12, max_size=12),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(**MIXED_BATCHES)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_mixed_batch_equals_per_kind_oracle(self, kinds, gamma, gamma_dot, seed):
         # every batch holds each kind at least once, device-only rows too
         kinds = list(KINDS) + kinds
-        n = len(kinds)
-        rng = np.random.default_rng(seed)
-        x = np.column_stack([rng.uniform(-50, 50, n), rng.uniform(-50, 50, n),
-                             gamma[:n], gamma_dot[:n], rng.uniform(0, 12, n)])
-        A = rng.normal(size=(n, 5, 5)) * rng.uniform(0.01, 3.0, (n, 1, 1))
-        P = A @ A.mT + 1e-4 * np.eye(5)
-        # residuals large enough to carry the heading across +-pi
-        z = (x[:, ekf.MEASURED] + rng.normal(size=(n, 4))
-             * [1.0, 1.0, 0.3, 2.0])
-        r = measurement_noise_variances(
-            MeasurementNoiseParams(), ProcessNoiseParams(),
-            sigma_v=rng.uniform(0.05, 2.0, n))
-        observed = np.array([[row in MEASURED_ROWS[kind] for row in ekf.MEASURED]
-                             for kind in kinds])
+        x, P, z, r, observed = mixed_batch(kinds, gamma, gamma_dot, seed)
         x_new, P_new = ekf.ekf_update_masked(x, P, z, r, observed)
         for kind in KINDS:
             rows = np.array([k is kind for k in kinds])
@@ -415,6 +426,27 @@ class TestMaskedUpdate:
                                             r[rows], kind)
             assert np.array_equal(x_new[rows], x_ref)
             assert np.array_equal(P_new[rows], P_ref)
+
+    @given(at=st.lists(st.integers(0, 12), min_size=1, max_size=4), **MIXED_BATCHES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rows_without_observed_slots_pass_through(self, at, kinds, gamma,
+                                                      gamma_dot, seed):
+        """Rows that observe nothing, inserted among the others (each a copy
+        of a neighbour, its z and r included), keep their x and P, and the
+        other rows come out as they would without them."""
+        x, P, z, r, observed = mixed_batch(list(KINDS) + kinds, gamma, gamma_dot, seed)
+        n = len(x)
+        at = np.minimum(at, n)
+        source = np.insert(np.arange(n), at, np.minimum(at, n - 1))
+        idle = np.insert(np.zeros(n, dtype=bool), at, True)
+        x_all, P_all = x[source], P[source]
+        x_new, P_new = ekf.ekf_update_masked(x_all, P_all, z[source], r[source],
+                                             observed[source] & ~idle[:, None])
+        assert np.array_equal(x_new[idle], x_all[idle])
+        assert np.array_equal(P_new[idle], P_all[idle])
+        x_ref, P_ref = ekf.ekf_update_masked(x, P, z, r, observed)
+        assert np.array_equal(x_new[~idle], x_ref)
+        assert np.array_equal(P_new[~idle], P_ref)
 
     def test_absent_slots_ignore_their_values(self):
         rng = np.random.default_rng(5)

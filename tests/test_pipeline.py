@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cooptrack import ekf, scene_sim, track_manager
+from cooptrack import ekf, pipeline, scene_sim, track_manager
 from cooptrack.association import munkres_solve
 from cooptrack.config import load_config
 from cooptrack.errors import DataError
 from cooptrack.metrics import motap
 from cooptrack.pipeline import (aggregate, evaluate_rows, read_track_output,
-                                run_tracking, run_tracking_batch,
-                                track_and_evaluate, write_track_output)
+                                run_tracking, track_and_evaluate,
+                                write_track_output)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,26 @@ def _with_detections(scene, scene_id, detections):
                            occlusion_mask=scene.occlusion_mask)
 
 
+def run_lockstep(lanes, cfg):
+    """(track_rows, assignment_rows) per lane, in run_tracking's format,
+    from one pipeline._track_lanes run over all lanes, the path compare
+    takes."""
+    outputs = [([], []) for _ in lanes]
+
+    def collect(i, table, log):
+        t = table.last_t.tolist()
+        for k, track_id, x, valid in zip(table.lane.tolist(), table.id.tolist(),
+                                         table.x.tolist(), table.valid.tolist()):
+            outputs[k][0].append((t[k], track_id, *x, int(valid)))
+        for k, track_id, det, bound in zip(log.lane.tolist(), log.track_id.tolist(),
+                                           log.detection_id.tolist(),
+                                           log.device_bound.tolist()):
+            outputs[k][1].append((t[k], track_id, "NONE" if det < 0 else det,
+                                  int(bound)))
+    pipeline._track_lanes(lanes, cfg, collect)
+    return outputs
+
+
 class TestLockstep:
     def test_batch_lanes_equal_lanes_run_alone(self, cfg, turning_scene):
         starting = scene_sim.generate_scene(scene_sim.SceneSpec(
@@ -126,7 +146,7 @@ class TestLockstep:
         assert (len(starting.ground_truth), len(turning_scene.ground_truth)) == (701, 601)
         lanes = [(scene, model) for scene in (starting, turning_scene)
                  for model in ("P", "C")]
-        batch = run_tracking_batch(lanes, cfg)
+        batch = run_lockstep(lanes, cfg)
         for (scene, model), (rows, assign) in zip(lanes, batch):
             alone_rows, alone_assign = run_tracking(scene, model, cfg)
             assert rows == alone_rows
@@ -154,7 +174,7 @@ class TestLockstep:
             solved.append(cm.cost.shape)
             return munkres_solve(cm)
         monkeypatch.setattr(track_manager, "munkres_solve", spy)
-        batch = run_tracking_batch(lanes, cfg)
+        batch = run_lockstep(lanes, cfg)
         assert solved and min(min(shape) for shape in solved) >= 2
         for (scene, model), (rows, assign) in zip(lanes, batch):
             alone_rows, alone_assign = run_tracking(scene, model, cfg)

@@ -69,7 +69,7 @@ CONFIG = {
 _TRACED = "perfbench/tracing.py wraps it"
 _TRACED_ARG = "perfbench/tracing.py wraps ekf_update, which takes a Measurement"
 _WORKLOAD = "the velocity_train workload loads the forests and runs the model"
-_MUNKRES = "a lane with two tracks and two detections (no single-cyclist scene)"
+_MUNKRES = "a lane with two tracks and a detection (no lane of the test run)"
 ALLOWED = {
     "association.CostMatrix.__post_init__": "acceptance criterion 3; " + _MUNKRES,
     "association.munkres_solve": "acceptance criterion 3; " + _TRACED + "; " + _MUNKRES,
