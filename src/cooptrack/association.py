@@ -51,14 +51,11 @@ def munkres_solve(c: CostMatrix):
     the number of allowed pairs, and sentinel pairs are dropped from the
     result.  Returns (row, col) pairs sorted by row.
     """
-    n_rows, n_cols = c.cost.shape
-    if n_rows == 0 or n_cols == 0:
-        return []
     allowed = ~c.forbidden
     if not allowed.any():
         return []
     max_allowed = float(c.cost[allowed].max())
-    sentinel = (abs(max_allowed) + 1.0) * (min(n_rows, n_cols) + 1)
+    sentinel = (abs(max_allowed) + 1.0) * (min(c.cost.shape) + 1)
     work = np.where(allowed, c.cost, sentinel)
     # imported here: scipy.optimize takes longer to import than a whole
     # small tracking run, and single-track lanes never get this far

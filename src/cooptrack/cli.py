@@ -5,7 +5,10 @@ Subcommands: simulate | track | evaluate | compare | train-velocity.
 batch and writes plot-ready CSV tables; `compare --jobs` below 1 is a
 config error.  Exit codes: 0 success, 1 a metric undefined for a scene
 (the error names the scene and the model) or a forest fit process that
-died, 2 config error, 3 data error, 4 numerical failure.
+died, 2 config error (an output that cannot be written included, such as
+an `--out` that names a regular file), 3 data error, 4 numerical failure.
+Output directories are created by the first write into them, which comes
+after the work.
 """
 
 import argparse
@@ -61,7 +64,6 @@ def cmd_simulate(args) -> int:
     if not args.no_occlusion:
         occl = scene_sim.aligned_occlusions(scenes_cfg["occlusion_durations"],
                                             scenes_cfg["occlusion_end_offset"])
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": cfg.config_hash(), "seed": cfg.seed, "scenes": []}
     for scene_id, _, spec in _scene_specs(cfg, [("", tuple(occl))]):
         scene = scene_sim.generate_scene(spec, scene_id=scene_id)
@@ -194,7 +196,6 @@ def cmd_compare(args) -> int:
                            for stat in ("min", "max", "mean")]
     if both:
         summary_header += ["sum_motap_PC", "sum_motap_CP"]
-    os.makedirs(out_dir, exist_ok=True)
     fileio.write_csv(os.path.join(out_dir, "per_scene.csv"), per_scene_header,
                      per_scene_rows, comment=cfg.provenance())
     fileio.write_csv(os.path.join(out_dir, "summary.csv"), summary_header,
@@ -212,7 +213,6 @@ def cmd_train_velocity(args) -> int:
         seed=cfg.seed, n_scenes=vcfg["training_scenes"], n_trees=vcfg["n_trees"],
         max_depth=vcfg["max_depth"], n_bins=vcfg["n_bins"],
         holdout_fraction=vcfg["holdout_fraction"])
-    os.makedirs(out_dir, exist_ok=True)
     fileio.write_text(os.path.join(out_dir, "forest_with_gnss.json"),
                       model.with_gnss.to_json() + "\n")
     fileio.write_text(os.path.join(out_dir, "forest_no_gnss.json"),

@@ -28,9 +28,6 @@ def _fields(obj, names=None):
     return {name: values[name] for name in (names or values)}
 
 
-_MANAGER_KEYS = ("gate_distance", "miss_ratio_max", "update_timeout",
-                 "min_valid_age")
-
 # Parameters are defined once, as the defaults of the dataclass or
 # constructor that uses them; only keys with no such home are literal here.
 DEFAULTS = {
@@ -43,10 +40,8 @@ DEFAULTS = {
         "device_gate": association.DEVICE_GATE,
     },
     "manager": {
-        "pixel": _fields(track_manager.ManagerConfig.pixel_defaults(),
-                         _MANAGER_KEYS),
-        "coop": _fields(track_manager.ManagerConfig.coop_defaults(),
-                        _MANAGER_KEYS),
+        "pixel": _fields(track_manager.ManagerConfig.pixel_defaults()),
+        "coop": _fields(track_manager.ManagerConfig.coop_defaults()),
     },
     "metric": _fields(metrics.MetricConfig()),
     "scenes": {
@@ -118,6 +113,8 @@ class RunConfig:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
         self.output_dir = str(raw["output_dir"])
         self.models = list(raw["models"])
+        if not self.models:
+            raise ConfigError("models: at least one model is needed")
         for model in self.models:
             if model not in ("P", "C"):
                 raise ConfigError(f"unknown model: {model}")
@@ -138,8 +135,8 @@ class RunConfig:
         return f"config={self.config_hash()} seed={self.seed}"
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Defaults, optionally overlaid with a JSON file and an override dict."""
+def load_config(path=None) -> RunConfig:
+    """Defaults, optionally overlaid with a JSON file."""
     raw = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -152,8 +149,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")
         raw = _merge(raw, data)
-    if overrides:
-        raw = _merge(raw, overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:

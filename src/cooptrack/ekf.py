@@ -170,11 +170,6 @@ def _wrap_angles(angles):
     return wrapped
 
 
-def _swap(a):
-    """Transpose the last two axes (a matrix transpose per stacked matrix)."""
-    return a.mT
-
-
 def _columns(*columns):
     """The (N,) arrays as the columns of an (N, k) array (a view)."""
     return np.array(columns).T
@@ -265,13 +260,13 @@ def noise_gain(s: BikeState, T: float) -> np.ndarray:
 
 
 def _symmetrize(P):
-    return 0.5 * (P + _swap(P))
+    return 0.5 * (P + P.mT)
 
 
 def _process_noise(G, q):
     """Q = Gamma diag(q) Gamma^T per row, symmetrized; q (N, 2) holds
     [sigma_w_gd^2, sigma_w_vd^2]."""
-    return _symmetrize((G * q[:, None, :]) @ _swap(G))
+    return _symmetrize((G * q[:, None, :]) @ G.mT)
 
 
 def process_noise_variances(p: ProcessNoiseParams):
@@ -290,7 +285,7 @@ def ekf_predict_batch(x, P, T, q):
     else NumericalError.
     """
     x_new, F, G = _transition(x, T)
-    P_new = _symmetrize(F @ P @ _swap(F) + _process_noise(G, q))
+    P_new = _symmetrize(F @ P @ F.mT + _process_noise(G, q))
     _require_psd(P_new)
     return x_new, P_new
 
@@ -357,23 +352,23 @@ def ekf_update_masked(x, P, z, r, observed):
     H = observed[:, :, None] * _H
     y = np.where(observed, z - x.take(MEASURED, axis=1), 0.0)
     r = np.where(observed, r, 1.0)
-    PHt = P @ _swap(H)
+    PHt = P @ H.mT
     S = H @ PHt + r[:, :, None] * _IDENTITY[4]
     try:
         S_chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance is not invertible") from exc
     # K^T = S^-1 H P via the Cholesky factor
-    Kt = np.linalg.solve(_swap(S_chol), np.linalg.solve(S_chol, _swap(PHt)))
-    K = _swap(Kt)
+    Kt = np.linalg.solve(S_chol.mT, np.linalg.solve(S_chol, PHt.mT))
+    K = Kt.mT
     # K y with each row's observed slots first: BLAS's matrix-vector kernel
     # rounds differently when zero terms lead, but not when they trail
     first = (~observed).argsort(axis=1, kind="stable")
     picked = np.arange(len(x))[:, None], first
-    x_new = x + (_swap(Kt[picked]) @ y[picked][:, :, None])[:, :, 0]
+    x_new = x + (Kt[picked].mT @ y[picked][:, :, None])[:, :, 0]
     x_new[:, 2] = _wrap_angles(x_new[:, 2])
     IKH = _IDENTITY[STATE_DIM] - K @ H
-    P_new = _symmetrize(IKH @ P @ _swap(IKH) + (K * r[:, None, :]) @ Kt)
+    P_new = _symmetrize(IKH @ P @ IKH.mT + (K * r[:, None, :]) @ Kt)
     return x_new, P_new
 
 

@@ -9,16 +9,22 @@ import json
 import math
 import os
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @contextlib.contextmanager
 def _replacing(path):
-    """Text handle on a temporary file that replaces path once closed."""
+    """Text handle on a temporary file that replaces path once closed; the
+    directory of path is created if missing.  ConfigError if path cannot
+    be written."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_text(path, text):

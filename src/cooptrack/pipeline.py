@@ -121,7 +121,6 @@ def _frame_indices(t, times, what):
 
 def write_track_output(directory, model, track_rows, assign_rows, cfg: RunConfig,
                        scene_id):
-    os.makedirs(directory, exist_ok=True)
     comment = f"{cfg.provenance()} scene={scene_id} model={model}"
     track_path = os.path.join(directory, f"tracks_{model}.csv")
     fileio.write_csv(track_path, TRACK_HEADER, track_rows, comment)

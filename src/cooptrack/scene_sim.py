@@ -328,7 +328,6 @@ _CSV_COLUMNS = {
 
 
 def write_scene(scene: Scene, directory):
-    os.makedirs(directory, exist_ok=True)
     arrays = {
         "ground_truth.csv": scene.ground_truth,
         "detections.csv": scene.detections,

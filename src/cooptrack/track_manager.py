@@ -8,16 +8,18 @@ position-update timeout trips; the thresholds come from a ManagerConfig
 A TrackTable holds every track of a group of "lanes" (e.g. one per scene and
 model of a compare chunk) as one set of arrays, one row per track.
 step_lanes advances all lanes of a table by one frame together; each stage
-is a mask operation over the rows: one batched EKF predict per round of
-sub-steps, detection assignment by a masked argmin (Munkres for a lane with
-at least two tracks and a detection), one batched device-binding distance
-computation, heading init, one masked EKF update of the whole table, then
-spawn, prune and promote.  TrackManager is the one-lane case: it owns a
-one-lane table and its step calls step_lanes.  No command runs it (track
-and compare step lanes through pipeline._track_lanes); it stays because
-perfbench/tracing.py wraps TrackManager.step.  Call overhead is most of a
-step's cost, so per-frame masks are tested with np.count_nonzero, a third
-the cost of ndarray.any or .all.
+is a mask operation over the rows: one batched EKF predict of the whole
+table per round of sub-steps (a row whose lane has no step left in a round
+is kept by mask), detection assignment by a masked argmin (Munkres for a
+lane with at least two tracks and a detection), one batched
+device-binding distance computation, heading init, one masked EKF update
+of the whole table, then spawn, prune and promote.  TrackManager is the
+one-lane case: it owns a one-lane table and its step calls step_lanes.  No
+command runs it (track and compare step lanes through
+pipeline._track_lanes); it stays because perfbench/tracing.py wraps
+TrackManager.step.  Call overhead is most of a step's cost, so per-frame
+masks are tested with np.count_nonzero, a third the cost of ndarray.any or
+.all.
 """
 
 import math
@@ -139,19 +141,18 @@ class StepLog(NamedTuple):
 
 def _predict(table, dt):
     """Advance every row by its dt: whole filter steps T, then the
-    remainder, each round of sub-steps one batched EKF predict over the
-    rows that still have a step to take."""
+    remainder, each round of sub-steps one batched EKF predict of the whole
+    table.  A row with nothing left to step is stepped by T and then kept
+    as it was by mask, so its x and P stay exact."""
     T = table.process.T
     remaining = dt
     while True:
         whole = remaining > T + 1e-9
         live = remaining > 1e-9
-        step = np.where(whole, T, remaining)
-        if np.count_nonzero(live) == len(live):
-            table.x, table.P = ekf.ekf_predict_batch(table.x, table.P, step, table._q)
-        elif np.count_nonzero(live):
-            table.x[live], table.P[live] = ekf.ekf_predict_batch(
-                table.x[live], table.P[live], step[live], table._q)
+        x, P = ekf.ekf_predict_batch(table.x, table.P,
+                                     np.where(live & ~whole, remaining, T), table._q)
+        table.x = np.where(live[:, None], x, table.x)
+        table.P = np.where(live[:, None, None], P, table.P)
         if not np.count_nonzero(whole):
             return
         remaining = remaining - T

@@ -45,10 +45,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config()
 
-    def test_config_hash_stable(self):
+    def test_config_hash_stable(self, tmp_path):
         assert load_config().config_hash() == load_config().config_hash()
-        assert load_config(overrides={"seed": 1}).config_hash() != \
-            load_config().config_hash()
+        path = tmp_path / "seed1.json"
+        path.write_text(json.dumps({"seed": 1}))
+        assert load_config(str(path)).config_hash() != load_config().config_hash()
 
 
 class TestSimulate:
@@ -438,6 +439,8 @@ class TestExitCodes:
         ("compare", {"filter": {"device_gate": -1.0}}, "filter.device_gate"),
         # repeats would repeat per_scene.csv rows and summary columns
         ("compare", {"models": ["P", "C", "P"]}, "models"),
+        # no model: tables with no result column and no row
+        ("compare", {"models": []}, "models"),
         ("compare", {"scenes": {"occlusion_durations": [2.0, 1.0, 2]}},
          "scenes.occlusion_durations"),
         # distinct durations that print as the same condition label
@@ -474,6 +477,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "seed" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "track", "evaluate",
+                                         "compare", "train-velocity"])
+    def test_unwritable_output_is_2(self, scene_batch, tmp_path, capsys, command):
+        # a regular file where the output directory should be: chmod would
+        # not stop a root user from writing
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        cfg = write_config(tmp_path / "c.json",
+                           scenes={"n_starting": 1, "n_turning": 0,
+                                   "occlusion_durations": []},
+                           velocity={"n_trees": 2, "training_scenes": 4})
+        scene_dir = os.path.join(scene_batch[1], "turning_0000")
+        tracks = tmp_path / "tracks"
+        assert run(["--config", cfg, "track", scene_dir, "--model", "P",
+                    "--out", tracks]) == 0
+        argv = {"simulate": ["simulate", "--out", blocker],
+                "track": ["track", scene_dir, "--model", "P", "--out", blocker],
+                "evaluate": ["evaluate", scene_dir, "--tracks",
+                             tracks / "tracks_P.csv", "--out", blocker / "r.json"],
+                "compare": ["compare", "--out", blocker],
+                "train-velocity": ["train-velocity", "--out", blocker]}[command]
+        assert run(["--config", cfg, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {blocker}{os.sep}")
+        assert blocker.read_text() == "kept\n"
 
     def test_undefined_metric_is_1_naming_scene_and_model(self, tmp_path, capsys):
         # three frames: no track reaches the four frames it needs to be valid

@@ -186,6 +186,46 @@ class TestLockstep:
         assert len(ids) >= 2 and brief_rows[-1][0] < turning_scene.ground_truth[-1, 0]
         assert empty == [] and batch[2][1] == []
 
+    def test_lanes_with_different_frame_spacing_equal_lanes_run_alone(self):
+        """Lanes stepping every 0.02 s, 0.04 s and 0.03 s in one table: the
+        0.03 s lane takes a whole filter step and a remainder, so in the
+        second predict round of a frame only some rows have a step left."""
+        spacing = np.array([0.02, 0.04, 0.03])
+        n = len(spacing)
+        assert ekf.ProcessNoiseParams().T == 0.02
+        rng = np.random.default_rng(31)
+        start = rng.uniform(-5.0, 5.0, size=(n, 2))
+        velocity = np.array([[4.0, 1.0], [-3.0, 2.0], [1.0, -5.0]])
+        r = ekf.measurement_noise_variances(ekf.MeasurementNoiseParams(),
+                                            ekf.ProcessNoiseParams(), np.full(n, 0.3))
+        devices = np.column_stack([np.zeros(n), np.hypot(*velocity.T), r[:, 2:]])
+        manager = track_manager.ManagerConfig.coop_defaults()
+        table = track_manager.TrackTable(n, manager)
+        alone = [track_manager.TrackTable(1, manager) for _ in range(n)]
+        lanes = np.arange(n)
+        for i in range(80):
+            times = i * spacing
+            xy = start + velocity * times[:, None] + rng.normal(0.0, 0.1, (n, 2))
+            has_det = rng.random(n) < 0.8
+            has_device = rng.random(n) < 0.7
+            log = track_manager.step_lanes(table, times, lanes[has_det], xy[has_det],
+                                           devices, has_device)
+            for k in range(n):
+                one = slice(k, k + 1)
+                alone_log = track_manager.step_lanes(
+                    alone[k], times[one], np.zeros(int(has_det[k]), dtype=np.int64),
+                    xy[one][has_det[one]], devices[one], has_device[one])
+                in_lane = log.lane == k
+                for got, want in zip(log[1:], alone_log[1:]):
+                    assert np.array_equal(got[in_lane], want)
+                rows = table.lane == k
+                assert np.array_equal(table.id[rows], alone[k].id)
+                assert np.array_equal(table.x[rows], alone[k].x)
+                assert np.array_equal(table.P[rows], alone[k].P)
+        # every lane ends with a valid, device-bound track of its cyclist
+        assert np.array_equal(np.unique(table.lane[table.valid]), lanes)
+        assert np.count_nonzero(log.device_bound) == np.count_nonzero(has_device)
+
 
 class TestPersistence:
     def test_track_output_roundtrip(self, cfg, turning_scene, tmp_path):
