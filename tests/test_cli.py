@@ -439,8 +439,6 @@ class TestExitCodes:
         ("compare", {"filter": {"device_gate": -1.0}}, "filter.device_gate"),
         # repeats would repeat per_scene.csv rows and summary columns
         ("compare", {"models": ["P", "C", "P"]}, "models"),
-        # no model: tables with no result column and no row
-        ("compare", {"models": []}, "models"),
         ("compare", {"scenes": {"occlusion_durations": [2.0, 1.0, 2]}},
          "scenes.occlusion_durations"),
         # distinct durations that print as the same condition label
@@ -457,6 +455,8 @@ class TestExitCodes:
         ("compare", {"seed": -3}, "seed"),
         ("simulate", {"seed": -3}, "seed"),
         ("train-velocity", {"seed": -3}, "seed"),
+        # no model: tables with no result column and no row
+        ("compare", {"models": []}, "models"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
                                                    command, overrides, key):
