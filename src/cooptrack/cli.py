@@ -4,9 +4,10 @@ Subcommands: simulate | track | evaluate | compare | train-velocity.
 `compare` chains simulate -> track(P) -> track(C) -> evaluate over a scene
 batch and writes plot-ready CSV tables; `compare --jobs` below 1 is a
 config error.  Exit codes: 0 success, 1 a metric undefined for a scene
-(the error names the scene and the model) or a forest fit process that
-died, 2 config error (an output that cannot be written included, such as
-an `--out` that names a regular file), 3 data error, 4 numerical failure.
+(the error names the scene and the model), or a forest fit process or
+`compare --jobs` worker that died, 2 config error (an output that cannot
+be written included, such as an `--out` that names a regular file), 3 data
+error, 4 numerical failure.
 Output directories are created by the first write into them, which comes
 after the work.
 """
@@ -157,7 +158,10 @@ def cmd_compare(args) -> int:
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(_compare_chunk, jobs))
+            try:
+                all_results = list(pool.map(_compare_chunk, jobs))
+            except concurrent.futures.process.BrokenProcessPool as exc:
+                raise CoopTrackError(f"a compare worker died: {exc}") from None
     else:
         all_results = [_compare_chunk(job) for job in jobs]
 

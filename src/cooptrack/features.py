@@ -27,8 +27,6 @@ def moving_average(values, window_s):
     values = np.asarray(values, dtype=float)
     half = int(window_s * SAMPLE_RATE / 2.0)
     n = len(values)
-    if n == 0:
-        return values.copy()
     finite = np.isfinite(values)
     csum = np.zeros((n + 1,) + values.shape[1:])
     np.cumsum(np.where(finite, values, 0.0), axis=0, out=csum[1:])
@@ -47,8 +45,6 @@ def moving_average(values, window_s):
 def yaw_rate(imu):
     """(t, gamma_dot) stream from an IMU array (t, acc xyz, gyr xyz)."""
     imu = np.asarray(imu, dtype=float)
-    if imu.size == 0:
-        return np.empty((0, 2))
     t = imu[:, 0]
     gyr_z = imu[:, 6]
     return np.column_stack([t, moving_average(gyr_z, YAW_LOWPASS_WINDOW)])

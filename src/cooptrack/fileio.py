@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 def _replacing(path):
     """Text handle on a temporary file that replaces path once closed; the
     directory of path is created if missing.  ConfigError if path cannot
-    be written."""
+    be written, and the temporary file is removed."""
     tmp = path + ".tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -24,6 +24,8 @@ def _replacing(path):
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 

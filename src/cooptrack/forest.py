@@ -134,6 +134,9 @@ class RegressionForest:
                  seed=0):
         if n_trees < 1 or max_depth < 1 or n_bins < 2:
             raise ValueError("need n_trees >= 1, max_depth >= 1 and n_bins >= 2")
+        if n_bins > 32768:
+            # _bin stores the bin indices 0..n_bins-1 as int16
+            raise ValueError(f"n_bins must be at most 32768, got {n_bins}")
         self.n_trees = int(n_trees)
         self.max_depth = int(max_depth)
         self.n_bins = int(n_bins)

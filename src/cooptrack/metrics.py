@@ -3,7 +3,9 @@
 Per ground-truth frame the evaluated track is the nearest valid track in the
 x-y plane.  A frame with no valid track is a detection miss (dm); a frame
 whose nearest track is farther than tau is a localization miss (lm) and
-contributes tau to the precision numerator.
+contributes tau to the precision numerator.  Every frame holds exactly one
+ground-truth object (g_t = 1 in CLEAR MOT's MOTA), so MOTA divides by the
+number of frames.
 """
 
 from dataclasses import dataclass
@@ -48,10 +50,8 @@ class FrameRecord:
 @dataclass(frozen=True, eq=False)
 class FrameTable:
     """The FrameRecords of a scene as columns, one entry per frame (delta
-    NaN where no valid track exists)."""
+    NaN where no valid track exists): the columns the metrics read."""
 
-    t: np.ndarray
-    g: np.ndarray
     delta: np.ndarray
     dm: np.ndarray
     lm: np.ndarray
@@ -59,16 +59,14 @@ class FrameTable:
     d: np.ndarray
 
     @classmethod
-    def from_distances(cls, t, delta, has_track, tau):
+    def from_distances(cls, delta, has_track, tau):
         """Frames with ground truth present, each with the distance delta to
         its nearest valid track where has_track; FrameRecord.from_distance
         per frame."""
         has_track = np.asarray(has_track, dtype=bool)
         delta = np.where(has_track, delta, np.nan)
         matched = has_track & (delta <= tau)
-        return cls(t=np.asarray(t, dtype=float),
-                   g=np.ones(len(has_track), dtype=np.int64), delta=delta,
-                   dm=(~has_track).astype(np.int64),
+        return cls(delta=delta, dm=(~has_track).astype(np.int64),
                    lm=(has_track & ~matched).astype(np.int64),
                    c=matched.astype(np.int64), d=np.where(matched, delta, 0.0))
 
@@ -77,8 +75,7 @@ class FrameTable:
         """The table of a sequence of FrameRecords."""
         def column(name, dtype):
             return np.array([getattr(f, name) for f in frames], dtype=dtype)
-        return cls(t=column("t", float), g=column("g", np.int64),
-                   delta=np.array([np.nan if f.delta is None else f.delta
+        return cls(delta=np.array([np.nan if f.delta is None else f.delta
                                    for f in frames], dtype=float),
                    dm=column("dm", np.int64), lm=column("lm", np.int64),
                    c=column("c", np.int64), d=column("d", float))
@@ -106,10 +103,9 @@ def motp(frames, cfg: MetricConfig) -> float:
 def mota(frames) -> float:
     """1 minus the weighted miss rate; localization misses count double."""
     f = _table(frames)
-    g_total = int(f.g.sum())
-    if g_total == 0:
+    if len(f.dm) == 0:
         raise UndefinedMetricError("MOTA undefined: no ground truth frames")
-    return 1.0 - int((f.dm + 2 * f.lm).sum()) / g_total
+    return 1.0 - int((f.dm + 2 * f.lm).sum()) / len(f.dm)
 
 
 def motap(a, b, cfg: MetricConfig) -> int:
@@ -138,20 +134,19 @@ def nearest_track_distances(gt_xy, slot, track_xy):
     return delta, has_track
 
 
-def frames_from_tracks(gt_times, gt_xy, track_frames, track_xy,
+def frames_from_tracks(gt_xy, track_frames, track_xy,
                        cfg: MetricConfig) -> FrameTable:
     """The FrameTable of a scene.
 
-    gt_times/gt_xy: ground truth timestamps and (N, 2) positions;
-    track_frames (K,) and track_xy (K, 2): the frame index and position of
-    every valid track row.  A frame's delta is the distance to its nearest
-    valid track.
+    gt_xy: the (N, 2) ground truth position of each frame; track_frames
+    (K,) and track_xy (K, 2): the frame index and position of every valid
+    track row.  A frame's delta is the distance to its nearest valid track.
     """
     delta, has_track = nearest_track_distances(
         np.asarray(gt_xy, dtype=float).reshape(-1, 2),
         np.asarray(track_frames, dtype=np.intp),
         np.asarray(track_xy, dtype=float).reshape(-1, 2))
-    return FrameTable.from_distances(gt_times, delta, has_track, cfg.tau)
+    return FrameTable.from_distances(delta, has_track, cfg.tau)
 
 
 def frame_counts(frames):
@@ -179,13 +174,10 @@ def metric_report(scene_id, model_id, frames, cfg: MetricConfig) -> dict:
 
 
 def pairwise_report(report_a, report_b, cfg: MetricConfig) -> dict:
-    """Adds both MOTAP directions for a pair of per-scene reports."""
+    """Both MOTAP directions for a pair of per-scene reports."""
     a = (report_a["mota"], report_a["motp"])
     b = (report_b["mota"], report_b["motp"])
     return {
-        "scene_id": report_a["scene_id"],
-        "model_a": report_a["model_id"],
-        "model_b": report_b["model_id"],
         "motap_ab": motap(a, b, cfg),
         "motap_ba": motap(b, a, cfg),
     }

@@ -1,6 +1,7 @@
 """Scene-level pipeline: run a tracking model over a scene, persist the
 per-frame track output and the assignment log, and evaluate metrics;
-`compare` tracks and scores a batch of scenes without keeping their rows."""
+`compare` tracks and scores a batch of scenes without keeping their rows.
+Both iterate the frames of one lockstep run, _track_lanes."""
 
 import itertools
 import os
@@ -33,14 +34,14 @@ def _by_frame(parts):
     return frame[order], lane[order], values[order]
 
 
-def _track_lanes(lanes, cfg: RunConfig, on_frame):
+def _track_lanes(lanes, cfg: RunConfig):
     """Step several (scene, model) lanes in lockstep, frame by frame, on one
-    TrackTable.
+    TrackTable; a generator.
 
-    After the step of frame i, on_frame(i, table, log) sees the table and
-    the frame's StepLog; table.last_t then holds each stepped lane's time
-    of frame i.  Lanes may differ in length; a lane's tracks leave the
-    table once on_frame has seen its last frame.  Each cooperative lane's
+    After the step of frame i it yields (i, table, log): the table and the
+    frame's StepLog; table.last_t then holds each stepped lane's time of
+    frame i.  Lanes may differ in length; a lane's tracks leave the table
+    when the loop resumes after its last frame.  Each cooperative lane's
     device readings get their noise variances in one call before frame 0.
     """
     for _, model in lanes:
@@ -78,7 +79,7 @@ def _track_lanes(lanes, cfg: RunConfig, on_frame):
     for i, t in enumerate(times):
         log = step_lanes(table, t, det_lane[det_at[i]:det_at[i + 1]],
                          det_xy[det_at[i]:det_at[i + 1]], devices[i], has_device[i])
-        on_frame(i, table, log)
+        yield i, table, log
         if i + 1 in last_frames:
             table.keep_rows(n_frames[table.lane] > i + 1)
 
@@ -91,15 +92,13 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     stream; model C binds it via the penalized Mahalanobis distance.
     """
     track_rows, assign_rows = [], []
-
-    def collect(i, table, log):
+    for _, table, log in _track_lanes([(scene, model)], cfg):
         t = table.last_t.item()
         track_rows.extend(zip(itertools.repeat(t), table.id.tolist(), *table.x.T.tolist(),
                               table.valid.astype(int).tolist()))
         assign_rows.extend(zip(itertools.repeat(t), log.track_id.tolist(),
                                ["NONE" if d < 0 else d for d in log.detection_id.tolist()],
                                log.device_bound.astype(int).tolist()))
-    _track_lanes([(scene, model)], cfg, collect)
     return track_rows, assign_rows
 
 
@@ -143,7 +142,7 @@ def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str
     rows = np.asarray(track_rows, dtype=float).reshape(-1, len(TRACK_HEADER))
     valid = rows[rows[:, 7] != 0]
     frames = metrics_mod.frames_from_tracks(
-        times, scene.ground_truth[:, 1:3],
+        scene.ground_truth[:, 1:3],
         _frame_indices(valid[:, 0], times, f"{scene.scene_id}: track row"),
         valid[:, 2:4], cfg.metric)
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)
@@ -166,15 +165,13 @@ def track_and_evaluate(scenes, cfg: RunConfig):
         gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:3]
     delta = np.full(shape, np.inf)
     has_track = np.zeros(shape, dtype=bool)
-
-    def score(i, table, log):
+    for i, table, _ in _track_lanes(lanes, cfg):
         valid = table.valid
         delta[i], has_track[i] = metrics_mod.nearest_track_distances(
             gt_xy[i], table.lane[valid], table.x[valid, :2])
-    _track_lanes(lanes, cfg, score)
     reports = (metrics_mod.metric_report(
         scene.scene_id, model, metrics_mod.FrameTable.from_distances(
-            scene.ground_truth[:, 0], delta[:n, k], has_track[:n, k], cfg.metric.tau),
+            delta[:n, k], has_track[:n, k], cfg.metric.tau),
         cfg.metric) for k, ((scene, model), n) in enumerate(zip(lanes, n_frames)))
     return [{model: next(reports) for model in cfg.models} for _ in scenes]
 
@@ -184,7 +181,6 @@ def aggregate(reports):
     motps = np.array([r["motp"] for r in reports])
     motas = np.array([r["mota"] for r in reports])
     return {
-        "n_scenes": len(reports),
         "motp": {"min": float(motps.min()), "max": float(motps.max()),
                  "mean": float(motps.mean())},
         "mota": {"min": float(motas.min()), "max": float(motas.max()),

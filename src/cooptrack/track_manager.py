@@ -111,9 +111,8 @@ class TrackTable:
         self.has_fix = np.zeros(0, dtype=bool)
         # per-table constants of the filter
         self._q = np.array([ekf.process_noise_variances(self.process)])
-        # the position slots of R, which do not depend on sigma_v
-        self._r_position = ekf.measurement_noise_variances(
-            self.noise, self.process, 1.0)[None, :2]
+        # the position slots of R
+        self._r_position = np.array([self.noise.position_variances])
         self._newborn_P = ekf.newborn_covariance(self.noise)
         self._noise_floor = 3.0 * math.hypot(self.noise.sigma_x, self.noise.sigma_y)
 

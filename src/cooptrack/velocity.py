@@ -142,7 +142,10 @@ def build_training_set(seed, n_scenes=TRAINING_SCENES):
 
 
 def holdout_count(n_scenes, holdout_fraction):
-    """Whole scenes held out of training: at least one, never all."""
+    """Whole scenes held out of training: at least one, never all.  A
+    negative fraction is a ValueError."""
+    if holdout_fraction < 0:
+        raise ValueError(f"holdout_fraction must not be negative, got {holdout_fraction}")
     n_hold = max(1, int(round(n_scenes * holdout_fraction)))
     if n_hold >= n_scenes:
         raise ValueError(f"holdout_fraction {holdout_fraction} leaves no training scene")

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -24,6 +25,11 @@ def write_config(path, **overrides):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def _dying_compare_chunk(payload):
+    """A compare worker that dies without returning its chunk."""
+    os._exit(3)
 
 
 class TestConfig:
@@ -457,6 +463,11 @@ class TestExitCodes:
         ("train-velocity", {"seed": -3}, "seed"),
         # no model: tables with no result column and no row
         ("compare", {"models": []}, "models"),
+        # bin indices are int16
+        ("train-velocity", {"velocity": {"n_bins": 40000, "n_trees": 1,
+                                         "training_scenes": 6}}, "n_bins"),
+        ("train-velocity", {"velocity": {"holdout_fraction": -0.5, "n_trees": 1,
+                                         "training_scenes": 6}}, "holdout_fraction"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,
                                                    command, overrides, key):
@@ -504,6 +515,21 @@ class TestExitCodes:
         assert err.startswith(f"config error: cannot write {blocker}{os.sep}")
         assert blocker.read_text() == "kept\n"
 
+    def test_failed_write_leaves_no_temporary_file(self, scene_batch, tmp_path,
+                                                   capsys):
+        # the report is written, but cannot replace a directory
+        cfg, scenes = scene_batch
+        scene_dir = os.path.join(scenes, "turning_0000")
+        tracks = tmp_path / "tracks"
+        assert run(["--config", cfg, "track", scene_dir, "--model", "P",
+                    "--out", tracks]) == 0
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert run(["--config", cfg, "evaluate", scene_dir, "--tracks",
+                    tracks / "tracks_P.csv", "--out", adir]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {adir}")
+        assert sorted(os.listdir(tmp_path)) == ["adir", "tracks"]
+
     def test_undefined_metric_is_1_naming_scene_and_model(self, tmp_path, capsys):
         # three frames: no track reaches the four frames it needs to be valid
         cfg = write_config(tmp_path / "c.json", scenes={
@@ -527,6 +553,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: scene starting_0000_none, model P: ")
         assert not out.exists()
+
+    def test_dead_compare_worker_is_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_compare_chunk", _dying_compare_chunk)
+        # two chunks, so that --jobs 2 starts two workers
+        cfg = write_config(tmp_path / "c.json", scenes={
+            "n_starting": cli.COMPARE_CHUNK_SCENES + 1, "n_turning": 0,
+            "occlusion_durations": []})
+        out = tmp_path / "x"
+        assert run(["--config", cfg, "compare", "--out", out, "--jobs", 2]) == 1
+        assert capsys.readouterr().err.startswith("error: a compare worker died")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_2_before_any_work(self, tmp_path, capsys, jobs):

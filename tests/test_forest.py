@@ -42,6 +42,12 @@ class TestTraining:
         assert a == b
         assert a != c
 
+    def test_n_bins_above_int16_bin_indices_rejected(self):
+        # _bin stores bin indices 0..n_bins-1 as int16
+        assert RegressionForest(n_bins=32768).n_bins == 32768
+        with pytest.raises(ValueError, match="n_bins"):
+            RegressionForest(n_bins=32769)
+
     def test_insufficient_data_rejected(self):
         X, y = toy_data(n=50)
         with pytest.raises(ValueError):

@@ -119,19 +119,18 @@ class TestMotap:
 
 class TestFramesFromTracks:
     def test_nearest_valid_track_is_evaluated(self):
-        times = [0.0, 0.02]
         gt = [(0.0, 0.0), (1.0, 0.0)]
-        frames = frames_from_tracks(times, gt, [0, 0, 1],
+        frames = frames_from_tracks(gt, [0, 0, 1],
                                     [(0.3, 0.0), (5.0, 5.0), (1.2, 0.0)], CFG)
         assert frames.delta[0] == pytest.approx(0.3)
         assert frames.delta[1] == pytest.approx(0.2)
 
     def test_missing_frames_are_detection_misses(self):
-        frames = frames_from_tracks([0.0, 0.02], [(0, 0), (0, 0)], [], [], CFG)
+        frames = frames_from_tracks([(0, 0), (0, 0)], [], [], CFG)
         assert all(frames.dm == 1)
 
     def test_distances_use_xy_plane_only(self):
-        frames = frames_from_tracks([0.0], [(3.0, 4.0)], [0], [(0.0, 0.0)], CFG)
+        frames = frames_from_tracks([(3.0, 4.0)], [0], [(0.0, 0.0)], CFG)
         assert frames.delta[0] == pytest.approx(5.0)
 
 
@@ -161,7 +160,7 @@ class TestBulkScoring:
             for i, p in zip(frame_idx, xy):
                 by_frame.setdefault(int(i), []).append(p)
             records = frame_records_from_tracks(times, gt, by_frame, CFG.tau)
-            bulk = frames_from_tracks(times, gt, frame_idx, xy, CFG)
+            bulk = frames_from_tracks(gt, frame_idx, xy, CFG)
             expected = [np.nan if f.delta is None else f.delta for f in records]
             np.testing.assert_array_equal(bulk.delta, expected)
             assert frame_counts(bulk) == frame_counts_of_records(records)
@@ -170,7 +169,7 @@ class TestBulkScoring:
                 assert motp(bulk, CFG) == motp_of_records(records, CFG.tau)
 
     def test_distance_equal_to_tau_is_a_match(self):
-        frames = frames_from_tracks([0.0, 0.02], [(0.0, 0.0), (1.0, 1.0)], [0, 1],
+        frames = frames_from_tracks([(0.0, 0.0), (1.0, 1.0)], [0, 1],
                                     [(CFG.tau, 0.0), (1.0, 1.0 + 2 * CFG.tau)], CFG)
         assert frame_counts(frames) == {"matches": 1, "dm": 0, "lm": 1}
         assert motp(frames, CFG) == CFG.tau

@@ -53,9 +53,9 @@ class TestRunTracking:
         monkeypatch.setattr(ekf, "measurement_noise_variances", counted)
         _, assign = run_tracking(turning_scene, "C", cfg)
         assert sum(rec[3] for rec in assign) > 100
-        # one call for the table's position slots, one for the lane's readings
-        assert len(sigma_v_args) == 2
-        assert np.array_equal(sigma_v_args[1], turning_scene.device[:, 3])
+        # one call, for the lane's readings
+        assert len(sigma_v_args) == 1
+        assert np.array_equal(sigma_v_args[0], turning_scene.device[:, 3])
 
     def test_unknown_model_rejected(self, cfg, turning_scene):
         with pytest.raises(ValueError):
@@ -123,8 +123,7 @@ def run_lockstep(lanes, cfg):
     from one pipeline._track_lanes run over all lanes, the path compare
     takes."""
     outputs = [([], []) for _ in lanes]
-
-    def collect(i, table, log):
+    for _, table, log in pipeline._track_lanes(lanes, cfg):
         t = table.last_t.tolist()
         for k, track_id, x, valid in zip(table.lane.tolist(), table.id.tolist(),
                                          table.x.tolist(), table.valid.tolist()):
@@ -134,7 +133,6 @@ def run_lockstep(lanes, cfg):
                                            log.device_bound.tolist()):
             outputs[k][1].append((t[k], track_id, "NONE" if det < 0 else det,
                                   int(bound)))
-    pipeline._track_lanes(lanes, cfg, collect)
     return outputs
 
 
@@ -306,4 +304,3 @@ class TestEvaluation:
         agg = aggregate(reports)
         assert agg["motp"] == {"min": 0.1, "max": 0.3, "mean": pytest.approx(0.2)}
         assert agg["mota"]["mean"] == pytest.approx(0.8)
-        assert agg["n_scenes"] == 2
