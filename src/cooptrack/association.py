@@ -65,16 +65,22 @@ def munkres_solve(c: CostMatrix):
 
 
 def penalized_mahalanobis_batch(y, S):
-    """penalized_mahalanobis of N residuals y (N, m) with innovation
-    covariances S (N, m, m); returns the (N,) distances."""
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is not positive-definite") from exc
-    sol = np.linalg.solve(chol, y[:, :, None])[:, :, 0]
-    quad = (sol[:, None, :] @ sol[:, :, None])[:, 0, 0]
-    log_det = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    return np.sqrt(np.maximum(0.0, quad + log_det))
+    """penalized_mahalanobis of N residuals y (N, 2) with innovation
+    covariances S (N, 2, 2), through the Cholesky factor L of each S written
+    out: u = L^-1 y, y^T S^-1 y = u.u and ln det S = ln S00 + ln l11^2."""
+    s00, s10, s11 = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+    # each pivot is tested before its root is taken or divided by, so a bad S
+    # raises without a RuntimeWarning; NaN fails the test
+    if np.count_nonzero(s00 > 0) < len(s00):
+        raise NumericalError("innovation covariance is not positive-definite")
+    l00 = np.sqrt(s00)
+    l10 = s10 / l00
+    l11_sq = s11 - l10 * l10
+    if np.count_nonzero(l11_sq > 0) < len(l11_sq):
+        raise NumericalError("innovation covariance is not positive-definite")
+    u0 = y[:, 0] / l00
+    u1 = (y[:, 1] - l10 * u0) / np.sqrt(l11_sq)
+    return np.sqrt(np.maximum(0.0, u0 * u0 + u1 * u1 + np.log(s00) + np.log(l11_sq)))
 
 
 def penalized_mahalanobis(r: DeviceResidual) -> float:

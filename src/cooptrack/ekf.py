@@ -76,8 +76,9 @@ class ProcessNoiseParams:
     T: float = 0.020                 # filter step, s
 
     def __post_init__(self):
-        if not (self.sigma_w_gamma_dot > 0 and self.sigma_w_v_dot > 0 and self.T > 0):
-            raise ValueError("process noise parameters must be strictly positive")
+        for name in ("sigma_w_gamma_dot", "sigma_w_v_dot", "T"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,9 @@ class MeasurementNoiseParams:
     r_divide_by_T: bool = True
 
     def __post_init__(self):
-        if not (self.sigma_x > 0 and self.sigma_y > 0 and self.sigma_gamma_dot > 0):
-            raise ValueError("measurement noise parameters must be strictly positive")
+        for name in ("sigma_x", "sigma_y", "sigma_gamma_dot"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     @property
     def position_variances(self):

@@ -68,15 +68,15 @@ class SceneSpec:
         if self.kind == KIND_TURNING and not (self.turn_radius > 0 and self.v_peak > 0):
             raise ValueError("a turning scene needs positive turn_radius and v_peak")
         for name in ("sigma_detection", "sigma_device_gamma_dot", "sigma_gnss_v",
-                     "sigma_gnss_pos", "device_bias_gamma_dot", "device_bias_v"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+                     "sigma_gnss_pos", "device_bias_gamma_dot", "device_bias_v",
+                     "device_delay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         # sigma_device_v is the device stream's sigma_v, which the filter
         # needs strictly positive; tau divides the OU decay exponent
-        if not self.sigma_device_v > 0:
-            raise ValueError("sigma_device_v must be positive")
-        if not self.device_bias_tau > 0:
-            raise ValueError("device_bias_tau must be positive")
+        for name in ("sigma_device_v", "device_bias_tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0 <= self.dropout_prob <= 1:
             raise ValueError("dropout_prob must be in [0, 1]")
         self.occlusions = tuple((float(o), float(d)) for o, d in self.occlusions)

@@ -29,12 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ekf
-# assign_device binds one reading; step_lanes binds the readings of all
-# lanes at once (_bind_devices) and never calls it, though both take their
-# distances from device_distances.  It is imported here because
-# perfbench/tracing.py wraps it at this module, as it does
-# gated_cost_matrix and munkres_solve.
-from .association import (DEVICE_GATE, assign_device,  # noqa: F401
+# assign_device, which step_lanes never calls, is imported because
+# perfbench/tracing.py wraps it at this module
+from .association import (DEVICE_GATE, CostMatrix, assign_device,  # noqa: F401
                           device_distances, gated_cost_matrix, munkres_solve,
                           nearest_allowed)
 from .errors import DataError
@@ -160,19 +157,15 @@ def _predict(table, dt):
 def _assign_detections(table, det_lane, det_xy):
     """Per row, the index into det_xy of the detection assigned to it, or -1.
 
-    A lane with one track takes its nearest allowed detection, the lowest
-    index on ties, as the solver does; a lane with two or more tracks goes
-    through munkres_solve(gated_cost_matrix(...)).
+    A lane with one track takes its nearest allowed detection in the frame's
+    one gated_cost_matrix, the lowest index on ties, as the solver does; a
+    lane with two or more tracks goes through munkres_solve on its block.
     """
     if not len(table.lane) or not len(det_lane):
         return np.full(len(table.lane), -1)
-    gate = table.config.gate_distance
-    diff = table.x[:, None, :2] - det_xy[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
-    allowed = (table.lane[:, None] == det_lane[None, :]) & ~(cost > gate)
-    if not np.isfinite(cost[allowed]).all():
-        raise ValueError("allowed costs must be finite")
-    det_of_row, found = nearest_allowed(cost, allowed, axis=1)
+    costs = gated_cost_matrix(table.x[:, :2], det_xy, table.config.gate_distance)
+    allowed = (table.lane[:, None] == det_lane[None, :]) & ~costs.forbidden
+    det_of_row, found = nearest_allowed(costs.cost, allowed, axis=1)
     match = np.where(found, det_of_row, -1)
     n_rows = np.bincount(table.lane, minlength=table.n_lanes)
     if not np.count_nonzero(n_rows > 1):
@@ -182,8 +175,8 @@ def _assign_detections(table, det_lane, det_xy):
     for lane in np.flatnonzero((n_rows > 1) & (n_dets > 0)).tolist():
         rows = np.flatnonzero(table.lane == lane)
         dets = np.flatnonzero(det_lane == lane)
-        pairs = munkres_solve(gated_cost_matrix(table.x[rows, :2], det_xy[dets], gate))
-        for r, c in pairs:
+        block = np.ix_(rows, dets)
+        for r, c in munkres_solve(CostMatrix(costs.cost[block], costs.forbidden[block])):
             match[rows[r]] = dets[c]
     return match
 
@@ -200,9 +193,6 @@ def _bind_devices(table, devices, has_device):
     reading = devices[lanes]
     distance = device_distances(reading[:, :2], table.x[rows], table.P[rows],
                                 reading[:, 2:])
-    if not np.count_nonzero(np.bincount(lanes) > 1):
-        # one candidate per lane: it binds if it is within the gate
-        return rows[distance <= table.device_gate]
     by_lane = np.full((table.n_lanes, len(rows)), np.inf)
     by_lane[lanes, np.arange(len(rows))] = distance
     best, found = nearest_allowed(by_lane, by_lane <= table.device_gate)

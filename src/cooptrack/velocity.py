@@ -7,6 +7,7 @@ newer than the staleness limit exists (with its polynomial features held
 between fixes); otherwise the outage forest takes over.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -143,9 +144,9 @@ def build_training_set(seed, n_scenes=TRAINING_SCENES):
 
 def holdout_count(n_scenes, holdout_fraction):
     """Whole scenes held out of training: at least one, never all.  A
-    negative fraction is a ValueError."""
-    if holdout_fraction < 0:
-        raise ValueError(f"holdout_fraction must not be negative, got {holdout_fraction}")
+    negative or non-finite fraction is a ValueError."""
+    if not 0 <= holdout_fraction < math.inf:
+        raise ValueError(f"holdout_fraction must be finite, >= 0: {holdout_fraction}")
     n_hold = max(1, int(round(n_scenes * holdout_fraction)))
     if n_hold >= n_scenes:
         raise ValueError(f"holdout_fraction {holdout_fraction} leaves no training scene")

@@ -129,6 +129,26 @@ def ekf_update_batch(x, P, z, r, kind):
     return x_new, 0.5 * (P_new + P_new.mT)
 
 
+def penalized_mahalanobis_cholesky(y, S):
+    """sqrt(max(0, y^T S^-1 y + ln det S)) of N residuals y (N, m) with
+    innovation covariances S (N, m, m) through numpy's batched Cholesky
+    factor L and the solve L u = y: the general m x m computation that
+    association.penalized_mahalanobis_batch writes out for m = 2.
+
+    NumericalError when numpy's factorisation fails; numpy's cholesky
+    returns a NaN factor for a NaN block instead of failing, and the
+    distance is then NaN.
+    """
+    try:
+        chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is not positive-definite") from exc
+    sol = np.linalg.solve(chol, y[:, :, None])[:, :, 0]
+    quad = (sol[:, None, :] @ sol[:, :, None])[:, 0, 0]
+    log_det = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    return np.sqrt(np.maximum(0.0, quad + log_det))
+
+
 def brute_force_assignment(cost):
     """Minimum-cost full assignment by enumerating permutations.
 

@@ -8,12 +8,13 @@ from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (CostMatrix, DeviceResidual, assign_device,
                                    device_distances, gated_cost_matrix,
-                                   munkres_solve, penalized_mahalanobis)
+                                   munkres_solve, penalized_mahalanobis,
+                                   penalized_mahalanobis_batch)
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams, ProcessNoiseParams,
                            StateEstimate, measurement_noise_variances)
 from cooptrack.errors import NumericalError
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, penalized_mahalanobis_cholesky
 
 
 def total_cost(cost, pairs):
@@ -175,6 +176,82 @@ class TestDeviceDistances:
         # one noise row for every reading broadcasts as its copies would
         assert np.array_equal(device_distances(z, x, P, r[0]),
                               device_distances(z, x, P, np.tile(r[0], (len(r), 1))))
+
+
+def rotated_blocks(lam0, lam1, theta):
+    """2x2 blocks R(theta) diag(lam0, lam1) R(theta)^T, exactly symmetric."""
+    c, s = np.cos(theta), np.sin(theta)
+    s00 = lam0 * c * c + lam1 * s * s
+    s11 = lam0 * s * s + lam1 * c * c
+    s01 = (lam0 - lam1) * c * s
+    return np.stack([np.stack([s00, s01], -1), np.stack([s01, s11], -1)], -2)
+
+
+# blocks reach condition number COND_MAX; l11^2 = S11 - l10^2 then loses up
+# to about log2(COND_MAX) bits to cancellation in either factorisation
+COND_MAX = 1e8
+RTOL = 64 * np.finfo(float).eps * COND_MAX
+
+
+class TestWrittenOutCholesky:
+    """penalized_mahalanobis_batch, the 2x2 Cholesky factor written out,
+    against numpy's batched Cholesky factor and solve."""
+
+    @given(blocks=st.lists(st.tuples(st.floats(-3, 3), st.floats(0, math.log10(COND_MAX)),
+                                     st.floats(0, 2 * math.pi), st.floats(-1, 1),
+                                     st.floats(-1, 1)), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_cholesky_solve_reference(self, blocks):
+        scale_exp, cond_exp, theta, w0, w1 = np.array(blocks).T
+        lam0 = 10.0 ** scale_exp
+        S = rotated_blocks(lam0, lam0 * 10.0 ** -cond_exp, theta)
+        # residuals from well inside the gate to far outside it
+        y = np.column_stack([w0, w1]) * 10.0 * np.sqrt(lam0)[:, None]
+        got = penalized_mahalanobis_batch(y, S)
+        ref = penalized_mahalanobis_cholesky(y, S)
+        # the squared distance is y^T S^-1 y + ln det S clamped at 0; both
+        # terms are bounded by ref^2 + 2 |ln det S|
+        bound = RTOL * (1.0 + ref ** 2 + 2.0 * np.abs(np.linalg.slogdet(S)[1]))
+        assert (np.abs(got ** 2 - ref ** 2) <= bound).all()
+
+    @given(good=st.integers(0, 4), bad=st.sampled_from(["indefinite", "negative_s00",
+                                                         "zero"]),
+           scale_exp=st.floats(-3, 3), cond_exp=st.floats(0, 6),
+           theta=st.floats(0, 2 * math.pi))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_same_non_positive_definite_blocks_rejected(self, good, bad, scale_exp,
+                                                        cond_exp, theta):
+        lam0 = 10.0 ** scale_exp
+        S = rotated_blocks(np.full(good + 1, lam0), np.full(good + 1, lam0 / 2),
+                           np.full(good + 1, theta))
+        if bad == "indefinite":
+            S[good] = rotated_blocks(lam0, -lam0 * 10.0 ** -cond_exp, theta)
+        elif bad == "negative_s00":
+            S[good, 0, 0] = -lam0
+        else:
+            S[good] = 0.0
+        y = np.ones((good + 1, 2))
+        with pytest.raises(NumericalError):
+            penalized_mahalanobis_batch(y, S)
+        with pytest.raises(NumericalError):
+            penalized_mahalanobis_cholesky(y, S)
+        # the good blocks alone pass both
+        if good:
+            penalized_mahalanobis_batch(y[:good], S[:good])
+            penalized_mahalanobis_cholesky(y[:good], S[:good])
+
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(1, 0), (0, 1)], [(1, 1)]])
+    def test_nan_block_rejected(self, cells):
+        S = np.array([np.eye(2), 2.0 * np.eye(2)])
+        for i, j in cells:
+            S[1, i, j] = np.nan
+        y = np.ones((2, 2))
+        with pytest.raises(NumericalError):
+            penalized_mahalanobis_batch(y, S)
+        # numpy's factorisation does not fail on NaN: the reference's
+        # distance is NaN, which no gate passes
+        ref = penalized_mahalanobis_cholesky(y, S)
+        assert np.isnan(ref[1]) and not np.isnan(ref[0])
 
 
 def make_estimate(gamma_dot, v, var=0.1):

@@ -420,6 +420,12 @@ class TestExitCodes:
                      "occlusion_end_offset": math.nan}),
         ("compare", {"n_starting": 1, "n_turning": 0,
                      "occlusion_durations": [math.nan]}),
+        # an infinite sigma would draw NaN detections
+        ("compare", {"n_starting": 1, "n_turning": 0,
+                     "noise": {"sigma_detection": math.inf}}),
+        # a NaN delay makes the device stream NaN, so model C equals model P
+        ("compare", {"n_starting": 1, "n_turning": 1, "occlusion_durations": [2.0],
+                     "noise": {"device_delay": math.nan}}),
     ])
     def test_rejected_scene_value_is_2(self, tmp_path, capsys, command, scenes):
         cfg = write_config(tmp_path / "c.json", scenes=scenes)
@@ -467,6 +473,13 @@ class TestExitCodes:
         ("train-velocity", {"velocity": {"n_bins": 40000, "n_trees": 1,
                                          "training_scenes": 6}}, "n_bins"),
         ("train-velocity", {"velocity": {"holdout_fraction": -0.5, "n_trees": 1,
+                                         "training_scenes": 6}}, "holdout_fraction"),
+        # infinite noise would make every track NaN
+        ("compare", {"filter": {"measurement": {"sigma_x": math.inf}},
+                     "scenes": {"n_starting": 1, "n_turning": 0}}, "sigma_x"),
+        ("compare", {"filter": {"process": {"sigma_w_v_dot": math.inf}},
+                     "scenes": {"n_starting": 1, "n_turning": 0}}, "sigma_w_v_dot"),
+        ("train-velocity", {"velocity": {"holdout_fraction": math.nan, "n_trees": 1,
                                          "training_scenes": 6}}, "holdout_fraction"),
     ])
     def test_bad_config_value_is_2_before_any_work(self, tmp_path, capsys,

@@ -71,11 +71,9 @@ _TRACED_ARG = "perfbench/tracing.py wraps ekf_update, which takes a Measurement"
 _WORKLOAD = "the velocity_train workload loads the forests and runs the model"
 _MUNKRES = "a lane with two tracks and a detection (no lane of the test run)"
 ALLOWED = {
-    "association.CostMatrix.__post_init__": "acceptance criterion 3; " + _MUNKRES,
     "association.munkres_solve": "acceptance criterion 3; " + _TRACED + "; " + _MUNKRES,
     "association.penalized_mahalanobis": "acceptance criterion 3",
     "association.assign_device": _TRACED,
-    "association.gated_cost_matrix": _TRACED + "; " + _MUNKRES,
     "cli.load_velocity_model": _TRACED + "; " + _WORKLOAD,
     "cli.load_velocity_model._read": _WORKLOAD,
     "ekf.BikeState.as_array": "acceptance criteria 1 and 2, through predict_state",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            ProcessNoiseParams, StateEstimate, ekf_predict,
                            measurement_noise_variances)
-from cooptrack.association import gated_cost_matrix, munkres_solve
+from cooptrack.association import assign_device, gated_cost_matrix, munkres_solve
 from cooptrack.errors import DataError
 from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackTable,
                                      step_lanes)
@@ -212,6 +212,45 @@ class TestBatchedAssignment:
                 assert got == expected
                 reached.add((min(len(tracks[lane]), 2), min(len(dets[lane]), 2)))
         assert reached == {(a, b) for a in range(3) for b in range(3)}
+
+
+class TestDeviceBinding:
+    """A lane with two valid tracks, beside a lane with one, binds its device
+    reading as assign_device binds it on the same predicted states."""
+
+    @pytest.mark.parametrize("speeds,v,expected", [
+        ((2.0, 3.0), 2.2, 0),
+        ((2.0, 3.0), 2.8, 1),
+        # an exact tie goes to the lower row
+        ((2.0, 2.0), 2.5, 0),
+        # beyond the gate of both
+        ((2.0, 3.0), 200.0, None),
+    ])
+    def test_two_valid_tracks_bind_as_assign_device(self, speeds, v, expected):
+        dt = 2.0 ** -6      # exact, so the binding step predicts once by dt
+        table = TrackTable(2, ManagerConfig.coop_defaults())
+        lanes = np.array([0, 0, 1])
+        xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        no_device = (np.zeros((2, 4)), np.zeros(2, dtype=bool))
+        for i in range(4):
+            step_lanes(table, np.full(2, i * dt), lanes, xy, *no_device)
+        assert table.valid.all() and table.lane.tolist() == [0, 0, 1]
+        table.x[:2, 3:] = [(0.0, speed) for speed in speeds]
+        table.P[1] = table.P[0]
+        noise, process, sigma_v = MeasurementNoiseParams(), ProcessNoiseParams(), 0.3
+        predicted = [ekf_predict(StateEstimate(BikeState.from_array(table.x[row]),
+                                               table.P[row]), ProcessNoiseParams(T=dt))
+                     for row in range(3)]
+        r = measurement_noise_variances(noise, process, sigma_v)[2:]
+        # lane 1's reading sits on its one track
+        devices = np.array([[0.0, v, *r], [*table.x[2, 3:], *r]])
+        log = step_lanes(table, np.full(2, 4 * dt), np.zeros(0, dtype=np.int64),
+                         np.zeros((0, 2)), devices, np.ones(2, dtype=bool))
+        assert assign_device(0.0, v, sigma_v, predicted[:2], noise, process,
+                             table.device_gate) == expected
+        assert assign_device(*devices[1, :2], sigma_v, predicted[2:], noise, process,
+                             table.device_gate) == 0
+        assert log.device_bound.tolist() == [expected == 0, expected == 1, True]
 
 
 class TestEmptyAndDuplicateDetections:
