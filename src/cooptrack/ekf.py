@@ -292,10 +292,19 @@ def ekf_predict_batch(x, P, T, q):
     return x_new, P_new
 
 
+def _require_finite_covariance(P):
+    """NumericalError unless every entry of P (N, 5, 5) is finite.  The
+    Cholesky routine does not reject a NaN: it returns a NaN factor."""
+    if not np.isfinite(P).all():
+        raise NumericalError("covariance is not finite")
+
+
 def _require_psd(P):
-    """NumericalError unless every eigenvalue of each P (N, 5, 5) is at or
-    above -1e-6.  P + 1e-6 I has a Cholesky factor when they are above it, so
-    one batched Cholesky clears a batch; eigvalsh decides when it fails."""
+    """NumericalError unless each P (N, 5, 5) is finite and every
+    eigenvalue of it is at or above -1e-6.  P + 1e-6 I has a Cholesky factor
+    when they are above it, so one batched Cholesky clears a batch;
+    eigvalsh decides when it fails."""
+    _require_finite_covariance(P)
     try:
         np.linalg.cholesky(P + 1e-6 * _IDENTITY[STATE_DIM])
     except np.linalg.LinAlgError:
@@ -347,10 +356,11 @@ def ekf_update_masked(x, P, z, r, observed):
     observed (N, 4) which slots each row has.  An absent slot gets a zero
     row of H, a zero residual and unit noise, so each row ends as an update
     by its observed slots alone would leave it.  Returns the updated (x, P),
-    gamma re-wrapped and P symmetrized; NumericalError if an innovation
-    covariance has no Cholesky factor.
+    gamma re-wrapped and P symmetrized; NumericalError if a covariance is
+    not finite or an innovation covariance has no Cholesky factor.
     """
     _require_finite(x)
+    _require_finite_covariance(P)
     H = observed[:, :, None] * _H
     y = np.where(observed, z - x.take(MEASURED, axis=1), 0.0)
     r = np.where(observed, r, 1.0)

@@ -5,9 +5,11 @@ Everything here is deliberately written against the mathematical definitions
 than reusing the library's code paths.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from cooptrack.ekf import (EPS_YAW, BikeState, MeasurementKind, predict_state,
                            wrap_angle)
 from cooptrack.errors import NumericalError
 from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
-                                dft_features, moving_average)
+                                moving_average)
 from cooptrack.metrics import FrameRecord
 
 
@@ -172,25 +174,45 @@ def brute_force_assignment(cost):
     return total, pairs
 
 
+@functools.lru_cache(maxsize=4)
+def _twiddles(n, orders):
+    """cos and sin of 2 pi ((k j) mod n) / n for k < orders, j < n: the
+    argument is reduced exactly before it is rounded."""
+    return tuple(([math.cos(2.0 * math.pi * (k * j % n) / n) for j in range(n)],
+                  [math.sin(2.0 * math.pi * (k * j % n) / n) for j in range(n)])
+                 for k in range(orders))
+
+
 def naive_dft_magnitudes(window, orders):
-    """O(n^2) DFT magnitudes straight from the definition."""
+    """O(n^2) DFT magnitudes straight from the definition; each sum of
+    products is exact (math.fsum), so only the products and the twiddles
+    round."""
+    window = np.asarray(window, dtype=float).tolist()
+    return np.array([math.hypot(math.fsum(map(operator.mul, window, cos)),
+                                math.fsum(map(operator.mul, window, sin)))
+                     for cos, sin in _twiddles(len(window), orders)])
+
+
+def exact_dft_features(window):
+    """dft_features from the definition: exact sums for the magnitudes and
+    the energy, six NaN for a window holding a non-finite sample and six
+    zeros for a window of energy 0."""
     window = np.asarray(window, dtype=float)
-    n = len(window)
-    mags = []
-    for k in range(orders):
-        re = sum(window[j] * math.cos(-2.0 * math.pi * k * j / n) for j in range(n))
-        im = sum(window[j] * math.sin(-2.0 * math.pi * k * j / n) for j in range(n))
-        mags.append(math.hypot(re, im))
-    return np.array(mags)
+    if not np.isfinite(window).all():
+        return np.full(DFT_ORDERS, np.nan)
+    energy = math.fsum((window ** 2).tolist())
+    if energy == 0.0:
+        return np.zeros(DFT_ORDERS)
+    return naive_dft_magnitudes(window, DFT_ORDERS) / energy
 
 
 def per_signal_motion_features(imu):
     """motion_feature_matrix one signal and one window at a time.
 
     Each of acc_h, acc_v, gyr_h, gyr_v gets its moving mean and energy from
-    the 1-D moving_average and its DFT block from dft_features of every
-    trailing window, the per-window definitions that the batched pass must
-    reproduce bit for bit.
+    the 1-D moving_average, which the batched pass must reproduce bit for
+    bit, and its DFT block from exact_dft_features of every trailing
+    window, which the running sums match only to within their rounding.
     """
     imu = np.asarray(imu, dtype=float)
     signals = (np.hypot(imu[:, 1], imu[:, 2]), imu[:, 3],
@@ -198,7 +220,7 @@ def per_signal_motion_features(imu):
     stats, dfts = [], []
     for x in signals:
         stats += [moving_average(x, STAT_WINDOW), moving_average(x ** 2, STAT_WINDOW)]
-        rows = [dft_features(x[end - DFT_WINDOW_SAMPLES:end])
+        rows = [exact_dft_features(x[end - DFT_WINDOW_SAMPLES:end])
                 for end in range(DFT_WINDOW_SAMPLES, len(x) + 1)]
         dfts.append(np.reshape(rows, (-1, DFT_ORDERS)))
     return np.column_stack([np.column_stack(stats)[DFT_WINDOW_SAMPLES - 1:], *dfts])

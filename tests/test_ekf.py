@@ -511,6 +511,21 @@ class TestPsdGuard:
         with pytest.raises(NumericalError):
             ekf._require_psd(P)
 
+    @pytest.mark.parametrize("entry", range(5))
+    def test_nan_covariance_rejected_by_predict_and_update(self, entry):
+        # the Cholesky factor of a matrix holding NaN is NaN, not an error
+        P = np.eye(5)
+        P[entry, entry] = np.nan
+        e = StateEstimate(BikeState(0, 0, 0, 0.1, 1), P)
+        p, n = ProcessNoiseParams(), MeasurementNoiseParams()
+        with pytest.raises(NumericalError):
+            ekf._require_psd(P[None])
+        with pytest.raises(NumericalError):
+            ekf_predict(e, p)
+        with pytest.raises(NumericalError):
+            ekf_update(e, Measurement(position=(1.0, 2.0), gamma_dot=0.1, v=1.0,
+                                      sigma_v=0.3), n, p)
+
     def test_large_scale_covariance_passes(self):
         # a singular covariance of scale 1e6: rounding puts its zero
         # eigenvalues near +-1e-10, well inside the bound

@@ -12,8 +12,8 @@ from cooptrack.features import (DFT_WINDOW_SAMPLES, N_MOTION_FEATURES,
 
 from cooptrack import scene_sim
 
-from oracles import (naive_dft_magnitudes, per_signal_motion_features,
-                     polyfit_normal_equations)
+from oracles import (exact_dft_features, naive_dft_magnitudes,
+                     per_signal_motion_features, polyfit_normal_equations)
 
 
 def make_imu(t, gyr_z, n_cols=7):
@@ -94,6 +94,12 @@ class TestDftFeatures:
         c = 3.7
         np.testing.assert_allclose(dft_features(c * window),
                                    dft_features(window) / c, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_gives_nan(self, bad):
+        window = np.ones(256)
+        window[17] = bad
+        assert np.isnan(dft_features(window)).all()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -176,41 +182,62 @@ def seeded_ride(seed=5, v_peak=4.0):
     return scene_sim.synthesize_imu(gt, np.random.default_rng(seed + 1))
 
 
+# worst relative error of the running-sum DFT block against the exact
+# per-window DFT, measured on seeded_ride at seeds 5..11: 2.9e-12 (1.6e-12
+# on the rides below); the bound leaves 6x on the rides tested here
+DFT_RTOL = 1e-11
+
+
+def assert_matches_oracle(imu):
+    """The stats columns equal the per-signal oracle bit for bit, the DFT
+    block holds its NaN and zeros where the exact DFT does and is within
+    DFT_RTOL of it elsewhere."""
+    mat = motion_feature_matrix(imu)
+    expected = per_signal_motion_features(imu)
+    assert mat.shape == expected.shape
+    assert np.array_equal(mat[:, :8], expected[:, :8], equal_nan=True)
+    dft, exact = mat[:, 8:], expected[:, 8:]
+    assert np.array_equal(np.isnan(dft), np.isnan(exact))
+    assert np.array_equal(dft == 0.0, exact == 0.0)
+    np.testing.assert_allclose(dft, exact, rtol=DFT_RTOL, atol=0.0)
+    return mat
+
+
 class TestFeatureMatrixOracle:
-    """The one-pass feature matrix equals the per-signal, per-window
-    definitions bit for bit; forest thresholds compare these values."""
+    """The one-pass feature matrix against the per-signal, per-window
+    definitions: the moving stats bit for bit, the DFT block to within the
+    rounding of its running sums."""
 
     def test_seeded_ride(self):
         imu = seeded_ride()
         assert len(imu) == 701
-        mat = motion_feature_matrix(imu)
-        assert mat.shape == (701 - 255, N_MOTION_FEATURES)
-        assert np.array_equal(mat, per_signal_motion_features(imu))
+        assert assert_matches_oracle(imu).shape == (701 - 255, N_MOTION_FEATURES)
 
     def test_zero_energy_stretch(self):
         # the device lies still for 6 s: no horizontal rotation at all
         imu = seeded_ride(v_peak=0.0)
         imu[100:400, 4:6] = 0.0
-        mat = motion_feature_matrix(imu)
+        mat = assert_matches_oracle(imu)
         gyr_h_dft = mat[:, 8 + 2 * 6:8 + 3 * 6]
         still = slice(355 - 255, 400 - 255)     # windows ending in 355..399
         assert (gyr_h_dft[still] == 0.0).all()
         assert (gyr_h_dft[still.stop:] != 0.0).any(axis=1).all()
-        assert np.array_equal(mat, per_signal_motion_features(imu))
 
     def test_window_holding_a_nan(self):
         # one NaN acc_x sample: each acc_h window that holds it gives six
         # NaN, as dft_features does; every other DFT entry stays finite
         imu = seeded_ride()
         imu[300, 1] = np.nan
-        mat = motion_feature_matrix(imu)
+        mat = assert_matches_oracle(imu)
         acc_h_dft = mat[:, 8:14]
         holding = np.zeros(len(mat), dtype=bool)
         holding[300 - 255:300 + 1] = True      # windows ending in 300..555
         assert np.isnan(acc_h_dft[holding]).all()
         assert np.isfinite(acc_h_dft[~holding]).all()
         assert np.isfinite(mat[:, 14:]).all()
-        assert np.array_equal(mat, per_signal_motion_features(imu), equal_nan=True)
+        # the other signals keep the bits of the ride without the NaN
+        clean = motion_feature_matrix(seeded_ride())
+        assert np.array_equal(mat[:, 14:], clean[:, 14:])
 
     def test_nan_sample_reaches_only_the_stat_windows_holding_it(self):
         # acc_x NaN at sample 300: the moving mean and energy of acc_h are
@@ -231,14 +258,33 @@ class TestFeatureMatrixOracle:
 
     def test_one_window(self):
         imu = seeded_ride()[:256]
-        mat = motion_feature_matrix(imu)
-        assert mat.shape == (1, N_MOTION_FEATURES)
-        assert np.array_equal(mat, per_signal_motion_features(imu))
+        assert assert_matches_oracle(imu).shape == (1, N_MOTION_FEATURES)
 
     def test_one_sample_short_of_a_window(self):
         imu = seeded_ride()[:255]
         assert motion_feature_matrix(imu).shape == (0, N_MOTION_FEATURES)
         assert per_signal_motion_features(imu).shape == (0, N_MOTION_FEATURES)
+
+    def test_running_sum_drift_over_an_hour(self):
+        # an hour at 50 Hz with gravity on acc_v: the running sums of acc_v
+        # and of its square grow with the ride, and the error of a window
+        # grows with them, by at most about 2**-53 times the samples before
+        # the window's end (measured: 4.5e-14, 2.7e-13 and 9.1e-13 relative
+        # at the first, middle and last window)
+        n = 3600 * 50
+        rng = np.random.default_rng(2)
+        imu = np.zeros((n, 7))
+        imu[:, 0] = np.arange(n) / 50.0
+        imu[:, 1:] = rng.normal(0.0, 0.5, (n, 6))
+        imu[:, 3] += 9.81
+        mat = motion_feature_matrix(imu)
+        assert mat.shape == (n - 255, N_MOTION_FEATURES)
+        signals = transformed_signals(imu)
+        for end in (DFT_WINDOW_SAMPLES, n // 2, n):
+            window = signals[end - DFT_WINDOW_SAMPLES:end]
+            exact = np.concatenate([exact_dft_features(window[:, j]) for j in range(4)])
+            np.testing.assert_allclose(mat[end - DFT_WINDOW_SAMPLES, 8:], exact,
+                                       rtol=1e-13 + 2.0 ** -53 * end, atol=0.0)
 
 
 class TestGnssPolyTrack:

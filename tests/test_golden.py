@@ -51,8 +51,8 @@ TURNING_SCENE = {
 VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 6}}
 
 VELOCITY_FILES = {
-    "forest_with_gnss.json": "28088d49318cdfe0f5a63bdf71ff3c9adca84ec2e64cc903aa08f15c9fbfd5f5",
-    "forest_no_gnss.json": "d6787c6320029e2e4011a93b3e0b81abba313ab0998ba2a3abe6e2339e450aa9",
+    "forest_with_gnss.json": "0d8484c3447e934a0c7f056aa354d0eeda398af65398f0ee28f85eeee3bf9406",
+    "forest_no_gnss.json": "65b67fda641cf077dd5eb9285b1537e2125e558392bdc9dbe5d505f613b748f5",
     "rmse_report.json": "40bd2083fef759b8467a83a41ade57ee0b67799749405895a38138fbe572dafa",
 }
 
@@ -62,8 +62,8 @@ DEEP_VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 4,
                                      "max_depth": 10, "n_bins": 16}}
 
 DEEP_VELOCITY_FILES = {
-    "forest_with_gnss.json": "9322b0e739352ca66ca35f446d8b8b1c5254b6b1b58d9ef482cb76aea33d0f70",
-    "forest_no_gnss.json": "deef8f479af12466bc1a96186f75ceeda69c9501aa7de1f98a960eb92aa4a3bf",
+    "forest_with_gnss.json": "ba2ada19b39c521b0f042bda69fcd05cc40ca0512395855381e5f4862b2a0dbc",
+    "forest_no_gnss.json": "1193aa1d5ba4bf0f20fcc5c470dd176d513879b1a3358fffe5192494fe0a15a0",
     "rmse_report.json": "6ff19048032cc039bc5fd7e3541b6deba98d530f69eec53685d5c902d671cbcf",
 }
 
