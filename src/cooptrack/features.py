@@ -71,6 +71,10 @@ def yaw_rate(imu):
 # w^((k t) mod 256)
 _TWIDDLES = np.exp(-2j * np.pi * np.arange(DFT_WINDOW_SAMPLES) / DFT_WINDOW_SAMPLES)
 
+# windows per block of the twiddled running sums, which bounds their
+# temporaries to about 20 MB for four signals at any recording length
+_DFT_BLOCK = 1 << 14
+
 
 def _trailing_dfts(signals) -> np.ndarray:
     """dft_features of every trailing 256-window of each column of
@@ -87,19 +91,29 @@ def _trailing_dfts(signals) -> np.ndarray:
     grows at most about like u = 2**-53 times the samples before the
     window's end: against an exact DFT, 9.1e-13 at the last window of a
     1-hour ride at 50 Hz, 4.5e-14 at its first.
+    The twiddled sums run a block of _DFT_BLOCK windows at a time, each
+    block's from the C_k its predecessor ended on, so no bit moves.
     """
     n = len(signals)
-    lo = slice(0, n - DFT_WINDOW_SAMPLES + 1)
-    hi = slice(DFT_WINDOW_SAMPLES, n + 1)
+    m = n - DFT_WINDOW_SAMPLES + 1
     # a window holding a non-finite sample has a NaN energy, which makes
     # its magnitudes NaN; the twiddled sums take such samples as 0
-    energy = _window_sums(signals ** 2, lo, hi)[:, :, None]
+    energy = _window_sums(signals ** 2, slice(0, m),
+                          slice(DFT_WINDOW_SAMPLES, n + 1))[:, :, None]
     finite = np.where(np.isfinite(signals), signals, 0.0)
-    phase = np.outer(np.arange(n), np.arange(DFT_ORDERS)) % DFT_WINDOW_SAMPLES
-    mags = np.abs(_window_sums(finite[:, :, None] * _TWIDDLES[phase][:, None, :],
-                               lo, hi))
-    dfts = np.zeros_like(mags)
-    np.divide(mags, energy, out=dfts, where=energy != 0.0)
+    dfts = np.zeros((m, signals.shape[1], DFT_ORDERS))
+    running = np.zeros(dfts.shape[1:], dtype=complex)
+    for lo in range(0, m, _DFT_BLOCK):
+        hi = min(lo + _DFT_BLOCK, m)
+        stop = hi + DFT_WINDOW_SAMPLES - 1
+        phase = np.outer(np.arange(lo, stop), np.arange(DFT_ORDERS)) % DFT_WINDOW_SAMPLES
+        csum = np.empty((stop - lo + 1,) + running.shape, dtype=complex)
+        csum[0] = running
+        np.multiply(finite[lo:stop, :, None], _TWIDDLES[phase][:, None, :], out=csum[1:])
+        np.cumsum(csum, axis=0, out=csum)
+        running = csum[hi - lo].copy()      # a copy lets this block's sums go
+        np.divide(np.abs(csum[DFT_WINDOW_SAMPLES:] - csum[:hi - lo]), energy[lo:hi],
+                  out=dfts[lo:hi], where=energy[lo:hi] != 0.0)
     return dfts
 
 

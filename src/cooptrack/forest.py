@@ -9,8 +9,8 @@ sample from its own RNG stream spawned from the seed.
 
 All nodes of a forest live in one `NodeTable`.  Trees are grown level by
 level, with the histograms and split searches of a level's nodes batched,
-and then numbered in depth-first pre-order, which is the order of the
-forest file.
+and keep their nodes in that order.  Only the forest file numbers them in
+depth-first pre-order.
 """
 
 import json
@@ -37,15 +37,16 @@ _WALK_CELLS = 1 << 16
 class NodeTable:
     """Struct-of-arrays nodes of a whole forest.
 
-    Tree t's nodes are roots[t] up to the next root, in depth-first
-    pre-order.  A split node sends x[feature] <= threshold to `left` (so
-    NaN goes right); a leaf has feature -1 and points at itself, so a walk
-    of `depth` steps from the roots ends at a leaf in every tree.
+    Tree t's nodes are roots[t] up to the next root, each child after its
+    parent: in growth order when fitted, in pre-order when loaded.  A split
+    node sends x[feature] <= threshold to `left` (so NaN goes right); a leaf
+    has feature -1 and points at itself, so a walk of `depth` steps from
+    the roots ends at a leaf in every tree.
     """
 
     def __init__(self, trees):
-        """trees: per-tree (feature, threshold, left, right, value) arrays
-        in pre-order, children as tree-local indices and -1 at leaves."""
+        """trees: per-tree (feature, threshold, left, right, value) arrays,
+        children as tree-local indices after their parent, -1 at leaves."""
         sizes = [len(tree[0]) for tree in trees]
         self.roots = np.cumsum([0] + sizes[:-1])
         feature, threshold, left, right, value = (
@@ -69,19 +70,27 @@ class NodeTable:
             self.depth += 1
 
     def tree_payloads(self):
-        """Per-tree payloads of the forest file: node lists with tree-local
-        children, -1 at leaves."""
-        ends = list(self.roots[1:]) + [len(self.feature)]
+        """Per-tree payloads of the forest file: node lists in depth-first
+        pre-order, left child first, tree-local children, -1 at leaves."""
         leaf = self.feature < 0
+        left, right = self.left.tolist(), self.right.tolist()
         out = []
-        for root, end in zip(self.roots, ends):
-            part = slice(root, end)
-            left = np.where(leaf[part], -1, self.left[part] - root)
-            right = np.where(leaf[part], -1, self.right[part] - root)
-            out.append({"feature": self.feature[part].tolist(),
-                        "threshold": self.threshold[part].tolist(),
-                        "left": left.tolist(), "right": right.tolist(),
-                        "value": self.value[part].tolist()})
+        for root in self.roots.tolist():
+            # an explicit stack, as a tree's depth has no upper bound
+            order, stack = [], [root]
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                if left[node] != node:      # a leaf points at itself
+                    stack += (right[node], left[node])
+            order = np.array(order)
+            rank = np.argsort(order)
+            children = np.where(leaf[order], -1, rank[
+                np.stack([self.left[order], self.right[order]]) - root])
+            out.append({"feature": self.feature[order].tolist(),
+                        "threshold": self.threshold[order].tolist(),
+                        "left": children[0].tolist(), "right": children[1].tolist(),
+                        "value": self.value[order].tolist()})
         return out
 
     def walk(self, X):
@@ -186,7 +195,9 @@ class RegressionForest:
         A level's nodes keep their rows as consecutive runs of `rows`, each
         in the order the node received them, so every histogram cell and
         every node mean adds its rows in the same order as a node-by-node
-        grower would.  Returns the node arrays in depth-first pre-order.
+        grower would.  Returns the (feature, threshold, left, right, value)
+        node arrays in growth order, the levels concatenated: the children
+        of the i-th split node are nodes 2i + 1 and 2i + 2.
         """
         n = len(y)
         rows = rng.integers(0, n, size=n)
@@ -216,7 +227,13 @@ class RegressionForest:
             rows = rows[np.argsort(child, kind="stable")]
             bounds = np.concatenate(
                 [[0], np.cumsum(np.bincount(child, minlength=2 * split.sum()))])
-        return self._preorder(levels)
+        value, feature, cut = map(np.concatenate, zip(*levels))
+        split = feature >= 0
+        threshold = np.array([self.bin_edges[f][c] if f >= 0 else 0.0
+                              for f, c in zip(feature.tolist(), cut.tolist())])
+        left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+        right = np.where(split, left + 1, -1)
+        return feature, threshold, left, right, value
 
     def _split_nodes(self, binned, y, rows, bounds, nodes):
         """Best cut of each listed node of a level: (feature, bin) arrays.
@@ -248,41 +265,6 @@ class RegressionForest:
                                             minlength=size).reshape(-1, nb)
             feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(*hist)
         return feature, cut
-
-    def _preorder(self, levels):
-        """Node arrays in depth-first pre-order from per-level (value,
-        feature, bin) arrays, where the children of a level's split nodes
-        are the next level's nodes in (left, right) pairs."""
-        sizes = [np.ones(len(levels[-1][0]), dtype=int)]
-        for _, feature, _ in reversed(levels[:-1]):
-            size = np.ones(len(feature), dtype=int)
-            below = sizes[0]
-            size[feature >= 0] += below[0::2] + below[1::2]
-            sizes.insert(0, size)
-        n_nodes = int(sizes[0][0])
-        out_feature = np.full(n_nodes, -1)
-        out_threshold = np.zeros(n_nodes)
-        out_left = np.full(n_nodes, -1)
-        out_right = np.full(n_nodes, -1)
-        out_value = np.empty(n_nodes)
-        edges = np.full((len(self.bin_edges), max(map(len, self.bin_edges))), np.nan)
-        for f, e in enumerate(self.bin_edges):
-            edges[f, :len(e)] = e
-        order = np.zeros(1, dtype=int)
-        for depth, (value, feature, cut) in enumerate(levels):
-            out_value[order] = value
-            split = feature >= 0
-            if not split.any():
-                break
-            parent = order[split]
-            out_feature[parent] = feature[split]
-            out_threshold[parent] = edges[feature[split], cut[split]]
-            left = parent + 1
-            right = left + sizes[depth + 1][0::2]
-            out_left[parent] = left
-            out_right[parent] = right
-            order = np.column_stack([left, right]).ravel()
-        return out_feature, out_threshold, out_left, out_right, out_value
 
     # -- prediction ----------------------------------------------------------
 

@@ -149,8 +149,9 @@ def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
     t = np.arange(n_fine + 1) * h
     t_mid = t[:-1] + 0.5 * h
 
-    gd0, gd_mid, gd1 = gdot_of_t(t[:-1]), gdot_of_t(t_mid), gdot_of_t(t[1:])
-    v0, v_mid, v1 = v_of_t(t[:-1]), v_of_t(t_mid), v_of_t(t[1:])
+    gd, gd_mid = gdot_of_t(t), gdot_of_t(t_mid)
+    v, v_mid = v_of_t(t), v_of_t(t_mid)
+    gd0, gd1, v0, v1 = gd[:-1], gd[1:], v[:-1], v[1:]
 
     gamma = np.zeros(n_fine + 1)
     gamma[1:] = np.cumsum(h / 6.0 * (gd0 + 4.0 * gd_mid + gd1))
@@ -169,8 +170,7 @@ def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
 
     stride = int(round(1.0 / (FRAME_RATE * h)))
     idx = np.arange(0, n_fine + 1, stride)
-    return np.column_stack([t[idx], x[idx], y[idx], gamma[idx],
-                            gdot_of_t(t[idx]), v_of_t(t[idx])])
+    return np.column_stack([t[idx], x[idx], y[idx], gamma[idx], gd[idx], v[idx]])
 
 
 def occlusion_mask_for(times, windows) -> np.ndarray:
@@ -266,13 +266,9 @@ def generate_scene(spec: SceneSpec, scene_id="scene", velocity_model=None) -> Sc
 
 
 def _ou_process(rng, n, dt, sigma, tau):
-    """Ornstein-Uhlenbeck samples started from the stationary distribution."""
+    """Ornstein-Uhlenbeck samples started from the stationary distribution;
+    n draws from rng whatever sigma, so later streams do not depend on it."""
     out = np.empty(n)
-    if sigma <= 0.0:
-        out.fill(0.0)
-        # keep the draw count independent of sigma for seed stability
-        rng.normal(size=n)
-        return out
     decay = math.exp(-dt / tau)
     innovation = sigma * math.sqrt(1.0 - decay * decay)
     shocks = rng.normal(size=n)

@@ -214,8 +214,6 @@ def _init_heading(table, rows, det_xy, t_now):
     for row, (px, py), t in zip(rows.tolist(), det_xy.tolist(), t_now.tolist()):
         t_first, x_first, y_first = table.first_fix[row].tolist()
         dt = t - t_first
-        if dt <= 0:
-            continue
         dx, dy = px - x_first, py - y_first
         if math.hypot(dx, dy) <= table._noise_floor:
             continue

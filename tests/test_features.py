@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cooptrack.features import (DFT_WINDOW_SAMPLES, N_MOTION_FEATURES,
                                 orthopoly_coeffs, transformed_signals,
                                 yaw_rate)
 
-from cooptrack import scene_sim
+from cooptrack import features, scene_sim
 
 from oracles import (exact_dft_features, naive_dft_magnitudes,
                      per_signal_motion_features, polyfit_normal_equations)
@@ -182,6 +183,17 @@ def seeded_ride(seed=5, v_peak=4.0):
     return scene_sim.synthesize_imu(gt, np.random.default_rng(seed + 1))
 
 
+def hour_ride():
+    """IMU of an hour at 50 Hz: unit-scale noise with gravity on acc_z."""
+    n = 3600 * 50
+    rng = np.random.default_rng(2)
+    imu = np.zeros((n, 7))
+    imu[:, 0] = np.arange(n) / 50.0
+    imu[:, 1:] = rng.normal(0.0, 0.5, (n, 6))
+    imu[:, 3] += 9.81
+    return imu
+
+
 # worst relative error of the running-sum DFT block against the exact
 # per-window DFT, measured on seeded_ride at seeds 5..11: 2.9e-12 (1.6e-12
 # on the rides below); the bound leaves 6x on the rides tested here
@@ -271,12 +283,8 @@ class TestFeatureMatrixOracle:
         # grows with them, by at most about 2**-53 times the samples before
         # the window's end (measured: 4.5e-14, 2.7e-13 and 9.1e-13 relative
         # at the first, middle and last window)
-        n = 3600 * 50
-        rng = np.random.default_rng(2)
-        imu = np.zeros((n, 7))
-        imu[:, 0] = np.arange(n) / 50.0
-        imu[:, 1:] = rng.normal(0.0, 0.5, (n, 6))
-        imu[:, 3] += 9.81
+        imu = hour_ride()
+        n = len(imu)
         mat = motion_feature_matrix(imu)
         assert mat.shape == (n - 255, N_MOTION_FEATURES)
         signals = transformed_signals(imu)
@@ -285,6 +293,32 @@ class TestFeatureMatrixOracle:
             exact = np.concatenate([exact_dft_features(window[:, j]) for j in range(4)])
             np.testing.assert_allclose(mat[end - DFT_WINDOW_SAMPLES, 8:], exact,
                                        rtol=1e-13 + 2.0 ** -53 * end, atol=0.0)
+
+    def test_memory_peak_over_an_hour(self):
+        # the twiddled running sums go a block of windows at a time, so the
+        # traced peak stays a small multiple of the returned matrix
+        # (measured 2.1x)
+        imu = hour_ride()
+        tracemalloc.start()
+        try:
+            mat = motion_feature_matrix(imu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * mat.nbytes
+
+
+@pytest.mark.parametrize("block", [1, 255, 1000])
+def test_dft_blocks_keep_the_bits(monkeypatch, block):
+    # 5000 samples: 4745 windows, several blocks of each size, one NaN
+    imu = np.concatenate([seeded_ride(seed) for seed in range(5, 13)])[:5000]
+    imu[:, 0] = np.arange(len(imu)) / 50.0
+    imu[3000, 4] = np.nan
+    whole = motion_feature_matrix(imu)
+    monkeypatch.setattr(features, "_DFT_BLOCK", block)
+    blocked = motion_feature_matrix(imu)
+    assert np.array_equal(blocked, whole, equal_nan=True)
+    assert np.isnan(whole[3000 - 255, 8:]).any()
 
 
 class TestGnssPolyTrack:

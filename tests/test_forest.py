@@ -135,6 +135,11 @@ class TestSerialization:
         np.testing.assert_array_equal(forest.predict(x)[0], restored.predict(x)[0])
         np.testing.assert_array_equal(forest.predict(x)[1], restored.predict(x)[1])
         assert restored.feature_layout == {"version": "v1", "names": []}
+        # a fitted forest keeps its nodes in growth order, a loaded one in
+        # the file's depth-first order: the same trees either way
+        assert restored.to_json() == forest.to_json()
+        np.testing.assert_array_equal(forest.tree_predictions(X),
+                                      restored.tree_predictions(X))
 
     def test_schema_fields(self):
         X, y = toy_data(n=200)

@@ -132,6 +132,29 @@ class TestSensors:
         expected = np.interp(t_query, gt[:, 0], gt[:, 4])
         assert scene.device[i, 1] == pytest.approx(expected, abs=1e-9)
 
+    def test_zero_bias_leaves_delayed_truth_plus_white_noise(self):
+        spec = SceneSpec(kind=KIND_TURNING, seed=31, device_bias_gamma_dot=0.0,
+                         device_bias_v=0.0)
+        scene = generate_scene(spec)
+        gt = scene.ground_truth
+        t = gt[:, 0]
+        n = len(t)
+        # the draws before the device noise: detection noise, then dropout
+        rng = np.random.default_rng(spec.seed)
+        rng.normal(0.0, spec.sigma_detection, size=(n, 2))
+        rng.random(n)
+        noise_gd = rng.normal(0.0, spec.sigma_device_gamma_dot, size=n)
+        noise_v = rng.normal(0.0, spec.sigma_device_v, size=n)
+        t_delayed = np.maximum(t - spec.device_delay, t[0])
+        assert np.array_equal(scene.device[:, 1],
+                              np.interp(t_delayed, t, gt[:, 4]) + noise_gd)
+        assert np.array_equal(scene.device[:, 2],
+                              np.interp(t_delayed, t, gt[:, 5]) + noise_v)
+        # the OU shocks are drawn whatever the bias, so the GNSS stream
+        # drawn after them is the one of the default biases
+        biased = generate_scene(SceneSpec(kind=KIND_TURNING, seed=31))
+        assert np.array_equal(scene.gnss, biased.gnss)
+
     def test_same_seed_bit_identical(self):
         spec = SceneSpec(seed=123, occlusions=((3.0, 1.0),))
         a = generate_scene(spec)
