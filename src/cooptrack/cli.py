@@ -13,7 +13,6 @@ after the work.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -157,6 +156,8 @@ def cmd_compare(args) -> int:
     # a fork-started pool launches all its workers at the first submit
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        import concurrent.futures   # here, so that importing the CLI does not load it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 all_results = list(pool.map(_compare_chunk, jobs))

@@ -108,32 +108,58 @@ class NodeTable:
         return self.value.take(node)
 
 
-def _best_cuts(counts, sums, sumsqs):
+def _best_cuts(hist):
     """Best (feature, bin) cut of each node by squared-error reduction.
 
-    counts/sums/sumsqs are (nodes, n_features, n_bins) per-bin histograms of
-    each node's samples; a cut at bin b sends bins <= b left.  Ties go to
-    the lowest feature, then the lowest bin.  Returns (feature, bin)
-    arrays, feature -1 where no cut reduces the error.
+    hist is the (3, nodes, n_features, n_bins) buffer of per-bin counts,
+    sums and sums of squares of each node's samples; it is overwritten.
+    A cut at bin b sends bins <= b left.  Ties go to the lowest feature,
+    then the lowest bin.  Returns (feature, bin) arrays, feature -1 where
+    no cut reduces the error.
     """
-    total_n = counts[:, 0].sum(axis=1)[:, None, None]
-    total_s = sums[:, 0].sum(axis=1)[:, None, None]
-    total_ss = sumsqs[:, 0].sum(axis=1)[:, None, None]
+    # the totals come from the bins (a pairwise sum), not from the
+    # running sums' last cells (a sequential one)
+    total_n, total_s, total_ss = hist[:, :, 0].sum(axis=2)[:, :, None, None]
     parent_sse = (total_ss - total_s ** 2 / total_n).ravel()
 
-    cn = np.cumsum(counts, axis=2)[:, :, :-1]
-    cs = np.cumsum(sums, axis=2)[:, :, :-1]
-    css = np.cumsum(sumsqs, axis=2)[:, :, :-1]
-    rn = total_n - cn
-    valid = (cn > 0) & (rn > 0)
+    np.cumsum(hist, axis=3, out=hist)
+    cn, cs, css = hist[:, :, :, :-1]
+    valid = cn > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        sse = (css - cs ** 2 / cn) + ((total_ss - css) - (total_s - cs) ** 2 / rn)
-    sse = np.where(valid, sse, np.inf).reshape(len(sse), -1)
+        # sse = (css - cs^2 / cn) + ((total_ss - css) - (total_s - cs)^2 / rn),
+        # each operation in that order, the running sums overwritten
+        sse = np.square(cs)
+        sse /= cn
+        np.subtract(css, sse, out=sse)
+        rn = np.subtract(total_n, cn, out=cn)
+        valid &= rn > 0
+        right = np.subtract(total_s, cs, out=cs)
+        np.square(right, out=right)
+        right /= rn
+        np.subtract(total_ss, css, out=css)
+        css -= right
+        sse += css
+    sse[~valid] = np.inf
+    sse = sse.reshape(len(sse), -1)
     flat = np.argmin(sse, axis=1)
     best = sse[np.arange(len(flat)), flat]
     ok = np.isfinite(best) & (parent_sse - best > 1e-12)
-    feature, cut = np.divmod(flat, counts.shape[2] - 1)
+    feature, cut = np.divmod(flat, hist.shape[3] - 1)
     return np.where(ok, feature, -1), cut
+
+
+def row_blocks(n, size):
+    """(start, stop) of consecutive blocks of about `size` (at least 2)
+    rows that cover n rows.
+
+    No block holds a single row unless n is 1: numpy sums the tree outputs
+    of a lone row pairwise but those of several rows one tree after
+    another, so a lone row would change the bits of its mean.
+    """
+    starts = list(range(0, n, max(2, size)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
 
 
 class RegressionForest:
@@ -263,7 +289,7 @@ class RegressionForest:
                                             minlength=size).reshape(-1, nb)
                 hist[2, :, f] = np.bincount(b, weights=yv2,
                                             minlength=size).reshape(-1, nb)
-            feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(*hist)
+            feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(hist)
         return feature, cut
 
     # -- prediction ----------------------------------------------------------
@@ -288,10 +314,17 @@ class RegressionForest:
         return preds
 
     def predict(self, X):
-        """(mean, ensemble variance) arrays over the samples."""
-        preds = self.tree_predictions(X)
-        mean = preds.mean(axis=0)
-        var = np.mean((preds - mean) ** 2, axis=0)
+        """(mean, ensemble variance) arrays over the samples, computed one
+        walk block of rows at a time."""
+        X = self._check_input(X)
+        mean = np.empty(len(X))
+        var = np.empty(len(X))
+        for lo, hi in row_blocks(len(X), _WALK_CELLS // len(self.nodes.roots)):
+            preds = self.tree_predictions(X[lo:hi])
+            mean[lo:hi] = preds.mean(axis=0)
+            preds -= mean[lo:hi]
+            np.square(preds, out=preds)
+            var[lo:hi] = preds.mean(axis=0)
         return mean, var
 
     # -- serialization ---------------------------------------------------------

@@ -16,12 +16,13 @@ import numpy as np
 from . import features as feat
 from . import scene_sim
 from .errors import CoopTrackError, DataError
-from .forest import RegressionForest, train_forest
+from .forest import RegressionForest, row_blocks, train_forest
 
 GNSS_STALENESS = 2.0     # s without a fix before switching to the outage model
 SIGMA_V_FLOOR = 0.05     # m/s, keeps R invertible when trees agree exactly
 TRAINING_SCENES = 24     # synthetic rides per training run
 HOLDOUT_FRACTION = 0.25  # share of the rides held out for the RMSE report
+_ROW_BLOCK = 4096        # rows of forest input built at a time
 
 
 @dataclass
@@ -90,11 +91,13 @@ def estimate_velocity(imu, gnss, model: VelocityModel):
 
     v_hat = np.empty(len(times))
     var = np.empty(len(times))
-    if use_gnss.any():
-        X = np.column_stack([motion[use_gnss], coeffs[use_gnss]])
-        v_hat[use_gnss], var[use_gnss] = model.with_gnss.predict(X)
-    if (~use_gnss).any():
-        v_hat[~use_gnss], var[~use_gnss] = model.no_gnss.predict(motion[~use_gnss])
+    for forest, fresh in ((model.with_gnss, True), (model.no_gnss, False)):
+        rows = np.flatnonzero(use_gnss == fresh)
+        for lo, hi in row_blocks(len(rows), _ROW_BLOCK):
+            block = rows[lo:hi]
+            X = (np.column_stack([motion[block], coeffs[block]]) if fresh
+                 else motion[block])
+            v_hat[block], var[block] = forest.predict(X)
     sigma = np.maximum(np.sqrt(var), SIGMA_V_FLOOR)
     return np.column_stack([times, v_hat, sigma, use_gnss.astype(float)])
 
@@ -126,7 +129,8 @@ def build_training_set(seed, n_scenes=TRAINING_SCENES):
     """Feature matrix (motion + GNSS columns), targets and scene ids.
 
     Each ride contributes one row per post-warm-up frame; targets are the
-    ground-truth speeds.  Scene ids allow leakage-free holdout splits.
+    ground-truth speeds.  Scene ids allow leakage-free holdout splits; they
+    never decrease, as the rides are emitted in order.
     """
     rows_X, rows_y, rows_scene = [], [], []
     for scene_idx, spec in enumerate(_training_specs(seed, n_scenes)):
@@ -221,9 +225,10 @@ def train_velocity_model(seed, n_scenes=TRAINING_SCENES,
     X, y, scene_ids = build_training_set(seed, n_scenes)
     unique = np.unique(scene_ids)
     n_hold = holdout_count(len(unique), holdout_fraction)
-    hold = np.isin(scene_ids, unique[-n_hold:])
-    X_tr, y_tr = X[~hold], y[~hold]
-    X_ho, y_ho = X[hold], y[hold]
+    # the held-out scenes are the last ones, so their rows end the set
+    split = int(np.searchsorted(scene_ids, unique[-n_hold]))
+    X_tr, y_tr = X[:split], y[:split]
+    X_ho, y_ho = X[split:], y[split:]
 
     f_with, f_without = _fit_pair(X_tr, y_tr, seed, hyperparams)
     pred_w, _ = f_with.predict(X_ho)

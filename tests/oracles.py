@@ -17,8 +17,10 @@ from cooptrack.ekf import (EPS_YAW, BikeState, MeasurementKind, predict_state,
                            wrap_angle)
 from cooptrack.errors import NumericalError
 from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
+                                gnss_poly_track, motion_feature_matrix,
                                 moving_average)
 from cooptrack.metrics import FrameRecord
+from cooptrack.velocity import GNSS_STALENESS, SIGMA_V_FLOOR
 
 
 def fd_jacobian(fun, x0, h):
@@ -386,3 +388,30 @@ def reference_tree_predictions(forest_json, X):
                                                     right[node]))
         preds.append(value[node])
     return np.stack(preds)
+
+
+def whole_matrix_predict(forest, X):
+    """(mean, variance) over the trees from the whole (trees, rows) matrix
+    of tree outputs at once."""
+    preds = forest.tree_predictions(X)
+    mean = preds.mean(axis=0)
+    return mean, np.mean((preds - mean) ** 2, axis=0)
+
+
+def whole_ride_velocity(imu, gnss, model):
+    """estimate_velocity's (t, v_hat, sigma_v, used_gnss) rows, each forest
+    run once over all of its rows of the ride by whole_matrix_predict."""
+    times = imu[DFT_WINDOW_SAMPLES - 1:, 0]
+    coeffs, age = gnss_poly_track(times, gnss)
+    fresh = (age <= GNSS_STALENESS) & ~np.isnan(coeffs).any(axis=1)
+    motion = motion_feature_matrix(imu)
+    v_hat = np.empty(len(times))
+    var = np.empty(len(times))
+    if fresh.any():
+        v_hat[fresh], var[fresh] = whole_matrix_predict(
+            model.with_gnss, np.column_stack([motion[fresh], coeffs[fresh]]))
+    if (~fresh).any():
+        v_hat[~fresh], var[~fresh] = whole_matrix_predict(model.no_gnss,
+                                                          motion[~fresh])
+    sigma = np.maximum(np.sqrt(var), SIGMA_V_FLOOR)
+    return np.column_stack([times, v_hat, sigma, fresh.astype(float)])

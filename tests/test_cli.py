@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -144,8 +145,7 @@ class TestTrack:
         clone = tmp_path / "scene_no_device"
         clone.mkdir()
         for name in ("ground_truth.csv", "detections.csv", "scene.json"):
-            (clone / name).write_bytes(
-                open(os.path.join(scene_dir, name), "rb").read())
+            shutil.copyfile(os.path.join(scene_dir, name), clone / name)
         out_b = tmp_path / "without_device"
         run(["--config", cfg, "track", str(clone), "--model", "P", "--out", out_b])
         assert (out_a / "tracks_P.csv").read_bytes() == \
@@ -158,7 +158,7 @@ class TestTrack:
         src = os.path.join(scenes, "turning_0000")
         for name in ("ground_truth.csv", "detections.csv", "device.csv",
                      "gnss.csv", "scene.json"):
-            (broken / name).write_bytes(open(os.path.join(src, name), "rb").read())
+            shutil.copyfile(os.path.join(src, name), broken / name)
         det = broken / "detections.csv"
         det.write_text(det.read_text().replace("t,x,y", "bogus,x,y", 1))
         assert run(["--config", cfg, "track", broken, "--model", "P"]) == 3
@@ -328,7 +328,7 @@ class TestCompare:
 
             def map(self, fn, iterable):
                 return map(fn, iterable)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         for n_starting, workers in [(1, []), (cli.COMPARE_CHUNK_SCENES + 1, [2])]:
             cfg = write_config(tmp_path / "c.json", scenes={
                 "n_starting": n_starting, "n_turning": 0, "occlusion_durations": [],

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cooptrack import forest as forest_mod
 from cooptrack.forest import RegressionForest, train_forest
-from oracles import reference_forest_json, reference_tree_predictions
+from oracles import (reference_forest_json, reference_tree_predictions,
+                     whole_matrix_predict)
 
 
 def toy_data(n=400, d=5, seed=0):
@@ -113,6 +116,43 @@ class TestPrediction:
         mean_p, var_p = RegressionForest.from_json(json.dumps(payload)).predict(x)
         np.testing.assert_allclose(mean, mean_p, atol=1e-12)
         np.testing.assert_allclose(var, var_p, atol=1e-12)
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_peak_independent_of_rows(self):
+        X, y = toy_data(n=400, seed=13)
+        forest = train_forest(X, y, seed=0, n_trees=64)
+        block = forest_mod._WALK_CELLS // 64
+        Q = np.random.default_rng(3).normal(0, 1, (20 * block, X.shape[1]))
+        one = self._peak(forest.predict, Q[:block])
+        # the whole (trees, rows) matrix and its squared deviations would
+        # grow 20-fold; the returned mean and variance are 2 x 8 bytes a row
+        assert self._peak(forest.predict, Q) < 2 * one
+
+    # a walk block holds 1024 rows at 64 trees and 65 536 at one tree
+    @pytest.mark.parametrize("n_trees, n_rows", [
+        (64, 1), (64, 2), (64, 1024), (64, 1025), (64, 3 * 1024 + 1),
+        (64, 3 * 1024 + 7), (1, 65536 + 1), (1, 3)])
+    def test_bits_of_the_whole_matrix_formula(self, n_trees, n_rows):
+        X, y = toy_data(n=400, seed=14)
+        forest = train_forest(X, y, seed=2, n_trees=n_trees)
+        rng = np.random.default_rng(n_rows)
+        # every other column of a wider array: a non-contiguous view
+        wide = rng.normal(0, 1.5, (n_rows, 2 * X.shape[1]))
+        wide[rng.random(wide.shape) < 0.1] = np.nan
+        Q = wide[:, ::2]
+        assert not Q.flags.c_contiguous
+        mean, var = forest.predict(Q)
+        want_mean, want_var = whole_matrix_predict(forest, Q)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
 
     def test_layout_mismatch_rejected(self):
         X, y = toy_data()

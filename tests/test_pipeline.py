@@ -236,7 +236,8 @@ class TestPersistence:
         assert first[0] == pytest.approx(rows[0][0], abs=1e-6)
         assert first[1] == rows[0][1]
         assert first[7] == rows[0][7]
-        text = open(path).read().splitlines()
+        with open(path) as fh:
+            text = fh.read().splitlines()
         assert text[0].startswith("# config=")
         assert "seed=" in text[0]
         assert text[1] == "t,track_id,x,y,gamma,gamma_dot,v,valid"

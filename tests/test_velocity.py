@@ -17,6 +17,7 @@ from cooptrack.forest import RegressionForest
 from cooptrack.velocity import (GNSS_STALENESS, SIGMA_V_FLOOR, VelocityModel,
                                 build_training_set, estimate_velocity,
                                 train_velocity_model)
+from oracles import whole_ride_velocity
 
 BENCH_SEED = 11
 
@@ -58,6 +59,46 @@ class TestTrainingReport:
         assert ra == rb
         assert a.with_gnss.to_json() == b.with_gnss.to_json()
         assert a.no_gnss.to_json() == b.no_gnss.to_json()
+
+    @pytest.mark.parametrize("n_scenes, holdout_fraction",
+                             [(6, 0.25), (7, 0.5), (5, 0.1)])
+    def test_holdout_rows_are_those_of_the_last_scenes(
+            self, monkeypatch, n_scenes, holdout_fraction):
+        X, y, scene_ids = build_training_set(seed=4, n_scenes=n_scenes)
+        assert (np.diff(scene_ids) >= 0).all()
+        unique = np.unique(scene_ids)
+        n_hold = velocity.holdout_count(len(unique), holdout_fraction)
+        hold = np.isin(scene_ids, unique[-n_hold:])
+        seen = {}
+
+        class Recorder:
+            """Stands in for a fitted forest and records what it scores."""
+
+            def __init__(self, name):
+                self.name = name
+
+            def predict(self, X_ho):
+                seen[self.name] = X_ho
+                return np.zeros(len(X_ho)), np.zeros(len(X_ho))
+
+        def fit_pair(X_tr, y_tr, seed, hyperparams):
+            seen["X_tr"], seen["y_tr"] = X_tr, y_tr
+            return Recorder("with"), Recorder("without")
+
+        monkeypatch.setattr(velocity, "_fit_pair", fit_pair)
+        _, report = train_velocity_model(seed=4, n_scenes=n_scenes,
+                                         holdout_fraction=holdout_fraction)
+        # two slices of one training matrix, not copies
+        assert seen["X_tr"].base is not None
+        assert seen["X_tr"].base is seen["with"].base
+        assert np.array_equal(seen["X_tr"], X[~hold])
+        assert np.array_equal(seen["y_tr"], y[~hold])
+        assert np.array_equal(seen["with"], X[hold])
+        assert np.array_equal(seen["without"],
+                              X[hold][:, :feat.N_MOTION_FEATURES])
+        assert report["n_train"] == (~hold).sum()
+        assert report["n_holdout"] == hold.sum()
+        assert report["rmse_with_gnss"] == np.sqrt(np.mean(y[hold] ** 2))
 
     def test_feature_layouts_embedded(self, benchmark_model):
         model, _ = benchmark_model
@@ -127,6 +168,30 @@ class TestEstimateVelocity:
         truth = np.interp(out[:, 0], gt[:, 0], gt[:, 5])
         rmse = math.sqrt(np.mean((out[:, 1] - truth) ** 2))
         assert rmse < 1.0
+
+
+class TestRowBlocks:
+    def test_blocks_keep_the_bits_of_the_whole_ride(self, benchmark_model,
+                                                    monkeypatch):
+        model, _ = benchmark_model
+        # 120 s with GNSS lost from 40 to 52 s: the with-GNSS forest's rows
+        # run past one default block
+        _, imu, gnss = make_ride(seed=5, v_peak=5.0, duration=120.0)
+        gnss = gnss[(gnss[:, 0] < 40.0) | (gnss[:, 0] > 52.0)]
+        whole = whole_ride_velocity(imu, gnss, model)
+        used = whole[:, 3].astype(bool)
+        n_fresh, n_stale = int(used.sum()), int((~used).sum())
+        assert 0 < n_stale < velocity._ROW_BLOCK < n_fresh
+        # GNSS rows before the outage, whose first row is the first stale
+        # one after the first fresh one
+        outage = np.flatnonzero(~used & (np.cumsum(used) > 0))[0]
+        before = int(used[:outage].sum())
+        # block ends just before, at and just after the outage on the
+        # with-GNSS side; a lone last row (n - 1) on either side
+        for block in [velocity._ROW_BLOCK, before - 1, before, before + 1,
+                      2, 3, 500, n_fresh - 1, n_stale - 1]:
+            monkeypatch.setattr(velocity, "_ROW_BLOCK", block)
+            assert np.array_equal(estimate_velocity(imu, gnss, model), whole)
 
 
 class TestInputValidation:
