@@ -68,8 +68,9 @@ def yaw_rate(imu):
 
 
 # w^j = exp(-2 pi i j / 256): the twiddle of order k at sample t is
-# w^((k t) mod 256)
-_TWIDDLES = np.exp(-2j * np.pi * np.arange(DFT_WINDOW_SAMPLES) / DFT_WINDOW_SAMPLES)
+# w^((k t) mod 256), row t mod 256 of this (256, 6) table
+_TWIDDLES = np.exp(-2j * np.pi * np.arange(DFT_WINDOW_SAMPLES) / DFT_WINDOW_SAMPLES)[
+    np.outer(np.arange(DFT_WINDOW_SAMPLES), np.arange(DFT_ORDERS)) % DFT_WINDOW_SAMPLES]
 
 # windows per block of the twiddled running sums, which bounds their
 # temporaries to about 20 MB for four signals at any recording length
@@ -106,10 +107,10 @@ def _trailing_dfts(signals) -> np.ndarray:
     for lo in range(0, m, _DFT_BLOCK):
         hi = min(lo + _DFT_BLOCK, m)
         stop = hi + DFT_WINDOW_SAMPLES - 1
-        phase = np.outer(np.arange(lo, stop), np.arange(DFT_ORDERS)) % DFT_WINDOW_SAMPLES
+        twiddles = _TWIDDLES.take(np.arange(lo, stop), axis=0, mode="wrap")
         csum = np.empty((stop - lo + 1,) + running.shape, dtype=complex)
         csum[0] = running
-        np.multiply(finite[lo:stop, :, None], _TWIDDLES[phase][:, None, :], out=csum[1:])
+        np.multiply(finite[lo:stop, :, None], twiddles[:, None, :], out=csum[1:])
         np.cumsum(csum, axis=0, out=csum)
         running = csum[hi - lo].copy()      # a copy lets this block's sums go
         np.divide(np.abs(csum[DFT_WINDOW_SAMPLES:] - csum[:hi - lo]), energy[lo:hi],

@@ -5,7 +5,9 @@ quantile-binned feature values.  The prediction is the mean of the tree
 outputs; the reported variance is the mean squared deviation of the tree
 outputs from that mean, which feeds the tracker's measurement noise.
 Training is deterministic for a given seed: every tree draws its bootstrap
-sample from its own RNG stream spawned from the seed.
+sample from its own RNG stream spawned from the seed.  The targets are
+fitted as integers (scaled_targets), so every count, sum and histogram cell
+of a tree is exact, whatever order its rows are added up in.
 
 All nodes of a forest live in one `NodeTable`.  Trees are grown level by
 level, with the histograms and split searches of a level's nodes batched,
@@ -14,6 +16,7 @@ depth-first pre-order.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -32,6 +35,9 @@ N_BINS = 64
 # to a few MB at any forest size
 _FIT_CELLS = 1 << 16
 _WALK_CELLS = 1 << 16
+# bound on the (node, feature, bin) cells of the histograms a tree keeps
+# of one level for the next: 2 MB, whatever the number of rows
+_LEVEL_CELLS = 1 << 17
 
 
 class NodeTable:
@@ -108,43 +114,94 @@ class NodeTable:
         return self.value.take(node)
 
 
-def _best_cuts(hist):
-    """Best (feature, bin) cut of each node by squared-error reduction.
+def scaled_targets(y):
+    """(y_int, e): the targets times 2**e, rounded to integers, where e
+    makes len(y) * max|y_int| less than 2**53.
 
-    hist is the (3, nodes, n_features, n_bins) buffer of per-bin counts,
-    sums and sums of squares of each node's samples; it is overwritten.
-    A cut at bin b sends bins <= b left.  Ties go to the lowest feature,
-    then the lowest bin.  Returns (feature, bin) arrays, feature -1 where
-    no cut reduces the error.
+    A tree's bootstrap sample holds len(y) draws, so every count, sum and
+    difference of sums of these targets that a tree forms, however its
+    rows are weighted, is an exact float64 integer, whatever order it is
+    added up in.  Rounding moves a target by at most 2**-(e + 1), which
+    is at most max|y| * len(y) * 2**-51.
     """
-    # the totals come from the bins (a pairwise sum), not from the
-    # running sums' last cells (a sequential one)
-    total_n, total_s, total_ss = hist[:, :, 0].sum(axis=2)[:, :, None, None]
-    parent_sse = (total_ss - total_s ** 2 / total_n).ravel()
+    peak = float(np.abs(y).max())
+    # len(y) < 2**bit_length and peak < 2**frexp exponent, and the
+    # rounding adds at most len(y) / 2 to a sum
+    exponent = 0 if peak == 0.0 else 52 - math.frexp(peak)[1] - len(y).bit_length()
+    return np.rint(np.ldexp(y, exponent)), exponent
 
-    np.cumsum(hist, axis=3, out=hist)
-    cn, cs, css = hist[:, :, :, :-1]
-    valid = cn > 0
+
+def _histograms(binned, weight, weighted, rows, bounds, nodes, n_bins):
+    """(2, len(nodes), n_features, n_bins) cumulative histograms of the
+    listed nodes of a level: per feature, the running sums over the bins
+    of the multiplicity (`weight`) and of the multiplicity times scaled
+    target (`weighted`) of the node's rows, which are
+    rows[bounds[k]:bounds[k + 1]] for node k.
+
+    One bincount per feature and statistic, keyed by (node slot, bin).
+    With the targets of scaled_targets every cell is an exact integer, so
+    it has the same bits whatever order the rows come in.
+    """
+    sel = np.concatenate([rows[bounds[k]:bounds[k + 1]] for k in nodes])
+    key = np.repeat(np.arange(len(nodes)) * n_bins, bounds[nodes + 1] - bounds[nodes])
+    sub = binned[sel]
+    w, wy = weight[sel], weighted[sel]
+    size = len(nodes) * n_bins
+    hist = np.empty((2, len(nodes), binned.shape[1], n_bins))
+    for f in range(binned.shape[1]):
+        b = key + sub[:, f]
+        hist[0, :, f] = np.bincount(b, weights=w, minlength=size).reshape(-1, n_bins)
+        hist[1, :, f] = np.bincount(b, weights=wy, minlength=size).reshape(-1, n_bins)
+    return np.cumsum(hist, axis=3, out=hist)
+
+
+def _child_histograms(parent_hist, parents, binned, weight, weighted, rows,
+                      bounds, n_bins):
+    """_histograms of every node of a level from those of the previous
+    level: nodes 2i and 2i + 1 are the children of node parents[i].  The
+    child with fewer rows is binned and its sibling gets the parent's
+    histograms minus its own."""
+    size = np.diff(bounds)
+    left = np.arange(0, len(size), 2)
+    small = np.where(size[left] <= size[left + 1], left, left + 1)
+    hist = np.empty((2, len(size)) + parent_hist.shape[2:])
+    hist[:, small] = _histograms(binned, weight, weighted, rows, bounds, small, n_bins)
+    for parent, child in zip(parents.tolist(), small.tolist()):
+        np.subtract(parent_hist[:, parent], hist[:, child], out=hist[:, child ^ 1])
+    return hist
+
+
+def _best_cuts(hist):
+    """Best (feature, bin) cut of each node from its _histograms.
+
+    A cut at bin b sends bins <= b left.  With (cn, cs) the count and sum
+    of its left rows and (rn, rs) those of its right rows, the children's
+    squared error is the node's sum of squares minus
+    cs^2 / cn + rs^2 / rn, so the best cut maximises that.  Cuts that
+    make the same partition have the same exact counts and sums, so they
+    tie exactly; ties go to the lowest feature, then the lowest bin.
+    Returns (feature, bin) arrays, feature -1 where no cut has rows on
+    both sides or the best one leaves both children the node's mean
+    (cs * rn == rs * cn), as in a node of equal targets.
+    """
+    # the last running sum of any feature is the node's total
+    total_n, total_s = hist[:, :, :1, -1:]
+    cn, cs = hist[:, :, :, :-1]
+    rn = total_n - cn
     with np.errstate(divide="ignore", invalid="ignore"):
-        # sse = (css - cs^2 / cn) + ((total_ss - css) - (total_s - cs)^2 / rn),
-        # each operation in that order, the running sums overwritten
-        sse = np.square(cs)
-        sse /= cn
-        np.subtract(css, sse, out=sse)
-        rn = np.subtract(total_n, cn, out=cn)
-        valid &= rn > 0
-        right = np.subtract(total_s, cs, out=cs)
+        score = np.square(cs)
+        score /= cn
+        right = np.subtract(total_s, cs)
         np.square(right, out=right)
         right /= rn
-        np.subtract(total_ss, css, out=css)
-        css -= right
-        sse += css
-    sse[~valid] = np.inf
-    sse = sse.reshape(len(sse), -1)
-    flat = np.argmin(sse, axis=1)
-    best = sse[np.arange(len(flat)), flat]
-    ok = np.isfinite(best) & (parent_sse - best > 1e-12)
+        score += right
+    # a side without rows gives 0 / 0
+    score[np.isnan(score)] = -np.inf
+    flat = np.argmax(score.reshape(len(score), -1), axis=1)
     feature, cut = np.divmod(flat, hist.shape[3] - 1)
+    node = np.arange(len(flat))
+    cn, cs, rn = cn[node, feature, cut], cs[node, feature, cut], rn[node, feature, cut]
+    ok = (cn > 0) & (rn > 0) & (cs * rn != (total_s.ravel() - cs) * cn)
     return np.where(ok, feature, -1), cut
 
 
@@ -199,9 +256,10 @@ class RegressionForest:
         self.feature_layout = feature_layout
         self.bin_edges = self._quantile_edges(X)
         binned = self._bin(X)
+        y_int, exponent = scaled_targets(y)
         seqs = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.nodes = NodeTable([
-            self._grow_tree(binned, y, np.random.default_rng(seq))
+            self._grow_tree(binned, y_int, exponent, np.random.default_rng(seq))
             for seq in seqs])
         return self
 
@@ -215,32 +273,59 @@ class RegressionForest:
             binned[:, f] = np.searchsorted(self.bin_edges[f], X[:, f], side="left")
         return binned
 
-    def _grow_tree(self, binned, y, rng):
+    def _grow_tree(self, binned, y_int, exponent, rng):
         """One tree on a bootstrap sample, grown a level at a time.
 
-        A level's nodes keep their rows as consecutive runs of `rows`, each
-        in the order the node received them, so every histogram cell and
-        every node mean adds its rows in the same order as a node-by-node
-        grower would.  Returns the (feature, threshold, left, right, value)
-        node arrays in growth order, the levels concatenated: the children
-        of the i-th split node are nodes 2i + 1 and 2i + 2.
+        The draw is kept as each row's multiplicity, so a node holds each
+        of its rows once.  With the integer targets of scaled_targets, a
+        node's count, sum and histogram cells are exact integers, so they
+        do not depend on the order of its rows, and a node's value is
+        sum / count * 2**-exponent, one rounding.  That lets the children
+        of a split bin only the smaller child's rows and take the larger
+        child's histograms as the parent's minus the smaller's (Ke et al.,
+        "LightGBM", NeurIPS 2017), with the bits binning would give.  A
+        level keeps its histograms for its children while they fit in
+        _LEVEL_CELLS; past that its nodes are binned a batch at a time.
+        Returns the (feature, threshold, left, right, value) node arrays in
+        growth order, the levels concatenated: the children of the i-th
+        split node are nodes 2i + 1 and 2i + 2.
         """
-        n = len(y)
-        rows = rng.integers(0, n, size=n)
-        bounds = np.array([0, n])
+        n = len(y_int)
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        weighted = weight * y_int
+        n_bins = max(len(e) for e in self.bin_edges) + 1
+        cells = binned.shape[1] * n_bins        # (feature, bin) cells of a node
+        batch = max(1, _FIT_CELLS // cells)
+        rows = np.flatnonzero(weight)
+        bounds = np.array([0, len(rows)])
+        hist = None     # this level's histograms, when kept
         levels = []     # (value, feature, bin) of each level's nodes
         for depth in range(self.max_depth + 1):
-            yv = y[rows]
             starts = bounds[:-1]
-            value = np.array([yv[s:e].mean() for s, e in zip(starts, bounds[1:])])
+            value = np.ldexp(np.add.reduceat(weighted[rows], starts)
+                             / np.add.reduceat(weight[rows], starts), -exponent)
             feature = np.full(len(value), -1)
             cut = np.zeros(len(value), dtype=int)
             if depth < self.max_depth:
-                open_ = ((np.diff(bounds) >= 2)
-                         & (np.maximum.reduceat(yv, starts)
-                            != np.minimum.reduceat(yv, starts)))
-                feature[open_], cut[open_] = self._split_nodes(
-                    binned, y, rows, bounds, np.flatnonzero(open_))
+                if hist is None:
+                    # a node of equal targets finds no cut, so it is not binned
+                    yv = y_int[rows]
+                    nodes = np.flatnonzero(np.maximum.reduceat(yv, starts)
+                                           != np.minimum.reduceat(yv, starts))
+                    if (len(nodes) and depth + 1 < self.max_depth
+                            and len(value) * cells <= _LEVEL_CELLS):
+                        hist = np.zeros((2, len(value), binned.shape[1], n_bins))
+                        hist[:, nodes] = _histograms(binned, weight, weighted, rows,
+                                                     bounds, nodes, n_bins)
+                    else:
+                        for lo in range(0, len(nodes), batch):
+                            part = nodes[lo:lo + batch]
+                            feature[part], cut[part] = _best_cuts(_histograms(
+                                binned, weight, weighted, rows, bounds, part, n_bins))
+                if hist is not None:
+                    for lo in range(0, len(value), batch):
+                        feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(
+                            hist[:, lo:lo + batch])
             levels.append((value, feature, cut))
             split = feature >= 0
             if not split.any():
@@ -253,6 +338,12 @@ class RegressionForest:
             rows = rows[np.argsort(child, kind="stable")]
             bounds = np.concatenate(
                 [[0], np.cumsum(np.bincount(child, minlength=2 * split.sum()))])
+            if (hist is not None and depth + 1 < self.max_depth
+                    and (len(bounds) - 1) * cells <= _LEVEL_CELLS):
+                hist = _child_histograms(hist, np.flatnonzero(split), binned,
+                                         weight, weighted, rows, bounds, n_bins)
+            else:
+                hist = None
         value, feature, cut = map(np.concatenate, zip(*levels))
         split = feature >= 0
         threshold = np.array([self.bin_edges[f][c] if f >= 0 else 0.0
@@ -260,37 +351,6 @@ class RegressionForest:
         left = np.where(split, 2 * np.cumsum(split) - 1, -1)
         right = np.where(split, left + 1, -1)
         return feature, threshold, left, right, value
-
-    def _split_nodes(self, binned, y, rows, bounds, nodes):
-        """Best cut of each listed node of a level: (feature, bin) arrays.
-
-        The histograms of a batch of nodes come from one bincount per
-        feature and statistic, keyed by (node slot, bin).
-        """
-        n_features = binned.shape[1]
-        nb = max(len(e) for e in self.bin_edges) + 1
-        batch = max(1, _FIT_CELLS // (n_features * nb))
-        feature = np.empty(len(nodes), dtype=int)
-        cut = np.empty(len(nodes), dtype=int)
-        for lo in range(0, len(nodes), batch):
-            part = nodes[lo:lo + batch]
-            lengths = bounds[part + 1] - bounds[part]
-            sel = np.concatenate([rows[bounds[k]:bounds[k + 1]] for k in part])
-            key = np.repeat(np.arange(len(part)) * nb, lengths)
-            sub = binned[sel]
-            yv = y[sel]
-            yv2 = yv ** 2
-            size = len(part) * nb
-            hist = np.empty((3, len(part), n_features, nb))
-            for f in range(n_features):
-                b = key + sub[:, f]
-                hist[0, :, f] = np.bincount(b, minlength=size).reshape(-1, nb)
-                hist[1, :, f] = np.bincount(b, weights=yv,
-                                            minlength=size).reshape(-1, nb)
-                hist[2, :, f] = np.bincount(b, weights=yv2,
-                                            minlength=size).reshape(-1, nb)
-            feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(hist)
-        return feature, cut
 
     # -- prediction ----------------------------------------------------------
 

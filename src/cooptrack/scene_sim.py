@@ -137,10 +137,20 @@ def _yaw_rate_profile(spec: SceneSpec):
     return gdot_of_t
 
 
+# RK4 steps per frame
+_FRAME_STRIDE = int(round(1.0 / (FRAME_RATE * RK4_STEP)))
+
+
+def frame_count(spec: SceneSpec) -> int:
+    """Rows of generate_ground_truth(spec): the frames from t = 0 to the
+    ride's last RK4 step."""
+    return int(round(spec.duration / RK4_STEP)) // _FRAME_STRIDE + 1
+
+
 def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
     """Integrate the maneuver with RK4 at 1 ms and decimate to the frame rate.
 
-    Returns (N, 6) columns t, x, y, gamma, gamma_dot, v.
+    Returns (frame_count(spec), 6) columns t, x, y, gamma, gamma_dot, v.
     """
     v_of_t = _speed_profile(spec)
     gdot_of_t = _yaw_rate_profile(spec)
@@ -168,8 +178,7 @@ def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
     y[1:] = np.cumsum(h / 6.0 * (v0 * np.sin(g1) + 2 * v_mid * np.sin(g2)
                                  + 2 * v_mid * np.sin(g3) + v1 * np.sin(g4)))
 
-    stride = int(round(1.0 / (FRAME_RATE * h)))
-    idx = np.arange(0, n_fine + 1, stride)
+    idx = np.arange(frame_count(spec)) * _FRAME_STRIDE
     return np.column_stack([t[idx], x[idx], y[idx], gamma[idx], gd[idx], v[idx]])
 
 

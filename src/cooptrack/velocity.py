@@ -130,20 +130,29 @@ def build_training_set(seed, n_scenes=TRAINING_SCENES):
 
     Each ride contributes one row per post-warm-up frame; targets are the
     ground-truth speeds.  Scene ids allow leakage-free holdout splits; they
-    never decrease, as the rides are emitted in order.
+    never decrease, as the rides are emitted in order.  The rides' rows go
+    into one matrix sized by their frame counts, so it is never copied.
     """
-    rows_X, rows_y, rows_scene = [], [], []
-    for scene_idx, spec in enumerate(_training_specs(seed, n_scenes)):
+    specs = _training_specs(seed, n_scenes)
+    bound = sum(max(0, scene_sim.frame_count(spec) - (feat.DFT_WINDOW_SAMPLES - 1))
+                for spec in specs)
+    X = np.empty((bound, feat.N_MOTION_FEATURES + feat.GNSS_POLY_DEGREE + 1))
+    y = np.empty(bound)
+    scene_ids = np.empty(bound, dtype=int)
+    n = 0
+    for scene_idx, spec in enumerate(specs):
         gt = scene_sim.generate_ground_truth(spec)
         rng = np.random.default_rng(spec.seed + 1)
         imu = scene_sim.synthesize_imu(gt, rng)
         gnss = scene_sim.simulate_gnss(gt, spec, rng)
         _, motion, coeffs, ok = _feature_rows(imu, gnss)
-        rows_X.append(np.column_stack([motion[ok], coeffs[ok]]))
-        rows_y.append(gt[feat.DFT_WINDOW_SAMPLES - 1:, 5][ok])
-        rows_scene.append(np.full(int(ok.sum()), scene_idx))
-    return (np.concatenate(rows_X), np.concatenate(rows_y),
-            np.concatenate(rows_scene))
+        end = n + int(ok.sum())
+        X[n:end, :feat.N_MOTION_FEATURES] = motion[ok]
+        X[n:end, feat.N_MOTION_FEATURES:] = coeffs[ok]
+        y[n:end] = gt[feat.DFT_WINDOW_SAMPLES - 1:, 5][ok]
+        scene_ids[n:end] = scene_idx
+        n = end
+    return X[:n], y[:n], scene_ids[:n]
 
 
 def holdout_count(n_scenes, holdout_fraction):

@@ -19,6 +19,7 @@ from cooptrack.errors import NumericalError
 from cooptrack.features import (DFT_ORDERS, DFT_WINDOW_SAMPLES, STAT_WINDOW,
                                 gnss_poly_track, motion_feature_matrix,
                                 moving_average)
+from cooptrack import scene_sim, velocity
 from cooptrack.metrics import FrameRecord
 from cooptrack.velocity import GNSS_STALENESS, SIGMA_V_FLOOR
 
@@ -271,56 +272,70 @@ def frame_counts_of_records(frames):
             "lm": sum(f.lm for f in frames)}
 
 
-def _reference_best_split(counts, sums, sumsqs):
-    """Best (feature, bin) cut of one node by squared-error reduction, or None."""
+def reference_scaled_targets(y):
+    """(y_int, e): each target times 2**e rounded half to even, as a float
+    holding an integer, with e = 52 - (the bit length of len(y)) - (the
+    binary exponent of max|y|), so that no sum of len(y) of them reaches
+    2**53; e = 0 when every target is 0."""
+    values = [float(v) for v in y]
+    peak = max(abs(v) for v in values)
+    e = 0 if peak == 0.0 else 52 - len(values).bit_length() - math.frexp(peak)[1]
+    return np.array([float(round(math.ldexp(v, e))) for v in values]), e
+
+
+def _reference_best_split(counts, sums):
+    """Best (feature, bin) cut of one node, or None.
+
+    counts and sums are the node's (n_features, n_bins) histograms.  The
+    cut maximises cs^2 / cn + rs^2 / rn over the rows left (cn, cs) and
+    right (rn, rs) of it, the first maximum in (feature, bin) order.  None
+    when no cut has rows on both sides or the best one gives both sides
+    the same mean (cs * rn == rs * cn).
+    """
     total_n = counts[0].sum()
     total_s = sums[0].sum()
-    total_ss = sumsqs[0].sum()
-    parent_sse = total_ss - total_s ** 2 / total_n
-
     cn = np.cumsum(counts, axis=1)[:, :-1]
     cs = np.cumsum(sums, axis=1)[:, :-1]
-    css = np.cumsum(sumsqs, axis=1)[:, :-1]
     rn = total_n - cn
-    valid = (cn > 0) & (rn > 0)
+    rs = total_s - cs
     with np.errstate(divide="ignore", invalid="ignore"):
-        sse = (css - cs ** 2 / cn) + ((total_ss - css) - (total_s - cs) ** 2 / rn)
-    sse = np.where(valid, sse, np.inf)
-    flat = int(np.argmin(sse))
-    best = sse.flat[flat]
-    if not np.isfinite(best) or not parent_sse - best > 1e-12:
+        score = cs ** 2 / cn + rs ** 2 / rn
+    score = np.where((cn > 0) & (rn > 0), score, -np.inf)
+    f, b = np.unravel_index(int(np.argmax(score)), score.shape)
+    if score[f, b] == -np.inf or cs[f, b] * rn[f, b] == rs[f, b] * cn[f, b]:
         return None
-    return np.unravel_index(flat, sse.shape)
+    return f, b
 
 
 def _reference_tree(binned, y, rng, bin_edges, max_depth):
-    """One tree grown node by node, recursing left before right."""
+    """One tree grown node by node, recursing left before right.
+
+    A node holds its bootstrap draws with their repeats; its histograms
+    are binned straight from them, and its value is the mean of its
+    scaled targets scaled back.
+    """
     n, n_features = binned.shape
     boot = rng.integers(0, n, size=n)
+    y_int, e = reference_scaled_targets(y)
     tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-    y2 = y ** 2
-    nb = max(len(e) for e in bin_edges) + 1
+    nb = max(len(edges) for edges in bin_edges) + 1
 
     def build(rows, depth):
         node = len(tree["feature"])
         for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
                            ("right", -1), ("value", 0.0)):
             tree[key].append(blank)
-        yv = y[rows]
-        tree["value"][node] = float(yv.mean())
-        if depth >= max_depth or len(rows) < 2 or np.ptp(yv) == 0.0:
+        yv = y_int[rows]
+        tree["value"][node] = math.ldexp(int(yv.sum()) / len(rows), -e)
+        if depth >= max_depth or np.ptp(yv) == 0.0:
             return node
         sub = binned[rows]
-        yv2 = y2[rows]
         counts = np.empty((n_features, nb))
         sums = np.empty((n_features, nb))
-        sumsqs = np.empty((n_features, nb))
         for f in range(n_features):
-            b = sub[:, f]
-            counts[f] = np.bincount(b, minlength=nb)
-            sums[f] = np.bincount(b, weights=yv, minlength=nb)
-            sumsqs[f] = np.bincount(b, weights=yv2, minlength=nb)
-        cut = _reference_best_split(counts, sums, sumsqs)
+            counts[f] = np.bincount(sub[:, f], minlength=nb)
+            sums[f] = np.bincount(sub[:, f], weights=yv, minlength=nb)
+        cut = _reference_best_split(counts, sums)
         if cut is None:
             return node
         f, b = int(cut[0]), int(cut[1])
@@ -396,6 +411,22 @@ def whole_matrix_predict(forest, X):
     preds = forest.tree_predictions(X)
     mean = preds.mean(axis=0)
     return mean, np.mean((preds - mean) ** 2, axis=0)
+
+
+def concatenated_training_set(seed, n_scenes):
+    """build_training_set's (X, y, scene ids) from one block per ride,
+    stacked at the end."""
+    blocks = []
+    for scene_idx, spec in enumerate(velocity._training_specs(seed, n_scenes)):
+        gt = scene_sim.generate_ground_truth(spec)
+        rng = np.random.default_rng(spec.seed + 1)
+        imu = scene_sim.synthesize_imu(gt, rng)
+        gnss = scene_sim.simulate_gnss(gt, spec, rng)
+        _, motion, coeffs, ok = velocity._feature_rows(imu, gnss)
+        blocks.append((np.column_stack([motion[ok], coeffs[ok]]),
+                       gt[DFT_WINDOW_SAMPLES - 1:, 5][ok],
+                       np.full(int(ok.sum()), scene_idx)))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def whole_ride_velocity(imu, gnss, model):

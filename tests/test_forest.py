@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptrack import forest as forest_mod
-from cooptrack.forest import RegressionForest, train_forest
-from oracles import (reference_forest_json, reference_tree_predictions,
-                     whole_matrix_predict)
+from cooptrack.forest import RegressionForest, scaled_targets, train_forest
+from oracles import (reference_forest_json, reference_scaled_targets,
+                     reference_tree_predictions, whole_matrix_predict)
 
 
 def toy_data(n=400, d=5, seed=0):
@@ -81,6 +83,85 @@ class TestTraining:
         pred, _ = forest.predict(X_test)
         baseline = np.mean((y_test - y.mean()) ** 2)
         assert np.mean((pred - y_test) ** 2) < 0.4 * baseline
+
+
+class TestExactHistograms:
+    """Integer targets make every histogram cell exact: the same bits in
+    any row order, and a sibling's histograms by subtraction equal to
+    those binned from its rows."""
+
+    @pytest.mark.parametrize("y", [
+        [0.0, 0.0, 0.0], [1e-300, -3e-301], [1e300, -1.7e308], [0.1, 0.2, 0.3],
+        [3.25] * 7, [-5.0, 4.0]])
+    def test_scaled_targets_by_definition(self, y):
+        y = np.array(y)
+        y_int, e = scaled_targets(y)
+        want_int, want_e = reference_scaled_targets(y)
+        assert e == want_e and np.array_equal(y_int, want_int)
+        assert len(y) * np.abs(y_int).max() < 2.0 ** 53
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+           n_features=st.integers(1, 5), n_bins=st.integers(2, 40),
+           log_scale=st.floats(-30, 30))
+    def test_histograms_exact_in_any_order_and_by_subtraction(
+            self, seed, n, n_features, n_bins, log_scale):
+        rng = np.random.default_rng(seed)
+        binned = rng.integers(0, n_bins, (n, n_features)).astype(np.int16)
+        # heavy tails and repeated values, scaled over 60 decades
+        y = rng.standard_cauchy(n).round(int(rng.integers(0, 4))) * 10.0 ** log_scale
+        y_int, _ = scaled_targets(y)
+        weight = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        weighted = weight * y_int
+        rows = np.flatnonzero(weight)
+        whole = np.array([0, len(rows)])
+        root = np.array([0])
+        hist = forest_mod._histograms(binned, weight, weighted, rows, whole,
+                                      root, n_bins)
+        shuffled = rng.permutation(rows)
+        assert np.array_equal(hist, forest_mod._histograms(
+            binned, weight, weighted, shuffled, whole, root, n_bins))
+        # children of a random cut, each in a shuffled order
+        go_left = binned[shuffled, int(rng.integers(n_features))] <= rng.integers(n_bins)
+        children = np.concatenate([shuffled[go_left], shuffled[~go_left]])
+        bounds = np.array([0, go_left.sum(), len(rows)])
+        direct = forest_mod._histograms(binned, weight, weighted, children, bounds,
+                                        np.array([0, 1]), n_bins)
+        by_subtraction = forest_mod._child_histograms(
+            hist, root, binned, weight, weighted, children, bounds, n_bins)
+        assert np.array_equal(direct, by_subtraction)
+
+    def test_level_bound_does_not_move_a_bit(self, monkeypatch):
+        X, y = toy_data(n=600, d=8, seed=21)
+        want = train_forest(X, y, seed=3, n_trees=4, max_depth=7).to_json()
+        # no level kept (every node binned in batches), then one node a batch
+        monkeypatch.setattr(forest_mod, "_LEVEL_CELLS", 0)
+        assert train_forest(X, y, seed=3, n_trees=4, max_depth=7).to_json() == want
+        monkeypatch.setattr(forest_mod, "_FIT_CELLS", 1)
+        assert train_forest(X, y, seed=3, n_trees=4, max_depth=7).to_json() == want
+
+    @pytest.mark.parametrize("k", [-40, 7])
+    def test_power_of_two_target_scale_scales_only_the_values(self, k):
+        X, y = toy_data(n=300, seed=22)
+        a = json.loads(train_forest(X, y, seed=5, n_trees=3).to_json())
+        b = json.loads(train_forest(X, np.ldexp(y, k), seed=5, n_trees=3).to_json())
+        for ta, tb in zip(a["trees"], b["trees"]):
+            assert {key: ta[key] for key in ("feature", "threshold", "left", "right")} \
+                == {key: tb[key] for key in ("feature", "threshold", "left", "right")}
+            assert np.array_equal(np.ldexp(ta["value"], k), tb["value"])
+
+    def test_kept_histograms_bounded_on_deep_trees(self):
+        # levels of up to 2048 nodes: their histograms, all kept, would
+        # take 16 bytes x 2048 x 36 features x 64 bins = 75 MB
+        X, y = toy_data(n=4000, d=36, seed=23)
+        tracemalloc.start()
+        try:
+            train_forest(X, y, seed=0, n_trees=2, max_depth=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.5 MB here, 76 MB with every level kept
+        assert peak < 8e6
 
 
 class TestPrediction:
@@ -315,6 +396,31 @@ class TestOracleParity:
         y = np.sin(X[:, 0] * 3.0) + rng.normal(0, 0.1, 600)
         self._check(X, y, seed=1, n_trees=3, max_depth=max_depth,
                     n_bins=n_bins, queries=self._queries(rng, 100, n_features))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e4])
+    def test_targets_far_from_one(self, scale):
+        rng = np.random.default_rng(31)
+        X = rng.normal(0, 1, (400, 6))
+        y = scale * (1.0 + X[:, 0] + rng.normal(0, 0.2, 400))
+        self._check(X, y, seed=2, n_trees=3, max_depth=8, n_bins=32,
+                    queries=self._queries(rng, 200, 6))
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -7.25e5])
+    def test_constant_targets(self, value):
+        rng = np.random.default_rng(32)
+        X = rng.normal(0, 1, (150, 4))
+        self._check(X, np.full(150, value), seed=3, n_trees=2, max_depth=5,
+                    n_bins=16, queries=self._queries(rng, 50, 4))
+
+    def test_one_row_many_times(self):
+        # nine in ten rows are one row: nodes hold it many times over,
+        # next to rows drawn once or not at all
+        rng = np.random.default_rng(33)
+        X = rng.normal(0, 1, (200, 5))
+        y = X[:, 1] + rng.normal(0, 0.3, 200)
+        X[20:], y[20:] = X[0], y[0]
+        self._check(X, y, seed=4, n_trees=6, max_depth=10, n_bins=64,
+                    queries=self._queries(rng, 100, 5))
 
     def test_rows_beyond_one_walk_block(self):
         X, y = toy_data(n=400, seed=12)

@@ -51,9 +51,9 @@ TURNING_SCENE = {
 VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 6}}
 
 VELOCITY_FILES = {
-    "forest_with_gnss.json": "0d8484c3447e934a0c7f056aa354d0eeda398af65398f0ee28f85eeee3bf9406",
-    "forest_no_gnss.json": "65b67fda641cf077dd5eb9285b1537e2125e558392bdc9dbe5d505f613b748f5",
-    "rmse_report.json": "40bd2083fef759b8467a83a41ade57ee0b67799749405895a38138fbe572dafa",
+    "forest_with_gnss.json": "df6bfdaa5e7b5e9c8a655b937f2ce332c9e1528e4970d3b5600b172a7fca854b",
+    "forest_no_gnss.json": "49fc247b2cb2af82e5bcc3621c2a4554ff03cc37c5ad3bc41ab8535c591b10a9",
+    "rmse_report.json": "73dc2ae83075770e74b671057f16cebeb274e3a0c67f8aa909a0fc1db63b533e",
 }
 
 # trees deeper than the default 6 levels: pins level-by-level growth and
@@ -62,15 +62,15 @@ DEEP_VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 4,
                                      "max_depth": 10, "n_bins": 16}}
 
 DEEP_VELOCITY_FILES = {
-    "forest_with_gnss.json": "ba2ada19b39c521b0f042bda69fcd05cc40ca0512395855381e5f4862b2a0dbc",
-    "forest_no_gnss.json": "1193aa1d5ba4bf0f20fcc5c470dd176d513879b1a3358fffe5192494fe0a15a0",
-    "rmse_report.json": "6ff19048032cc039bc5fd7e3541b6deba98d530f69eec53685d5c902d671cbcf",
+    "forest_with_gnss.json": "169e091672e5f1de9cf2f681330f13ea82101e2f83176b6074da78f08031c6f1",
+    "forest_no_gnss.json": "0dbf925815fcf961989fe1b12ecd0b1b9475542496a8c53f7f6c59fb6cd3b8d2",
+    "rmse_report.json": "b927a184dbab9f2d7eabf845de235fc1466856cbbed542a4d937b65d02240442",
 }
 
 # VelocityModel.run on a starting ride with GNSS and a turning ride without
 VELOCITY_RUNS = {
-    "starting_gnss": "456215cb1376f8be9ecb7588f34e6f864c0e4f770c5f183ff7759e05be2147f8",
-    "turning_no_gnss": "8f7916d8d0ef718739537ac5ded7037bdcfff8b22e858f64212f43a3c66bd3a2",
+    "starting_gnss": "a1c3a3a44b685cfdc8dce06879eb451ab8b0ddec87ad13219a1236a47b0785d6",
+    "turning_no_gnss": "712110a1637655227738a233150561fd436d81bc82e6aae76097688fb186f5e3",
 }
 
 

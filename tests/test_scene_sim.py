@@ -7,8 +7,9 @@ import pytest
 
 from cooptrack.errors import DataError
 from cooptrack.scene_sim import (KIND_STARTING, KIND_TURNING, SceneSpec,
-                                 aligned_occlusions, generate_ground_truth,
-                                 generate_scene, occlusion_mask_for,
+                                 aligned_occlusions, frame_count,
+                                 generate_ground_truth, generate_scene,
+                                 occlusion_mask_for,
                                  read_scene, simulate_sensors, synthesize_imu,
                                  write_scene)
 
@@ -45,6 +46,11 @@ class TestGroundTruth:
         assert gt[0, 0] == 0.0
         assert gt[-1, 0] == pytest.approx(14.0, abs=1e-12)
         np.testing.assert_allclose(np.diff(gt[:, 0]), FRAME_DT, atol=1e-12)
+
+    @pytest.mark.parametrize("duration", [14.0, 12.0, 0.004, 5.1, 7.0099, 7.0101, 9.99])
+    def test_frame_count_is_ground_truth_rows(self, duration):
+        spec = SceneSpec(duration=duration)
+        assert frame_count(spec) == len(generate_ground_truth(spec))
 
     def test_kinematic_consistency(self):
         for spec in (SceneSpec(seed=4), SceneSpec.turning_defaults(seed=5)):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cooptrack.forest import RegressionForest
 from cooptrack.velocity import (GNSS_STALENESS, SIGMA_V_FLOOR, VelocityModel,
                                 build_training_set, estimate_velocity,
                                 train_velocity_model)
-from oracles import whole_ride_velocity
+from oracles import concatenated_training_set, whole_ride_velocity
 
 BENCH_SEED = 11
 
@@ -105,6 +106,25 @@ class TestTrainingReport:
         assert model.with_gnss.feature_layout["with_gnss"] is True
         assert model.no_gnss.feature_layout["with_gnss"] is False
         assert model.with_gnss.n_features == feat.N_MOTION_FEATURES + 4
+
+
+class TestTrainingSet:
+    def test_bits_of_stacked_ride_blocks(self):
+        got = build_training_set(seed=6, n_scenes=5)
+        want = concatenated_training_set(6, 5)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_memory_peak_near_the_matrix(self):
+        tracemalloc.start()
+        try:
+            X, y, scene_ids = build_training_set(seed=1, n_scenes=48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the returned arrays and one ride's ground-truth integration; a
+        # list of per-ride blocks stacked at the end holds them twice
+        assert peak < 1.6 * (X.nbytes + y.nbytes + scene_ids.nbytes)
 
 
 class TestOutageTrend:
