@@ -35,8 +35,9 @@ N_BINS = 64
 # to a few MB at any forest size
 _FIT_CELLS = 1 << 16
 _WALK_CELLS = 1 << 16
-# bound on the (node, feature, bin) cells of the histograms a tree keeps
-# of one level for the next: 2 MB, whatever the number of rows
+# bound on the (node, feature, bin) cells of a level's histograms held
+# whole, from which the next level's come by subtraction: 2 MB, whatever
+# the number of rows
 _LEVEL_CELLS = 1 << 17
 
 
@@ -166,12 +167,14 @@ def _child_histograms(parent_hist, parents, binned, weight, weighted, rows,
     small = np.where(size[left] <= size[left + 1], left, left + 1)
     hist = np.empty((2, len(size)) + parent_hist.shape[2:])
     hist[:, small] = _histograms(binned, weight, weighted, rows, bounds, small, n_bins)
+    # one subtraction per parent, in place: a single indexed one would
+    # add three half-level temporaries to the fit's peak memory
     for parent, child in zip(parents.tolist(), small.tolist()):
         np.subtract(parent_hist[:, parent], hist[:, child], out=hist[:, child ^ 1])
     return hist
 
 
-def _best_cuts(hist):
+def _best_cuts(hist, keys):
     """Best (feature, bin) cut of each node from its _histograms.
 
     A cut at bin b sends bins <= b left.  With (cn, cs) the count and sum
@@ -179,7 +182,12 @@ def _best_cuts(hist):
     squared error is the node's sum of squares minus
     cs^2 / cn + rs^2 / rn, so the best cut maximises that.  Cuts that
     make the same partition have the same exact counts and sums, so they
-    tie exactly; ties go to the lowest feature, then the lowest bin.
+    tie exactly.  In one feature they are a run of cuts with no row of
+    the node between them, and the first of the run is taken.  Between
+    features the tie goes to the lowest of the node's `keys`, one random
+    number per feature, so that each node of each tree breaks its ties
+    its own way (as scikit-learn does by visiting the features in a random
+    order) and the trees do not all favour one feature.
     Returns (feature, bin) arrays, feature -1 where no cut has rows on
     both sides or the best one leaves both children the node's mean
     (cs * rn == rs * cn), as in a node of equal targets.
@@ -197,9 +205,12 @@ def _best_cuts(hist):
         score += right
     # a side without rows gives 0 / 0
     score[np.isnan(score)] = -np.inf
-    flat = np.argmax(score.reshape(len(score), -1), axis=1)
-    feature, cut = np.divmod(flat, hist.shape[3] - 1)
-    node = np.arange(len(flat))
+    first = np.argmax(score, axis=2)    # each feature's first best cut
+    best = np.take_along_axis(score, first[:, :, None], 2)[:, :, 0]
+    feature = np.argmin(np.where(best == best.max(axis=1, keepdims=True), keys, 2.0),
+                        axis=1)
+    node = np.arange(len(feature))
+    cut = first[node, feature]
     cn, cs, rn = cn[node, feature, cut], cs[node, feature, cut], rn[node, feature, cut]
     ok = (cn > 0) & (rn > 0) & (cs * rn != (total_s.ravel() - cs) * cn)
     return np.where(ok, feature, -1), cut
@@ -284,8 +295,10 @@ class RegressionForest:
         of a split bin only the smaller child's rows and take the larger
         child's histograms as the parent's minus the smaller's (Ke et al.,
         "LightGBM", NeurIPS 2017), with the bits binning would give.  A
-        level keeps its histograms for its children while they fit in
-        _LEVEL_CELLS; past that its nodes are binned a batch at a time.
+        level's histograms are held whole while they fit in _LEVEL_CELLS;
+        past that its nodes are binned a batch at a time and the next
+        level bins all of its own.  After the draw, the tree's RNG gives
+        each level one _best_cuts key per (node, feature).
         Returns the (feature, threshold, left, right, value) node arrays in
         growth order, the levels concatenated: the children of the i-th
         split node are nodes 2i + 1 and 2i + 2.
@@ -293,12 +306,13 @@ class RegressionForest:
         n = len(y_int)
         weight = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
         weighted = weight * y_int
+        n_features = binned.shape[1]
         n_bins = max(len(e) for e in self.bin_edges) + 1
-        cells = binned.shape[1] * n_bins        # (feature, bin) cells of a node
+        cells = n_features * n_bins             # (feature, bin) cells of a node
         batch = max(1, _FIT_CELLS // cells)
         rows = np.flatnonzero(weight)
         bounds = np.array([0, len(rows)])
-        hist = None     # this level's histograms, when kept
+        hist = None     # the level's histograms, when held whole
         levels = []     # (value, feature, bin) of each level's nodes
         for depth in range(self.max_depth + 1):
             starts = bounds[:-1]
@@ -307,29 +321,35 @@ class RegressionForest:
             feature = np.full(len(value), -1)
             cut = np.zeros(len(value), dtype=int)
             if depth < self.max_depth:
-                if hist is None:
-                    # a node of equal targets finds no cut, so it is not binned
-                    yv = y_int[rows]
-                    nodes = np.flatnonzero(np.maximum.reduceat(yv, starts)
-                                           != np.minimum.reduceat(yv, starts))
-                    if (len(nodes) and depth + 1 < self.max_depth
-                            and len(value) * cells <= _LEVEL_CELLS):
-                        hist = np.zeros((2, len(value), binned.shape[1], n_bins))
-                        hist[:, nodes] = _histograms(binned, weight, weighted, rows,
-                                                     bounds, nodes, n_bins)
-                    else:
-                        for lo in range(0, len(nodes), batch):
-                            part = nodes[lo:lo + batch]
-                            feature[part], cut[part] = _best_cuts(_histograms(
-                                binned, weight, weighted, rows, bounds, part, n_bins))
+                keys = rng.random((len(value), n_features))
+                # a node of equal targets finds no cut, so it is not binned
+                yv = y_int[rows]
+                nodes = np.flatnonzero(np.maximum.reduceat(yv, starts)
+                                       != np.minimum.reduceat(yv, starts))
+                if len(value) * cells > _LEVEL_CELLS:
+                    hist = None
+                elif hist is not None:
+                    hist = _child_histograms(hist, parents, binned, weight, weighted,
+                                             rows, bounds, n_bins)
+                elif len(nodes):
+                    hist = np.zeros((2, len(value), n_features, n_bins))
+                    hist[:, nodes] = _histograms(binned, weight, weighted, rows,
+                                                 bounds, nodes, n_bins)
                 if hist is not None:
-                    for lo in range(0, len(value), batch):
-                        feature[lo:lo + batch], cut[lo:lo + batch] = _best_cuts(
-                            hist[:, lo:lo + batch])
+                    # slices of the whole level, searched in place
+                    parts = [slice(lo, lo + batch) for lo in range(0, len(value), batch)]
+                else:
+                    parts = [nodes[lo:lo + batch] for lo in range(0, len(nodes), batch)]
+                for part in parts:
+                    feature[part], cut[part] = _best_cuts(
+                        hist[:, part] if hist is not None else _histograms(
+                            binned, weight, weighted, rows, bounds, part, n_bins),
+                        keys[part])
             levels.append((value, feature, cut))
             split = feature >= 0
             if not split.any():
                 break
+            parents = np.flatnonzero(split)
             node_of = np.repeat(np.arange(len(value)), np.diff(bounds))
             keep = split[node_of]
             rows, node_of = rows[keep], node_of[keep]
@@ -337,13 +357,7 @@ class RegressionForest:
             child = 2 * (np.cumsum(split) - 1)[node_of] + go_right
             rows = rows[np.argsort(child, kind="stable")]
             bounds = np.concatenate(
-                [[0], np.cumsum(np.bincount(child, minlength=2 * split.sum()))])
-            if (hist is not None and depth + 1 < self.max_depth
-                    and (len(bounds) - 1) * cells <= _LEVEL_CELLS):
-                hist = _child_histograms(hist, np.flatnonzero(split), binned,
-                                         weight, weighted, rows, bounds, n_bins)
-            else:
-                hist = None
+                [[0], np.cumsum(np.bincount(child, minlength=2 * len(parents)))])
         value, feature, cut = map(np.concatenate, zip(*levels))
         split = feature >= 0
         threshold = np.array([self.bin_edges[f][c] if f >= 0 else 0.0

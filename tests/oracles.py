@@ -5,6 +5,7 @@ Everything here is deliberately written against the mathematical definitions
 than reusing the library's code paths.
 """
 
+import collections
 import functools
 import itertools
 import json
@@ -283,14 +284,16 @@ def reference_scaled_targets(y):
     return np.array([float(round(math.ldexp(v, e))) for v in values]), e
 
 
-def _reference_best_split(counts, sums):
+def _reference_best_split(counts, sums, keys):
     """Best (feature, bin) cut of one node, or None.
 
-    counts and sums are the node's (n_features, n_bins) histograms.  The
-    cut maximises cs^2 / cn + rs^2 / rn over the rows left (cn, cs) and
-    right (rn, rs) of it, the first maximum in (feature, bin) order.  None
-    when no cut has rows on both sides or the best one gives both sides
-    the same mean (cs * rn == rs * cn).
+    counts and sums are the node's (n_features, n_bins) histograms and
+    keys its random number per feature.  The cut maximises
+    cs^2 / cn + rs^2 / rn over the rows left (cn, cs) and right (rn, rs)
+    of it.  Each feature with a cut at the maximum offers its first one,
+    and the offer of the feature with the lowest key wins.  None when no
+    cut has rows on both sides or the best one gives both sides the same
+    mean (cs * rn == rs * cn).
     """
     total_n = counts[0].sum()
     total_s = sums[0].sum()
@@ -301,52 +304,77 @@ def _reference_best_split(counts, sums):
     with np.errstate(divide="ignore", invalid="ignore"):
         score = cs ** 2 / cn + rs ** 2 / rn
     score = np.where((cn > 0) & (rn > 0), score, -np.inf)
-    f, b = np.unravel_index(int(np.argmax(score)), score.shape)
-    if score[f, b] == -np.inf or cs[f, b] * rn[f, b] == rs[f, b] * cn[f, b]:
+    top = score.max()
+    if top == -np.inf:
+        return None
+    offers = []
+    for f in range(len(score)):
+        at_top = np.flatnonzero(score[f] == top)
+        if len(at_top):
+            b = int(at_top[0])
+            offers.append((float(keys[f]), f, b))
+    _, f, b = min(offers)
+    if cs[f, b] * rn[f, b] == rs[f, b] * cn[f, b]:
         return None
     return f, b
 
 
 def _reference_tree(binned, y, rng, bin_edges, max_depth):
-    """One tree grown node by node, recursing left before right.
+    """One tree grown node by node, breadth first, then numbered in
+    depth-first pre-order, left child first.
 
     A node holds its bootstrap draws with their repeats; its histograms
     are binned straight from them, and its value is the mean of its
-    scaled targets scaled back.
+    scaled targets scaled back.  After the draw, every node above
+    max_depth takes its split keys from the tree's RNG, in the order the
+    nodes are reached.
     """
     n, n_features = binned.shape
     boot = rng.integers(0, n, size=n)
     y_int, e = reference_scaled_targets(y)
-    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
     nb = max(len(edges) for edges in bin_edges) + 1
-
-    def build(rows, depth):
-        node = len(tree["feature"])
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                           ("right", -1), ("value", 0.0)):
-            tree[key].append(blank)
+    root = {"rows": boot, "depth": 0}
+    queue = collections.deque([root])
+    while queue:
+        node = queue.popleft()
+        rows, depth = node.pop("rows"), node["depth"]
         yv = y_int[rows]
-        tree["value"][node] = math.ldexp(int(yv.sum()) / len(rows), -e)
-        if depth >= max_depth or np.ptp(yv) == 0.0:
-            return node
+        node["value"] = math.ldexp(int(yv.sum()) / len(rows), -e)
+        if depth >= max_depth:
+            continue
+        keys = rng.random(n_features)
+        if np.ptp(yv) == 0.0:
+            continue
         sub = binned[rows]
         counts = np.empty((n_features, nb))
         sums = np.empty((n_features, nb))
         for f in range(n_features):
             counts[f] = np.bincount(sub[:, f], minlength=nb)
             sums[f] = np.bincount(sub[:, f], weights=yv, minlength=nb)
-        cut = _reference_best_split(counts, sums)
+        cut = _reference_best_split(counts, sums, keys)
         if cut is None:
-            return node
+            continue
         f, b = int(cut[0]), int(cut[1])
         go_left = sub[:, f] <= b
-        tree["feature"][node] = f
-        tree["threshold"][node] = float(bin_edges[f][b])
-        tree["left"][node] = build(rows[go_left], depth + 1)
-        tree["right"][node] = build(rows[~go_left], depth + 1)
-        return node
+        node["split"] = (f, float(bin_edges[f][b]))
+        node["children"] = [{"rows": rows[go_left], "depth": depth + 1},
+                            {"rows": rows[~go_left], "depth": depth + 1}]
+        queue.extend(node["children"])
 
-    build(boot, 0)
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def number(node):
+        index = len(tree["feature"])
+        feature, threshold = node.get("split", (-1, 0.0))
+        for key, item in (("feature", feature), ("threshold", threshold),
+                          ("left", -1), ("right", -1), ("value", node["value"])):
+            tree[key].append(item)
+        if "children" in node:
+            tree["left"][index] = number(node["children"][0])
+            tree["right"][index] = number(node["children"][1])
+        return index
+
+    number(root)
     return tree
 
 

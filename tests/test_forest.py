@@ -164,6 +164,38 @@ class TestExactHistograms:
         assert peak < 8e6
 
 
+class TestTiedCuts:
+    """Cuts that split a node's rows the same way tie exactly; the tie goes
+    to the first such cut of a feature, and between features to the one
+    with the node's lowest key."""
+
+    @staticmethod
+    def _cuts(counts, sums, keys):
+        hist = np.cumsum(np.array([[counts], [sums]], dtype=float), axis=3)
+        feature, cut = forest_mod._best_cuts(hist, np.array([keys]))
+        return int(feature[0]), int(cut[0])
+
+    @pytest.mark.parametrize("keys, want", [([0.2, 0.7], (0, 0)), ([0.7, 0.2], (1, 0))])
+    def test_lowest_key_then_first_cut_of_the_run(self, keys, want):
+        # rows y = 0, 0 | 10, 10, 10 in both features; cuts 0-3 of
+        # feature 1 split them alike, as bins 1-3 hold none of them
+        counts = [[2, 1, 1, 0, 0, 1], [2, 0, 0, 0, 2, 1]]
+        sums = [[0, 10, 10, 0, 0, 10], [0, 0, 0, 0, 20, 10]]
+        assert self._cuts(counts, sums, keys) == want
+
+    def test_trees_share_ties_between_copied_columns(self):
+        # two copies of one column split every node alike; the trees must
+        # not all send those ties to the first copy
+        rng = np.random.default_rng(24)
+        x = rng.normal(0, 1, 600)
+        X = np.column_stack([x, x, rng.normal(0, 1, 600)])
+        y = 2.0 * x + rng.normal(0, 0.3, 600)
+        forest = train_forest(X, y, seed=0, n_trees=30)
+        uses = np.bincount(forest.nodes.feature[forest.nodes.feature >= 0],
+                           minlength=3)
+        assert min(uses[0], uses[1]) > 0.3 * (uses[0] + uses[1])
+
+
 class TestPrediction:
     def test_two_tree_mean_and_variance_by_definition(self):
         X, y = toy_data(n=300, seed=5)

@@ -51,9 +51,9 @@ TURNING_SCENE = {
 VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 6}}
 
 VELOCITY_FILES = {
-    "forest_with_gnss.json": "df6bfdaa5e7b5e9c8a655b937f2ce332c9e1528e4970d3b5600b172a7fca854b",
-    "forest_no_gnss.json": "49fc247b2cb2af82e5bcc3621c2a4554ff03cc37c5ad3bc41ab8535c591b10a9",
-    "rmse_report.json": "73dc2ae83075770e74b671057f16cebeb274e3a0c67f8aa909a0fc1db63b533e",
+    "forest_with_gnss.json": "78f628084580d8e852c841640ad93ded597a0e6ed241ff9c3a190757c41652b0",
+    "forest_no_gnss.json": "76a6170b7f0ac30f57cca817a78794b8ad5e22904fdaf937d68712b3ef00d9ee",
+    "rmse_report.json": "31371ac6a52d9a02f510c9e743074974a71e583bbea54055fd327b58fa855f69",
 }
 
 # trees deeper than the default 6 levels: pins level-by-level growth and
@@ -62,15 +62,15 @@ DEEP_VELOCITY_CONFIG = {"velocity": {"training_scenes": 8, "n_trees": 4,
                                      "max_depth": 10, "n_bins": 16}}
 
 DEEP_VELOCITY_FILES = {
-    "forest_with_gnss.json": "169e091672e5f1de9cf2f681330f13ea82101e2f83176b6074da78f08031c6f1",
-    "forest_no_gnss.json": "0dbf925815fcf961989fe1b12ecd0b1b9475542496a8c53f7f6c59fb6cd3b8d2",
-    "rmse_report.json": "b927a184dbab9f2d7eabf845de235fc1466856cbbed542a4d937b65d02240442",
+    "forest_with_gnss.json": "a0acc6538a49148c00d04498a486e998f9a23f1522746b01bef86dc9e2fabdda",
+    "forest_no_gnss.json": "96ca01531ff33e5f78153cd33d98a20e2d221adf0a06f1cbccf66f4b8a512a21",
+    "rmse_report.json": "46cedd403f05ce83babc8bc449c524d4a21e4af6adfa6f6da10046924abc5b54",
 }
 
 # VelocityModel.run on a starting ride with GNSS and a turning ride without
 VELOCITY_RUNS = {
-    "starting_gnss": "a1c3a3a44b685cfdc8dce06879eb451ab8b0ddec87ad13219a1236a47b0785d6",
-    "turning_no_gnss": "712110a1637655227738a233150561fd436d81bc82e6aae76097688fb186f5e3",
+    "starting_gnss": "5ce901770d8cc98e8f3bc3aefb9b68c6bd21b56d183b5960497aab7ef83889fd",
+    "turning_no_gnss": "25e8c4340915089524cbcc309d7f842ff5131d3d6704cd7c973dc8871390f0ea",
 }
 
 
