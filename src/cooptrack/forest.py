@@ -337,7 +337,8 @@ class RegressionForest:
                                                  bounds, nodes, n_bins)
                 if hist is not None:
                     # slices of the whole level, searched in place
-                    parts = [slice(lo, lo + batch) for lo in range(0, len(value), batch)]
+                    parts = [slice(lo, lo + batch)
+                             for lo in range(0, len(value), batch)]
                 else:
                     parts = [nodes[lo:lo + batch] for lo in range(0, len(nodes), batch)]
                 for part in parts:

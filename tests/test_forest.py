@@ -134,7 +134,7 @@ class TestExactHistograms:
     def test_level_bound_does_not_move_a_bit(self, monkeypatch):
         X, y = toy_data(n=600, d=8, seed=21)
         want = train_forest(X, y, seed=3, n_trees=4, max_depth=7).to_json()
-        # no level kept (every node binned in batches), then one node a batch
+        # no level held whole (all binned in batches), then one node a batch
         monkeypatch.setattr(forest_mod, "_LEVEL_CELLS", 0)
         assert train_forest(X, y, seed=3, n_trees=4, max_depth=7).to_json() == want
         monkeypatch.setattr(forest_mod, "_FIT_CELLS", 1)
@@ -151,8 +151,8 @@ class TestExactHistograms:
             assert np.array_equal(np.ldexp(ta["value"], k), tb["value"])
 
     def test_kept_histograms_bounded_on_deep_trees(self):
-        # levels of up to 2048 nodes: their histograms, all kept, would
-        # take 16 bytes x 2048 x 36 features x 64 bins = 75 MB
+        # levels of up to 2048 nodes: their histograms, all held whole,
+        # would take 16 bytes x 2048 x 36 features x 64 bins = 75 MB
         X, y = toy_data(n=4000, d=36, seed=23)
         tracemalloc.start()
         try:
@@ -160,7 +160,7 @@ class TestExactHistograms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 3.5 MB here, 76 MB with every level kept
+        # 4.6 MB here, 77 MB with every level held whole
         assert peak < 8e6
 
 
