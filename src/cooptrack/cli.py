@@ -109,20 +109,27 @@ def cmd_evaluate(args) -> int:
 
 
 # Scenes per lockstep batch of `compare`: with two occlusion variants and
-# both models, 16 scenes are 64 lanes.  A frame of the track table costs
-# little more for many lanes than for few, so larger batches run faster,
-# but they hold every lane's scene and tracks in memory until the batch
-# ends (README has time and memory measured at 16, 32 and 64).
+# both models, 16 scenes are 64 lanes.  A frame costs more for more lanes
+# but less per lane (about 280, 315, 380 and 510 us at 8, 16, 32 and 64
+# lanes, README), so larger batches run faster per scene, but they hold
+# every lane's scene and tracks in memory until the batch ends (README has
+# time and memory measured at 16, 32 and 64).
 COMPARE_CHUNK_SCENES = 16
 
 
 def _compare_chunk(payload):
-    """Worker: simulate a chunk of scene variants, then track and evaluate
-    all of them with every model in one lockstep batch; returns result rows."""
+    """Worker: simulate each scene of a chunk once and derive its occlusion
+    variants from it, then track and evaluate all variants with every model
+    in one lockstep batch; returns result rows."""
     raw_cfg, entries = payload
     cfg = RunConfig(raw_cfg)
-    scenes = [scene_sim.generate_scene(spec, scene_id=scene_id)
-              for scene_id, _, spec in entries]
+    scenes = []
+    for scene_id, _, spec in entries:
+        if spec.occlusions:
+            scene = scene_sim.with_occlusions(base, spec, scene_id=scene_id)
+        else:       # "none", the first variant of each scene
+            scene = base = scene_sim.generate_scene(spec, scene_id=scene_id)
+        scenes.append(scene)
     return [(spec.kind, label, scene_id, reports)
             for (scene_id, label, spec), reports
             in zip(entries, pipeline.track_and_evaluate(scenes, cfg))]

@@ -34,21 +34,25 @@ def _by_frame(parts):
     return frame[order], lane[order], values[order]
 
 
-def _track_lanes(lanes, cfg: RunConfig):
+def _track_lanes(lanes, cfg: RunConfig, log=True, starts=None):
     """Step several (scene, model) lanes in lockstep, frame by frame, on one
     TrackTable; a generator.
 
     After the step of frame i it yields (i, table, log): the table and the
-    frame's StepLog; table.last_t then holds each stepped lane's time of
-    frame i.  Lanes may differ in length; a lane's tracks leave the table
-    when the loop resumes after its last frame.  Each cooperative lane's
-    device readings get their noise variances in one call before frame 0.
+    frame's StepLog (None without `log`); table.last_t then holds each
+    stepped lane's time of frame i.  Lanes may differ in length; a lane's
+    tracks leave the table when the loop resumes after its last frame.  Each
+    cooperative lane's device readings get their noise variances in one
+    call before frame 0.  starts, from _shared_prefixes, holds per lane
+    (start, source): a lane with a source is idle before frame `start`, and
+    then begins as a copy of its source's tracks.
     """
     for _, model in lanes:
         if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
             raise ValueError(f"unknown model: {model}")
     if not lanes:
         return
+    starts = starts or [(0, None)] * len(lanes)
     table = TrackTable(len(lanes), cfg.manager_coop, process=cfg.process,
                        noise=cfg.measurement, device_gate=cfg.device_gate)
     n_frames = np.array([len(scene.ground_truth) for scene, _ in lanes], dtype=np.int64)
@@ -57,31 +61,83 @@ def _track_lanes(lanes, cfg: RunConfig):
     devices = np.zeros(shape + (4,))
     has_device = np.zeros(shape, dtype=bool)
     det_parts = []
-    for k, (scene, model) in enumerate(lanes):
+    copies = {}
+    for k, ((scene, model), (start, source)) in enumerate(zip(lanes, starts)):
         frame_times = scene.ground_truth[:, 0]
-        times[:len(frame_times), k] = frame_times
-        det_parts.append((_frame_indices(scene.detections[:, 0], frame_times,
-                                         f"{scene.scene_id}: detection"),
-                          k, scene.detections[:, 1:3]))
+        times[start:len(frame_times), k] = frame_times[start:]
+        idx = _frame_indices(scene.detections[:, 0], frame_times,
+                             f"{scene.scene_id}: detection")
+        live = idx >= start
+        det_parts.append((idx[live], k, scene.detections[live, 1:3]))
         if model == MODEL_COOPERATIVE:
             idx = _frame_indices(scene.device[:, 0], frame_times,
                                  f"{scene.scene_id}: device row")
             if len(np.unique(idx)) < len(idx):
                 raise DataError(f"{scene.scene_id}: two device rows in one frame")
-            devices[idx, k, :2] = scene.device[:, 1:3]
-            devices[idx, k, 2:] = ekf.measurement_noise_variances(
-                cfg.measurement, cfg.process, scene.device[:, 3])[:, 2:]
-            has_device[idx, k] = True
+            live = idx >= start
+            devices[idx[live], k, :2] = scene.device[live, 1:3]
+            devices[idx[live], k, 2:] = ekf.measurement_noise_variances(
+                cfg.measurement, cfg.process, scene.device[live, 3])[:, 2:]
+            has_device[idx[live], k] = True
+        if source is not None and start < len(frame_times):
+            copies.setdefault(start, []).append((source, k))
     det_frame, det_lane, det_xy = _by_frame(det_parts)
     det_at = np.searchsorted(det_frame, np.arange(len(times) + 1))
 
     last_frames = set(n_frames.tolist())
     for i, t in enumerate(times):
-        log = step_lanes(table, t, det_lane[det_at[i]:det_at[i + 1]],
-                         det_xy[det_at[i]:det_at[i + 1]], devices[i], has_device[i])
-        yield i, table, log
+        for source, k in copies.get(i, ()):
+            table.copy_lane(source, k)
+        entries = step_lanes(table, t, det_lane[det_at[i]:det_at[i + 1]],
+                             det_xy[det_at[i]:det_at[i + 1]], devices[i],
+                             has_device[i], log=log)
+        yield i, table, entries
         if i + 1 in last_frames:
             table.keep_rows(n_frames[table.lane] > i + 1)
+
+
+def _shared_prefixes(lanes):
+    """Per lane, (start, source).  The source is the earlier lane of the
+    same model whose scene shares the lane's ground-truth and device arrays
+    and whose detections agree with the lane's longest (the lowest such
+    lane on ties).  Before frame `start` both lanes get the same input, so
+    they hold the same tracks; start is the lane's frame count when their
+    inputs never differ.  A lane with no such lane, or whose input differs
+    from frame 0 on, gets (0, None).
+
+    A source starts before its copies: were lane k's source s still idle
+    at k's start, s's own source would agree with k at least as long and
+    come earlier, so k would have taken it.
+    """
+    starts = []
+    earlier = {}
+    for k, (scene, model) in enumerate(lanes):
+        start, source = 0, None
+        key = (id(scene.ground_truth), id(scene.device), model)
+        for j in earlier.get(key, ()):
+            agree = _first_difference(scene, lanes[j][0])
+            if agree > start:
+                start, source = agree, j
+        earlier.setdefault(key, []).append(k)
+        starts.append((start, source))
+    return starts
+
+
+def _first_difference(a, b):
+    """The first frame in which scenes a and b, which share their frames,
+    may differ in detections: the earliest frame of any row from the first
+    row on where their detection arrays differ bit for bit.  a's frame
+    count when they do not differ."""
+    rows_a = np.ascontiguousarray(a.detections, dtype=float).view(np.int64)
+    rows_b = np.ascontiguousarray(b.detections, dtype=float).view(np.int64)
+    n = min(len(rows_a), len(rows_b))
+    unequal = np.flatnonzero((rows_a[:n] != rows_b[:n]).any(axis=1))
+    first = unequal[0] if len(unequal) else n
+    rest = np.concatenate((a.detections[first:, 0], b.detections[first:, 0]))
+    times = a.ground_truth[:, 0]
+    if not len(rest):
+        return len(times)
+    return int(np.clip(_nearest_frames(rest, times).min(), 0, len(times)))
 
 
 def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
@@ -102,13 +158,19 @@ def run_tracking(scene: scene_sim.Scene, model: str, cfg: RunConfig):
     return track_rows, assign_rows
 
 
+def _nearest_frames(t, times):
+    """Index of the nearest frame in `times` for each timestamp in t (ties
+    to even), as floats; may fall outside the frames."""
+    dt = times[1] - times[0] if len(times) > 1 else 1.0
+    return np.rint((np.asarray(t, dtype=float) - times[0]) / dt)
+
+
 def _frame_indices(t, times, what):
     """Index of the nearest frame in `times` for each timestamp in t (ties
     to even), as an int array.  A timestamp that falls outside the frames
     is a DataError."""
     t = np.asarray(t, dtype=float)
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
-    idx = np.rint((t - times[0]) / dt)
+    idx = _nearest_frames(t, times)
     outside = ~((idx >= 0) & (idx < len(times)))
     if outside.any():
         raise DataError(f"{what} at t={t[outside][0]:g} lies outside the "
@@ -156,6 +218,10 @@ def track_and_evaluate(scenes, cfg: RunConfig):
     No track rows are kept: after each frame, each lane's distance from its
     ground truth to its nearest valid track, and whether it has one, go
     into (frames x lanes) arrays, and each lane is scored from its column.
+    A lane that shares its input with an earlier lane up to some frame
+    (_shared_prefixes, as the occlusion variants of one simulated scene do)
+    is stepped only from that frame on, and its column up to there is
+    copied from that lane's.
     """
     lanes = [(scene, model) for scene in scenes for model in cfg.models]
     n_frames = [len(scene.ground_truth) for scene, _ in lanes]
@@ -165,10 +231,16 @@ def track_and_evaluate(scenes, cfg: RunConfig):
         gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:3]
     delta = np.full(shape, np.inf)
     has_track = np.zeros(shape, dtype=bool)
-    for i, table, _ in _track_lanes(lanes, cfg):
+    starts = _shared_prefixes(lanes)
+    for i, table, _ in _track_lanes(lanes, cfg, log=False, starts=starts):
         valid = table.valid
         delta[i], has_track[i] = metrics_mod.nearest_track_distances(
             gt_xy[i], table.lane[valid], table.x[valid, :2])
+    # a source's column is complete before its copies' (it is earlier)
+    for k, (start, source) in enumerate(starts):
+        if source is not None:
+            delta[:start, k] = delta[:start, source]
+            has_track[:start, k] = has_track[:start, source]
     reports = (metrics_mod.metric_report(
         scene.scene_id, model, metrics_mod.FrameTable.from_distances(
             delta[:n, k], has_track[:n, k], cfg.metric.tau),

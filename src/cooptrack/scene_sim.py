@@ -11,7 +11,7 @@ unaffected.
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -105,8 +105,7 @@ class Scene:
     occlusion_mask: np.ndarray    # (N,) bool
 
     def occlusion_windows(self):
-        t_end = float(self.ground_truth[-1, 0])
-        return [(t_end - off - dur, t_end - off) for off, dur in self.spec.occlusions]
+        return _windows(float(self.ground_truth[-1, 0]), self.spec.occlusions)
 
 
 # -- speed / yaw-rate profiles ---------------------------------------------
@@ -190,6 +189,11 @@ def occlusion_mask_for(times, windows) -> np.ndarray:
     return mask
 
 
+def _windows(t_end, occlusions):
+    """(start, end) times of the occlusion tuples of a scene ending at t_end."""
+    return [(t_end - off - dur, t_end - off) for off, dur in occlusions]
+
+
 def aligned_occlusions(durations, end_offset):
     """Occlusion tuples for several durations sharing one start frame.
 
@@ -212,6 +216,8 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
     synthesis.  With device_from_imu set, the device stream is produced by
     running `velocity_model` (an object with a `run(imu, gnss)` method) on a
     synthesized IMU stream instead of adding noise to the ground truth.
+    The occlusion windows then drop the detections inside them
+    (with_occlusions).
     """
     gt = np.asarray(trajectory, dtype=float)
     rng = np.random.default_rng(spec.seed)
@@ -227,9 +233,7 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
                           spec.device_bias_tau)
     bias_v = _ou_process(rng, n, dt, spec.device_bias_v, spec.device_bias_tau)
 
-    windows = [(t[-1] - off - dur, t[-1] - off) for off, dur in spec.occlusions]
-    occl = occlusion_mask_for(t, windows)
-    keep = ~(occl | dropout)
+    keep = ~dropout
     detections = np.column_stack([t[keep], gt[keep, 1] + det_noise[keep, 0],
                                   gt[keep, 2] + det_noise[keep, 1]])
 
@@ -249,9 +253,10 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
             np.full(n, spec.sigma_device_v),
         ])
 
-    return Scene(scene_id=scene_id, spec=spec, ground_truth=gt,
-                 detections=detections, device=device, gnss=gnss,
-                 occlusion_mask=occl)
+    unoccluded = Scene(scene_id=scene_id, spec=replace(spec, occlusions=()),
+                       ground_truth=gt, detections=detections, device=device,
+                       gnss=gnss, occlusion_mask=np.zeros(n, dtype=bool))
+    return with_occlusions(unoccluded, spec, scene_id=scene_id)
 
 
 def simulate_gnss(trajectory, spec: SceneSpec, rng) -> np.ndarray:
@@ -272,6 +277,24 @@ def simulate_gnss(trajectory, spec: SceneSpec, rng) -> np.ndarray:
 def generate_scene(spec: SceneSpec, scene_id="scene", velocity_model=None) -> Scene:
     return simulate_sensors(generate_ground_truth(spec), spec,
                             scene_id=scene_id, velocity_model=velocity_model)
+
+
+def with_occlusions(base: Scene, spec: SceneSpec, scene_id="scene") -> Scene:
+    """The scene generate_scene(spec, scene_id) makes, derived from `base`,
+    the scene of spec without its occlusions: base without the detections
+    inside spec's windows.  Occlusion draws nothing from the seed, so the
+    other streams are base's; the variant shares base's ground truth,
+    device and GNSS arrays (pipeline.track_and_evaluate starts the lanes of
+    scenes that share them as copies).
+    """
+    if base.spec != replace(spec, occlusions=()):
+        raise ValueError("base is not the scene of spec without occlusions")
+    t = base.ground_truth[:, 0]
+    windows = _windows(t[-1], spec.occlusions)
+    kept = ~occlusion_mask_for(base.detections[:, 0], windows)
+    return Scene(scene_id=scene_id, spec=spec, ground_truth=base.ground_truth,
+                 detections=base.detections[kept], device=base.device,
+                 gnss=base.gnss, occlusion_mask=occlusion_mask_for(t, windows))
 
 
 def _ou_process(rng, n, dt, sigma, tau):

@@ -118,6 +118,16 @@ class TrackTable:
         for name in self.ROW_FIELDS:
             setattr(self, name, getattr(self, name)[keep])
 
+    def copy_lane(self, src, dst):
+        """Give lane dst, which holds no rows, copies of lane src's rows, id
+        count and last time, so that dst steps on as src would."""
+        rows = self.lane == src
+        copies = {name: getattr(self, name)[rows] for name in self.ROW_FIELDS}
+        copies["lane"][:] = dst
+        self._append(**copies)
+        self.next_id[dst] = self.next_id[src]
+        self.last_t[dst] = self.last_t[src]
+
     def _append(self, **rows):
         for name in self.ROW_FIELDS:
             setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
@@ -222,9 +232,9 @@ def _init_heading(table, rows, det_xy, t_now):
         table.has_fix[row] = False
 
 
-def _spawn(table, det_lane, det_xy, det_id, t_lane):
+def _spawn(table, det_lane, det_xy, t_lane):
     """A new TENTATIVE track on each given detection, appended in
-    detection order; ids continue each lane's count."""
+    detection order; ids continue each lane's count.  Returns the ids."""
     n = len(det_lane)
     first = np.searchsorted(det_lane, det_lane)     # det_lane is ascending
     ids = table.next_id[det_lane] + np.arange(n) - first
@@ -237,10 +247,10 @@ def _spawn(table, det_lane, det_xy, det_id, t_lane):
         valid=np.zeros(n, dtype=bool), age=np.ones(n, dtype=np.int64),
         misses=np.zeros(n, dtype=np.int64), last_update=t,
         first_fix=np.column_stack([t, det_xy]), has_fix=np.ones(n, dtype=bool))
-    return StepLog(det_lane, ids, det_id, np.zeros(n, dtype=bool))
+    return ids
 
 
-def step_lanes(table, times, det_lane, det_xy, devices, has_device):
+def step_lanes(table, times, det_lane, det_xy, devices, has_device, log=True):
     """Advance every lane of `table` by one frame, all in lockstep.
 
     times (n_lanes,): each lane's frame time, NaN for a lane that does not
@@ -251,8 +261,8 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     device reading (gamma_dot, v) and its noise variances, the (gamma_dot,
     v) entries of ekf.measurement_noise_variances, where has_device
     (n_lanes,).
-    Returns the StepLog.  Lanes are independent: each gets the log entries
-    and track states it would get stepped alone.
+    Returns the StepLog, or None without `log`.  Lanes are independent:
+    each gets the log entries and track states it would get stepped alone.
     """
     late = times <= table.last_t        # NaN on either side compares False
     if np.count_nonzero(late):
@@ -269,12 +279,14 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
     # detection assignment and device binding on the predicted states
     match = _assign_detections(table, det_lane, det_xy)
     has_det = match >= 0
-    det_id = np.arange(len(det_lane)) - det_lane.searchsorted(det_lane)
     bound = np.zeros(len(t_row), dtype=bool)
     bound[_bind_devices(table, devices, has_device)] = True
-    row_det_id = match.copy()
-    row_det_id[has_det] = det_id[match[has_det]]
-    stepped = StepLog(table.lane, table.id, row_det_id, bound)
+    entries = None
+    if log:
+        det_id = np.arange(len(det_lane)) - det_lane.searchsorted(det_lane)
+        row_det_id = match.copy()
+        row_det_id[has_det] = det_id[match[has_det]]
+        entries = StepLog(table.lane, table.id, row_det_id, bound)
     table.age += 1
     table.misses += ~has_det
     table.last_update = np.where(has_det, t_row, table.last_update)
@@ -295,14 +307,15 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
                             device[:, 2:]), axis=1)
         table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
 
-    log = stepped
     assigned = match[has_det]
     if len(assigned) < len(det_lane):
         unassigned = np.ones(len(det_lane), dtype=bool)
         unassigned[assigned] = False
-        spawned = _spawn(table, det_lane[unassigned], det_xy[unassigned],
-                         det_id[unassigned], times)
-        log = StepLog(*(np.concatenate(pair) for pair in zip(stepped, spawned)))
+        ids = _spawn(table, det_lane[unassigned], det_xy[unassigned], times)
+        if log:
+            spawned = (det_lane[unassigned], ids, det_id[unassigned],
+                       np.zeros(len(ids), dtype=bool))
+            entries = StepLog(*(np.concatenate(pair) for pair in zip(entries, spawned)))
         t_row = times[table.lane]
 
     # prune, then promote; the timeout comparison tolerates grid-time
@@ -314,7 +327,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device):
         table.keep_rows(~lost)
     table.valid |= table.age >= cfg.min_valid_age
     table.last_t = np.fmax(table.last_t, times)
-    return log
+    return entries
 
 
 class TrackManager:

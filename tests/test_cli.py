@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from cooptrack import cli
+from cooptrack import cli, pipeline, scene_sim
 from cooptrack.config import SEED_ENV_VAR, load_config
 from cooptrack.errors import ConfigError, DataError, NumericalError
 from cooptrack.features import feature_layout
@@ -295,6 +295,35 @@ class TestCompare:
         assert lines[1].endswith("sum_motap_PC,sum_motap_CP")
         # one row per kind and occlusion condition
         assert len(lines) == 2 + 2 * 2
+
+    def test_variants_simulate_once_and_step_only_unshared_frames(self, tmp_path,
+                                                                  monkeypatch):
+        """The compare_serial benchmark's batch (seed 1, 2 + 2 scenes x {none,
+        2 s} x {P, C}): each scene is simulated once, and an occ2s lane idles
+        through the frames before its window, 450 of 701 (starting) and 350
+        of 601 (turning), so the 16-lane batch steps 7216 lane-frames
+        where stepping every lane from frame 0 takes 10416."""
+        simulated, stepped = [], []
+        generate, step = scene_sim.generate_scene, pipeline.step_lanes
+
+        def count_scenes(spec, *args, **kwargs):
+            simulated.append(spec)
+            return generate(spec, *args, **kwargs)
+
+        def count_lanes(table, times, *args, **kwargs):
+            stepped.append(np.count_nonzero(~np.isnan(times)))
+            return step(table, times, *args, **kwargs)
+        monkeypatch.setattr(scene_sim, "generate_scene", count_scenes)
+        monkeypatch.setattr(pipeline, "step_lanes", count_lanes)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1, "scenes": {
+            "n_starting": 2, "n_turning": 2, "occlusion_durations": [2.0]}}))
+        assert run(["--config", cfg, "compare", "--out", tmp_path / "out"]) == 0
+        assert len(simulated) == 4 and not any(spec.occlusions for spec in simulated)
+        assert len(stepped) == 701
+        # 8 lanes of each kind; the 4 occ2s lanes of a kind start late
+        assert 8 * 701 + 8 * 601 == 10416
+        assert sum(stepped) == 10416 - 4 * 450 - 4 * 350 == 7216
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         # more scenes than one lockstep chunk, so the workers split the

@@ -36,6 +36,16 @@ CHAOTIC_COMPARE = {
     "summary.csv": "c4f5f861e2f8e5baecc3fb80d02beeabdf3b2cd00c0ca966e0c44046ec105a99",
 }
 
+# four occlusion durations: lanes start as copies of lanes that started as
+# copies themselves (the 2 s variant of the 1 s one, and so on)
+MULTI_DURATION_CONFIG = {"scenes": {"n_starting": 1, "n_turning": 1,
+                                    "occlusion_durations": [1.0, 2.0, 3.0, 4.0]}}
+
+MULTI_DURATION_COMPARE = {
+    "per_scene.csv": "b5956b64367aed6b7f97f0ce772ead9a93ad5cc4bc1d0644523788ae05764c3a",
+    "summary.csv": "3420e8079f1cd7b05e3e8b77c9cfab6462a2d75f7f041e272e43ac21adbbd0c5",
+}
+
 TURNING_SCENE = {
     "ground_truth.csv": "d4ad994773eec74a5d3acd51f9f4d0e2830aebc7e74b1a5288b354b41ea1ac98",
     "detections.csv": "181c17f12383683aa079460ef582b79f0d622f4433324e84dfb6b27a0a3fc805",
@@ -102,6 +112,11 @@ def test_output_files_match_pinned_digests(tmp_path):
     assert compare == COMPARE
     assert _digests(scene, TURNING_SCENE) == TURNING_SCENE
     assert _compare_digests(tmp_path, "chaotic", CHAOTIC_CONFIG)[1] == CHAOTIC_COMPARE
+
+
+def test_multi_duration_compare_matches_pinned_digests(tmp_path):
+    digests = _compare_digests(tmp_path, "multi", MULTI_DURATION_CONFIG)[1]
+    assert digests == MULTI_DURATION_COMPARE
 
 
 def _ride(spec, with_gnss):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,16 @@ def _with_detections(scene, scene_id, detections):
                            ground_truth=scene.ground_truth, detections=detections,
                            device=scene.device, gnss=scene.gnss,
                            occlusion_mask=scene.occlusion_mask)
+
+
+def _variants(spec, name, durations):
+    """The unoccluded scene of spec and one variant per duration, aligned
+    3 s before the end, each derived from the one simulation."""
+    base = scene_sim.generate_scene(spec, scene_id=f"{name}_none")
+    return [base] + [
+        scene_sim.with_occlusions(base, dataclasses.replace(spec, occlusions=(window,)),
+                                  scene_id=f"{name}_occ{window[1]:g}s")
+        for window in scene_sim.aligned_occlusions(durations, 3.0)]
 
 
 def run_lockstep(lanes, cfg):
@@ -291,6 +302,62 @@ class TestEvaluation:
         last = [r for r in rows if r[0] == rows[-1][0] and r[7]]
         gt = turning_scene.ground_truth[-1, 1:3]
         assert len(last) == 2 and math.dist(last[0][2:4], gt) > 5.0
+
+    def test_forked_batch_equals_row_path(self, cfg):
+        """Occlusion variants of 1-4 s derived from one simulated scene each:
+        lanes start as copies, some of a lane that itself started as a
+        copy, and every report equals evaluate_rows over run_tracking's
+        rows."""
+        scenes = (_variants(scene_sim.SceneSpec(seed=12), "start", [1.0, 2.0, 3.0, 4.0])
+                  + _variants(scene_sim.SceneSpec.turning_defaults(seed=7), "turn",
+                              [1.0, 2.0, 3.0, 4.0]))
+        lanes = [(scene, model) for scene in scenes for model in cfg.models]
+        starts = pipeline._shared_prefixes(lanes)
+        sources = [source for _, source in starts]
+        assert sources.count(None) == 4
+        assert any(source is not None and sources[source] is not None
+                   for source in sources)
+        assert all(0 < start < len(scene.ground_truth)
+                   for (scene, _), (start, source) in zip(lanes, starts)
+                   if source is not None)
+        for scene, reports in zip(scenes, track_and_evaluate(scenes, cfg)):
+            for model in cfg.models:
+                rows, _ = run_tracking(scene, model, cfg)
+                assert reports[model] == evaluate_rows(scene, rows, cfg, model)
+
+    def test_variant_without_occluded_detection_never_starts(self, cfg, monkeypatch):
+        """A one-frame window on a frame whose detection dropped out takes
+        nothing away: the variant's lanes never step, and every score they
+        report is their source's."""
+        base = scene_sim.generate_scene(scene_sim.SceneSpec.turning_defaults(seed=7),
+                                        scene_id="base")
+        times = base.ground_truth[:, 0]
+        detected = pipeline._frame_indices(base.detections[:, 0], times, "detection")
+        missing = np.setdiff1d(np.arange(100, len(times)), detected)[0]
+        spec = dataclasses.replace(base.spec, occlusions=(
+            (times[-1] - times[missing] - 0.02, 0.02),))
+        variant = scene_sim.with_occlusions(base, spec, scene_id="variant")
+        assert variant.occlusion_mask.nonzero()[0].tolist() == [missing]
+        assert np.array_equal(variant.detections, base.detections)
+        stepped = []
+
+        def spy(table, times, *args, **kwargs):
+            stepped.append(times)
+            return track_manager.step_lanes(table, times, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "step_lanes", spy)
+        # a longer scene in the batch steps on after the variant's last frame
+        longer = scene_sim.generate_scene(scene_sim.SceneSpec(seed=12))
+        scenes = [base, variant, longer]
+        base_reports, variant_reports, _ = track_and_evaluate(scenes, cfg)
+        assert pipeline._shared_prefixes(
+            [(scene, model) for scene in scenes for model in cfg.models]
+        ) == [(0, None), (0, None), (len(times), 0), (len(times), 1), (0, None), (0, None)]
+        assert len(stepped) == len(longer.ground_truth) > len(times)
+        assert all(np.isnan(t[2:4]).all() for t in stepped)
+        assert all(not np.isnan(t[:2]).any() for t in stepped[:len(times)])
+        for model in cfg.models:
+            assert variant_reports[model] == {**base_reports[model],
+                                              "scene_id": "variant"}
 
     def test_perfect_track_scores_perfectly(self, cfg, turning_scene):
         gt = turning_scene.ground_truth

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptrack.errors import DataError
 from cooptrack.scene_sim import (KIND_STARTING, KIND_TURNING, SceneSpec,
@@ -11,7 +14,7 @@ from cooptrack.scene_sim import (KIND_STARTING, KIND_TURNING, SceneSpec,
                                  generate_ground_truth, generate_scene,
                                  occlusion_mask_for,
                                  read_scene, simulate_sensors, synthesize_imu,
-                                 write_scene)
+                                 with_occlusions, write_scene)
 
 FRAME_DT = 0.02
 
@@ -103,6 +106,45 @@ class TestOcclusions:
         mask = occlusion_mask_for(times, [(0.1, 0.2)])
         assert times[mask][0] == pytest.approx(0.10)
         assert times[mask][-1] == pytest.approx(0.18)
+
+
+class TestDerivedVariants:
+    """with_occlusions derives from the unoccluded scene exactly the scene
+    generate_scene makes for the occluded spec."""
+
+    @given(seed=st.integers(0, 2 ** 63 - 1), turning=st.booleans())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_variant_equals_generated_scene(self, seed, turning):
+        plain = (SceneSpec.turning_defaults(seed=seed) if turning
+                 else SceneSpec(seed=seed))
+        base = generate_scene(plain, scene_id="base")
+        aligned = tuple(aligned_occlusions([1.0, 2.0, 3.0, 4.0], 3.0))
+        end = plain.duration
+        cases = [(window,) for window in aligned] + [
+            aligned,
+            ((end - 2.0, 2.0),),        # from the first frame
+            ((0.0, 2.0),),              # up to the last frame
+            ((0.0, end),)]              # the whole scene
+        for occlusions in cases:
+            spec = replace(plain, occlusions=occlusions)
+            variant = with_occlusions(base, spec, scene_id="variant")
+            expected = generate_scene(spec, scene_id="variant")
+            assert variant.spec == expected.spec
+            assert variant.scene_id == "variant"
+            for name in ("ground_truth", "detections", "device", "gnss",
+                         "occlusion_mask"):
+                assert np.array_equal(getattr(variant, name),
+                                      getattr(expected, name)), (occlusions, name)
+            assert variant.occlusion_mask.any()
+            for name in ("ground_truth", "device", "gnss"):
+                assert getattr(variant, name) is getattr(base, name)
+
+    def test_base_must_be_the_spec_without_occlusions(self):
+        spec = SceneSpec(seed=3, occlusions=((3.0, 2.0),))
+        with pytest.raises(ValueError):
+            with_occlusions(generate_scene(SceneSpec(seed=4)), spec)
+        with pytest.raises(ValueError):
+            with_occlusions(generate_scene(spec), spec)
 
 
 class TestSensors:

@@ -10,8 +10,8 @@ from cooptrack.ekf import (BikeState, MeasurementNoiseParams,
                            measurement_noise_variances)
 from cooptrack.association import assign_device, gated_cost_matrix, munkres_solve
 from cooptrack.errors import DataError
-from cooptrack.track_manager import (ManagerConfig, TrackManager, TrackTable,
-                                     step_lanes)
+from cooptrack.track_manager import (ManagerConfig, StepLog, TrackManager,
+                                     TrackTable, step_lanes)
 
 T = 0.02
 
@@ -304,6 +304,82 @@ class TestEmptyAndDuplicateDetections:
                 assert np.array_equal(table.valid[rows], alone.valid)
                 assert np.array_equal(table.x[rows], alone.x)
                 assert np.array_equal(table.P[rows], alone.P)
+
+
+def _two_cyclists(n_frames, seed):
+    """Per frame, the first cyclist's detection (None when it drops out, 5 %
+    of frames) and the other detections: a second cyclist from frame 10 on
+    and, at frame 40, a far clutter detection whose track dies at 42."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i in range(n_frames):
+        t = i * T
+        noise = rng.normal(0.0, 0.1, size=(2, 2))
+        first = (np.array([3.0 * t, 1.0 * t]) + noise[0]
+                 if rng.random() > 0.05 else None)
+        others = [np.array([8.0 - t, -4.0 + 2.0 * t]) + noise[1]] if i >= 10 else []
+        if i == 40:
+            others.append(np.array([50.0, 50.0]))
+        frames.append((first, others))
+    return frames
+
+
+class TestCopyLane:
+    """A lane that idles until some frame and then starts as a copy of
+    another lane's tracks steps on exactly as a lane run alone from frame 0
+    on the same input: the source's input before the copy, its own after."""
+
+    @pytest.mark.parametrize("fork,held", [
+        (1, 1), (10, 1),     # the copy's first step spawns the second track
+        (11, 2),             # the source holds two tracks, one just spawned
+        (41, 3), (70, 2)])
+    def test_copy_equals_lane_run_alone(self, fork, held):
+        frames = _two_cyclists(100, seed=17)
+        cfg = ManagerConfig.coop_defaults()
+        r = measurement_noise_variances(MeasurementNoiseParams(),
+                                        ProcessNoiseParams(), 0.3)[2:]
+        devices = np.tile([0.0, math.hypot(3.0, 1.0), *r], (2, 1))
+        table = TrackTable(2, cfg)
+        alone = TrackTable(1, cfg)
+        for i, (first, others) in enumerate(frames):
+            source = ([] if first is None else [first]) + others
+            # the copy's input loses the first cyclist for 30 frames from
+            # the fork on
+            copy = others if fork <= i < fork + 30 else source
+            started = i >= fork
+            if i == fork:
+                assert np.count_nonzero(table.lane == 0) == held
+                table.copy_lane(0, 1)
+            dets = source + (copy if started else [])
+            step_lanes(table, np.array([i * T, i * T if started else np.nan]),
+                       np.repeat([0, 1], [len(source), len(copy) if started else 0]),
+                       np.reshape(dets, (-1, 2)), devices, np.array([True, started]))
+            step_lanes(alone, np.array([i * T]), np.zeros(len(copy), dtype=np.int64),
+                       np.reshape(copy, (-1, 2)), devices[:1], np.ones(1, dtype=bool))
+            if started:
+                rows = table.lane == 1
+                for name in ("x", "P", "id", "valid", "age", "misses"):
+                    assert np.array_equal(getattr(table, name)[rows],
+                                          getattr(alone, name)), (i, name)
+            if i == fork and fork == 10:
+                assert np.count_nonzero(table.lane == 1) == 2
+        # the occlusion made the copy's tracks differ from the source's
+        assert not np.array_equal(table.x[table.lane == 0], table.x[table.lane == 1])
+
+    def test_step_without_log_moves_no_state(self):
+        frames = _two_cyclists(60, seed=5)
+        with_log, without = (TrackTable(1, ManagerConfig.coop_defaults())
+                             for _ in range(2))
+        no_device = (np.zeros((1, 4)), np.zeros(1, dtype=bool))
+        for i, (first, others) in enumerate(frames):
+            dets = np.reshape(([] if first is None else [first]) + others, (-1, 2))
+            lanes = np.zeros(len(dets), dtype=np.int64)
+            assert isinstance(step_lanes(with_log, np.array([i * T]), lanes, dets,
+                                         *no_device), StepLog)
+            assert step_lanes(without, np.array([i * T]), lanes, dets, *no_device,
+                              log=False) is None
+            for name in TrackTable.ROW_FIELDS:
+                assert np.array_equal(getattr(with_log, name), getattr(without, name))
 
 
 class TestHeadingInit:
