@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import MeasurementNoiseParams, ProcessNoiseParams, measurement_noise_variances
+from . import ekf
 from .errors import NumericalError
 
 # penalized Mahalanobis distance beyond which a device reading binds to no track
 DEVICE_GATE = 5.0
+_EYE_2 = np.eye(2)      # puts R's diagonal into S over the device pair
 
 
 @dataclass
@@ -98,10 +99,10 @@ def device_distances(z, x, P, r):
     """penalized_mahalanobis of N device readings z (N, 2) of (gamma_dot, v)
     against predicted states x (N, 5) with covariances P (N, 5, 5), the
     readings' noise variances r (N, 2), or (2,) for every reading, on the
-    diagonal of R: y = z - H x and S = H P H^T + R with H selecting
-    gamma_dot and v.  Returns the (N,) distances."""
-    return penalized_mahalanobis_batch(z - x[:, 3:5],
-                                       P[:, 3:5, 3:5] + r[..., None] * np.eye(2))
+    diagonal of R: y = z - H x and S = H P H^T + R with H selecting the
+    device pair.  Returns the (N,) distances."""
+    return penalized_mahalanobis_batch(
+        z - x[:, ekf.DEVICE], P[:, ekf.DEVICE, ekf.DEVICE] + r[..., None] * _EYE_2)
 
 
 def nearest_allowed(cost, allowed, axis=-1):
@@ -115,8 +116,8 @@ def nearest_allowed(cost, allowed, axis=-1):
     return masked.argmin(axis=axis), np.minimum.reduce(masked, axis=axis) < np.inf
 
 
-def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
-                  p: ProcessNoiseParams, gate: float = DEVICE_GATE):
+def assign_device(gamma_dot, v, sigma_v, tracks, n: ekf.MeasurementNoiseParams,
+                  p: ekf.ProcessNoiseParams, gate: float = DEVICE_GATE):
     """Nearest-neighbor device-to-track binding.
 
     tracks is a sequence of predicted StateEstimates; returns the index of
@@ -125,10 +126,10 @@ def assign_device(gamma_dot, v, sigma_v, tracks, n: MeasurementNoiseParams,
     """
     if not tracks:
         return None
+    reading = ekf.device_readings(n, p, np.array([[gamma_dot, v, sigma_v]], dtype=float))
     distance = device_distances(
-        np.array([gamma_dot, v]), np.array([e.state.as_array() for e in tracks]),
-        np.array([e.covariance for e in tracks], dtype=float),
-        measurement_noise_variances(n, p, sigma_v)[2:])
+        reading[:, ekf.READING_Z], np.array([e.state.as_array() for e in tracks]),
+        np.array([e.covariance for e in tracks], dtype=float), reading[:, ekf.READING_R])
     idx, found = nearest_allowed(distance, distance <= gate)
     return int(idx) if found else None
 

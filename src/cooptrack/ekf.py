@@ -20,7 +20,15 @@ from .errors import InvalidStateError, NumericalError
 # analytic straight-line limits; the exact formulas divide by gamma_dot.
 EPS_YAW = 1e-6
 
-STATE_DIM = 5
+# The state layout: each state's name in column order, with its variance in a
+# track spawned from one fix (None: the fix's noise).  No other module numbers it.
+STATE_LAYOUT = {"x": None, "y": None, "gamma": (math.pi / 2) ** 2,
+                "gamma_dot": 1.0, "v": 4.0}
+STATE_NAMES = tuple(STATE_LAYOUT)
+STATE_DIM = len(STATE_NAMES)
+X, Y, GAMMA, GAMMA_DOT, V = map(STATE_NAMES.index, ("x", "y", "gamma", "gamma_dot", "v"))
+POSITION = slice(X, Y + 1)
+DEVICE = slice(GAMMA_DOT, V + 1)      # what the smart device reads
 
 
 def _read_only(a):
@@ -28,9 +36,16 @@ def _read_only(a):
     return a
 
 
+# the state columns a measurement observes, in slot order (the position pair, then
+# the device pair), and their H; a device reading: its values, then their noise
+MEASURED = _read_only(np.r_[POSITION, DEVICE])
+_H = _read_only(np.eye(STATE_DIM)[MEASURED])
+_POSITION_SLOTS, _DEVICE_SLOTS = slice(0, 2), slice(2, 4)
+READING_Z, READING_R = slice(0, 2), slice(2, 4)
+
 # identity matrices of the kernels (the measurement slots, the state),
 # built once and never written
-_IDENTITY = {m: _read_only(np.eye(m)) for m in (4, STATE_DIM)}
+_IDENTITY = {m: _read_only(np.eye(m)) for m in (len(MEASURED), STATE_DIM)}
 
 
 def wrap_angle(angle):
@@ -50,13 +65,11 @@ class BikeState:
     v: float
 
     def as_array(self):
-        return np.array([self.x, self.y, self.gamma, self.gamma_dot, self.v],
-                        dtype=float)
+        return np.array([getattr(self, name) for name in STATE_NAMES], dtype=float)
 
     @classmethod
     def from_array(cls, arr):
-        x, y, gamma, gamma_dot, v = (float(c) for c in arr)
-        return cls(x, y, gamma, gamma_dot, v)
+        return cls(*(float(c) for c in arr))
 
 
 @dataclass(frozen=True)
@@ -190,7 +203,7 @@ def _transition(x, T):
     if np.count_nonzero(T > 0) < len(T):
         raise ValueError("T must be positive")
     _require_finite(x)
-    gamma, gamma_dot, v = x[:, 2], x[:, 3], x[:, 4]
+    gamma, gamma_dot, v = x[:, GAMMA], x[:, GAMMA_DOT], x[:, V]
     straight = np.abs(gamma_dot) < EPS_YAW
     gd = np.where(straight, 1.0, gamma_dot)     # straight rows take the limits
     wt = gd * T
@@ -225,19 +238,19 @@ def _transition(x, T):
     east_north = turn_a + turn_b
 
     x_new = x.copy()
-    x_new[:, :2] = x[:, :2] + turn_a[:, :, 0] + turn_b[:, :, 0]
-    x_new[:, 2] = _wrap_angles(gamma + gamma_dot * T)
+    x_new[:, POSITION] = x[:, POSITION] + turn_a[:, :, 0] + turn_b[:, :, 0]
+    x_new[:, GAMMA] = _wrap_angles(gamma + gamma_dot * T)
 
     F = _IDENTITY[STATE_DIM][None].repeat(len(x), axis=0)
-    F[:, 0, 2] = -east_north[:, 1, 0]     # d(x, y) / d gamma: (-north a, east a)
-    F[:, 1, 2] = east_north[:, 0, 0]
-    F[:, :2, 3:] = east_north[:, :, 1:3]
-    F[:, 2, 3] = T
+    F[:, X, GAMMA] = -east_north[:, 1, 0]     # d(x, y) / d gamma: (-north a, east a)
+    F[:, Y, GAMMA] = east_north[:, 0, 0]
+    F[:, POSITION, DEVICE] = east_north[:, :, 1:3]    # d(x, y) / d(gamma_dot, v)
+    F[:, GAMMA, GAMMA_DOT] = T
     G = np.zeros((len(x), STATE_DIM, 2))
-    G[:, :2] = east_north[:, :, 1::2]
-    G[:, 2, 0] = T
-    G[:, 3, 0] = 1.0
-    G[:, 4, 1] = T
+    G[:, POSITION] = east_north[:, :, 1::2]
+    G[:, GAMMA, 0] = T
+    G[:, GAMMA_DOT, 0] = 1.0
+    G[:, V, 1] = T
     return x_new, F, G
 
 
@@ -321,12 +334,6 @@ def ekf_predict(e: StateEstimate, p: ProcessNoiseParams) -> StateEstimate:
     return StateEstimate(BikeState.from_array(x[0]), P[0])
 
 
-# the state rows a measurement can observe, in slot order: x, y, gamma_dot, v
-MEASURED = _read_only(np.array([0, 1, 3, 4]))
-# H of a measurement that observes every slot
-_H = _read_only(np.eye(STATE_DIM)[MEASURED])
-
-
 def measurement_noise_variances(n: MeasurementNoiseParams, p: ProcessNoiseParams,
                                 sigma_v):
     """The diagonal of R over the slots (x, y, gamma_dot, v) of MEASURED:
@@ -342,10 +349,25 @@ def measurement_noise_variances(n: MeasurementNoiseParams, p: ProcessNoiseParams
         raise ValueError("sigma_v must be strictly positive")
     scale = 1.0 / p.T if n.r_divide_by_T else 1.0
     diag = np.empty(sigma_v.shape + (len(MEASURED),))
-    diag[..., :2] = n.position_variances
-    diag[..., 2] = (n.sigma_gamma_dot * scale) ** 2
-    diag[..., 3] = _pow2(sigma_v * scale)
+    diag[..., _POSITION_SLOTS] = n.position_variances
+    diag[..., _DEVICE_SLOTS.start] = (n.sigma_gamma_dot * scale) ** 2    # gamma_dot, then v
+    diag[..., _DEVICE_SLOTS.stop - 1] = _pow2(sigma_v * scale)
     return diag
+
+
+def device_readings(n: MeasurementNoiseParams, p: ProcessNoiseParams, readings):
+    """Device readings (N, 3) of (gamma_dot, v, sigma_v) as step_lanes takes them,
+    (N, 4): their values (READING_Z), then their noise variances (READING_R)."""
+    return np.concatenate((readings[:, :2], measurement_noise_variances(
+        n, p, readings[:, 2])[:, _DEVICE_SLOTS]), axis=1)
+
+
+def measurement_rows(position, r_position, readings, has_position, has_device):
+    """(z, r, observed) of N filters for ekf_update_masked from position fixes
+    (N, 2) with noise r_position (1, 2), device_readings rows and which rows have each."""
+    z = np.concatenate((position, readings[:, READING_Z]), axis=1)
+    r = np.concatenate((r_position.repeat(len(z), axis=0), readings[:, READING_R]), axis=1)
+    return z, r, np.array([has_position, has_position, has_device, has_device]).T
 
 
 def ekf_update_masked(x, P, z, r, observed):
@@ -365,7 +387,7 @@ def ekf_update_masked(x, P, z, r, observed):
     y = np.where(observed, z - x.take(MEASURED, axis=1), 0.0)
     r = np.where(observed, r, 1.0)
     PHt = P @ H.mT
-    S = H @ PHt + r[:, :, None] * _IDENTITY[4]
+    S = H @ PHt + r[:, :, None] * _IDENTITY[len(MEASURED)]
     try:
         S_chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
@@ -378,7 +400,7 @@ def ekf_update_masked(x, P, z, r, observed):
     first = (~observed).argsort(axis=1, kind="stable")
     picked = np.arange(len(x))[:, None], first
     x_new = x + (Kt[picked].mT @ y[picked][:, :, None])[:, :, 0]
-    x_new[:, 2] = _wrap_angles(x_new[:, 2])
+    x_new[:, GAMMA] = _wrap_angles(x_new[:, GAMMA])
     IKH = _IDENTITY[STATE_DIM] - K @ H
     P_new = _symmetrize(IKH @ P @ IKH.mT + (K * r[:, None, :]) @ Kt)
     return x_new, P_new
@@ -387,20 +409,23 @@ def ekf_update_masked(x, P, z, r, observed):
 def ekf_update(e: StateEstimate, m: Measurement, n: MeasurementNoiseParams,
                p: ProcessNoiseParams) -> StateEstimate:
     """Measurement update; gamma re-wrapped, covariance symmetrized."""
-    observed = np.repeat([[m.position is not None, m.gamma_dot is not None]], 2, axis=1)
-    z = np.array([[*(m.position or (0.0, 0.0)), m.gamma_dot or 0.0, m.v or 0.0]])
-    # the update ignores the noise of absent slots
-    r = measurement_noise_variances(n, p, m.sigma_v or 1.0)[None]
+    reading = device_readings(n, p, np.array([[m.gamma_dot or 0.0, m.v or 0.0,
+                                               m.sigma_v or 1.0]]))
+    rows = measurement_rows(np.array([m.position or (0.0, 0.0)]), np.array(
+        [n.position_variances]), reading, [m.position is not None], [m.sigma_v is not None])
     x, P = ekf_update_masked(e.state.as_array()[None],
-                             np.asarray(e.covariance, dtype=float)[None],
-                             z, r, observed)
+                             np.asarray(e.covariance, dtype=float)[None], *rows)
     return StateEstimate(BikeState.from_array(x[0]), P[0])
 
 
 def newborn_covariance(n: MeasurementNoiseParams) -> np.ndarray:
-    """Initial covariance for a track spawned from a single position fix.
+    """Initial covariance of a track spawned from one position fix: the fix's
+    noise, and STATE_LAYOUT's wide variances of the states one fix cannot see."""
+    return np.diag([*{**STATE_LAYOUT, "x": n.sigma_x ** 2, "y": n.sigma_y ** 2}.values()])
 
-    gamma and v are unobservable from one fix, so their variances are wide:
-    (pi/2)^2 for yaw, 1 for yaw rate, 2^2 for speed.
-    """
-    return np.diag([*n.position_variances, (math.pi / 2) ** 2, 1.0, 4.0])
+
+def newborn_rows(position, n: MeasurementNoiseParams):
+    """The states and newborn_covariance of tracks spawned each from a fix (N, 2)."""
+    x = np.zeros((len(position), STATE_DIM))
+    x[:, POSITION] = position
+    return x, np.broadcast_to(newborn_covariance(n), (len(x), STATE_DIM, STATE_DIM))

@@ -16,8 +16,8 @@ from .config import RunConfig
 from .errors import DataError
 from .track_manager import TrackTable, step_lanes
 
-TRACK_HEADER = ("t", "track_id", "x", "y", "gamma", "gamma_dot", "v", "valid")
-TRACK_TYPES = (float, int, float, float, float, float, float, int)
+TRACK_HEADER = ("t", "track_id", *ekf.STATE_NAMES, "valid")
+TRACK_TYPES = (float, int, *[float] * ekf.STATE_DIM, int)
 ASSIGN_HEADER = ("t", "track_id", "detection_id", "device_bound")
 
 MODEL_POSITION_ONLY = "P"
@@ -75,9 +75,8 @@ def _track_lanes(lanes, cfg: RunConfig, log=True, starts=None):
             if len(np.unique(idx)) < len(idx):
                 raise DataError(f"{scene.scene_id}: two device rows in one frame")
             live = idx >= start
-            devices[idx[live], k, :2] = scene.device[live, 1:3]
-            devices[idx[live], k, 2:] = ekf.measurement_noise_variances(
-                cfg.measurement, cfg.process, scene.device[live, 3])[:, 2:]
+            devices[idx[live], k] = ekf.device_readings(
+                cfg.measurement, cfg.process, scene.device[live, 1:])
             has_device[idx[live], k] = True
         if source is not None and start < len(frame_times):
             copies.setdefault(start, []).append((source, k))
@@ -199,14 +198,14 @@ def read_track_output(path):
 
 def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str):
     """Per-scene metric report for a model's track rows: a sequence of
-    TRACK_HEADER rows or an (N, 8) array of them."""
+    TRACK_HEADER rows or an (N, len(TRACK_HEADER)) array of them."""
     times = scene.ground_truth[:, 0]
     rows = np.asarray(track_rows, dtype=float).reshape(-1, len(TRACK_HEADER))
-    valid = rows[rows[:, 7] != 0]
+    valid = rows[rows[:, -1] != 0]
     frames = metrics_mod.frames_from_tracks(
-        scene.ground_truth[:, 1:3],
+        scene.ground_truth[:, 1:][:, ekf.POSITION],
         _frame_indices(valid[:, 0], times, f"{scene.scene_id}: track row"),
-        valid[:, 2:4], cfg.metric)
+        valid[:, 2:-1][:, ekf.POSITION], cfg.metric)
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)
 
 
@@ -228,14 +227,14 @@ def track_and_evaluate(scenes, cfg: RunConfig):
     shape = (max(n_frames, default=0), len(lanes))
     gt_xy = np.full(shape + (2,), np.nan)
     for k, (scene, _) in enumerate(lanes):
-        gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:3]
+        gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:][:, ekf.POSITION]
     delta = np.full(shape, np.inf)
     has_track = np.zeros(shape, dtype=bool)
     starts = _shared_prefixes(lanes)
     for i, table, _ in _track_lanes(lanes, cfg, log=False, starts=starts):
         valid = table.valid
         delta[i], has_track[i] = metrics_mod.nearest_track_distances(
-            gt_xy[i], table.lane[valid], table.x[valid, :2])
+            gt_xy[i], table.lane[valid], table.x[valid, ekf.POSITION])
     # a source's column is complete before its copies' (it is earlier)
     for k, (start, source) in enumerate(starts):
         if source is not None:

@@ -71,8 +71,8 @@ class TrackTable:
     """Every track of n_lanes lanes as one struct of arrays, one row per
     track.
 
-    Row r is track id[r] of lane lane[r], with bike state x[r] = [x, y,
-    gamma, gamma_dot, v] and covariance P[r]; valid[r] tells VALID from
+    Row r is track id[r] of lane lane[r], with bike state x[r], its columns
+    as ekf.STATE_LAYOUT, and covariance P[r]; valid[r] tells VALID from
     TENTATIVE (a LOST track's row is deleted).  age, misses and last_update
     count frames stepped, frames without a detection and the time of the
     last detection.  first_fix[r] = (t, x, y) is the spawning fix, kept
@@ -110,7 +110,6 @@ class TrackTable:
         self._q = np.array([ekf.process_noise_variances(self.process)])
         # the position slots of R
         self._r_position = np.array([self.noise.position_variances])
-        self._newborn_P = ekf.newborn_covariance(self.noise)
         self._noise_floor = 3.0 * math.hypot(self.noise.sigma_x, self.noise.sigma_y)
 
     def keep_rows(self, keep):
@@ -173,7 +172,7 @@ def _assign_detections(table, det_lane, det_xy):
     """
     if not len(table.lane) or not len(det_lane):
         return np.full(len(table.lane), -1)
-    costs = gated_cost_matrix(table.x[:, :2], det_xy, table.config.gate_distance)
+    costs = gated_cost_matrix(table.x[:, ekf.POSITION], det_xy, table.config.gate_distance)
     allowed = (table.lane[:, None] == det_lane[None, :]) & ~costs.forbidden
     det_of_row, found = nearest_allowed(costs.cost, allowed, axis=1)
     match = np.where(found, det_of_row, -1)
@@ -201,8 +200,8 @@ def _bind_devices(table, devices, has_device):
         return rows
     lanes = table.lane[rows]
     reading = devices[lanes]
-    distance = device_distances(reading[:, :2], table.x[rows], table.P[rows],
-                                reading[:, 2:])
+    distance = device_distances(reading[:, ekf.READING_Z], table.x[rows], table.P[rows],
+                                reading[:, ekf.READING_R])
     by_lane = np.full((table.n_lanes, len(rows)), np.inf)
     by_lane[lanes, np.arange(len(rows))] = distance
     best, found = nearest_allowed(by_lane, by_lane <= table.device_gate)
@@ -227,8 +226,8 @@ def _init_heading(table, rows, det_xy, t_now):
         dx, dy = px - x_first, py - y_first
         if math.hypot(dx, dy) <= table._noise_floor:
             continue
-        table.x[row, 2] = math.atan2(dy, dx)
-        table.x[row, 4] = math.hypot(dx, dy) / dt
+        table.x[row, ekf.GAMMA] = math.atan2(dy, dx)
+        table.x[row, ekf.V] = math.hypot(dx, dy) / dt
         table.has_fix[row] = False
 
 
@@ -240,10 +239,9 @@ def _spawn(table, det_lane, det_xy, t_lane):
     ids = table.next_id[det_lane] + np.arange(n) - first
     table.next_id += np.bincount(det_lane, minlength=table.n_lanes)
     t = t_lane[det_lane]
+    x, P = ekf.newborn_rows(det_xy, table.noise)
     table._append(
-        lane=det_lane, id=ids,
-        x=np.column_stack([det_xy, np.zeros((n, ekf.STATE_DIM - 2))]),
-        P=np.broadcast_to(table._newborn_P, (n, ekf.STATE_DIM, ekf.STATE_DIM)),
+        lane=det_lane, id=ids, x=x, P=P,
         valid=np.zeros(n, dtype=bool), age=np.ones(n, dtype=np.int64),
         misses=np.zeros(n, dtype=np.int64), last_update=t,
         first_fix=np.column_stack([t, det_xy]), has_fix=np.ones(n, dtype=bool))
@@ -258,8 +256,7 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device, log=True):
     det_lane (D,) and det_xy (D, 2): the frame's detections with their
     lanes, in ascending lane order; a detection's index among its lane's
     detections is its detection id.  devices (n_lanes, 4): each lane's
-    device reading (gamma_dot, v) and its noise variances, the (gamma_dot,
-    v) entries of ekf.measurement_noise_variances, where has_device
+    device reading as ekf.device_readings gives it, where has_device
     (n_lanes,).
     Returns the StepLog, or None without `log`.  Lanes are independent:
     each gets the log entries and track states it would get stepped alone.
@@ -298,14 +295,10 @@ def step_lanes(table, times, det_lane, det_xy, devices, has_device, log=True):
     # (gamma_dot, v) from the device; a row with neither gets K = 0 and
     # keeps its x and P
     if np.count_nonzero(has_det) or np.count_nonzero(bound):
-        observed = np.array([has_det, has_det, bound, bound]).T
         # absent slots may hold anything: the update ignores them
         det = det_xy[match] if len(det_xy) else np.zeros((len(t_row), 2))
-        device = devices[table.lane]
-        z = np.concatenate((det, device[:, :2]), axis=1)
-        r = np.concatenate((table._r_position.repeat(len(t_row), axis=0),
-                            device[:, 2:]), axis=1)
-        table.x, table.P = ekf.ekf_update_masked(table.x, table.P, z, r, observed)
+        table.x, table.P = ekf.ekf_update_masked(table.x, table.P, *ekf.measurement_rows(
+            det, table._r_position, devices[table.lane], has_det, bound))
 
     assigned = match[has_det]
     if len(assigned) < len(det_lane):
@@ -350,11 +343,8 @@ class TrackManager:
         if not math.isfinite(t_now):
             raise DataError(f"timestamp {t_now} is not finite")
         dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-        reading = np.zeros((1, 4))
-        if device is not None:
-            gamma_dot, v, sigma_v = device
-            reading[0] = gamma_dot, v, *ekf.measurement_noise_variances(
-                self.table.noise, self.table.process, sigma_v)[2:]
+        reading = ekf.device_readings(self.table.noise, self.table.process, np.array(
+            [(0.0, 0.0, 1.0) if device is None else device], dtype=float))  # unread if None
         return step_lanes(self.table, np.array([t_now], dtype=float),
                           np.zeros(len(dets), dtype=np.int64), dets, reading,
                           np.array([device is not None]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack import ekf
+from cooptrack import ekf, pipeline, scene_sim
 from cooptrack.ekf import (EPS_YAW, BikeState, Measurement, MeasurementKind,
                            MeasurementNoiseParams, ProcessNoiseParams,
                            StateEstimate, ekf_predict, ekf_predict_batch,
@@ -723,3 +724,40 @@ class TestEdgeProperties:
             np.testing.assert_allclose(x, x_ref, rtol=1e-11, atol=1e-11)
             np.testing.assert_allclose(table.P[0], expected.covariance,
                                        rtol=1e-11, atol=1e-11)
+
+
+class TestStateLayout:
+    """Every table of bike states has ekf's state columns, and the
+    measurement slots and newborn rows follow from ekf's layout."""
+
+    def test_state_tables_share_the_layout(self):
+        assert ekf.STATE_NAMES == ("x", "y", "gamma", "gamma_dot", "v")
+        fields = tuple(f.name for f in dataclasses.fields(BikeState))
+        assert fields == ekf.STATE_NAMES
+        assert pipeline.TRACK_HEADER[2:-1] == ekf.STATE_NAMES
+        assert scene_sim._CSV_COLUMNS["ground_truth.csv"][1:] == ekf.STATE_NAMES
+
+    def test_slots_are_the_position_pair_then_the_device_pair(self):
+        columns = range(ekf.STATE_DIM)
+        assert ekf.MEASURED.tolist() == [*columns[ekf.POSITION], *columns[ekf.DEVICE]]
+        assert [ekf.STATE_NAMES[c] for c in ekf.MEASURED] == ["x", "y", "gamma_dot", "v"]
+
+    def test_newborn_rows(self):
+        n = MeasurementNoiseParams(sigma_x=0.2, sigma_y=0.3)
+        assert np.array_equal(newborn_covariance(n), np.diag(
+            [0.2 ** 2, 0.3 ** 2, (math.pi / 2) ** 2, 1.0, 4.0]))
+        fixes = np.array([[1.0, 2.0], [-3.0, 4.0]])
+        x, P = ekf.newborn_rows(fixes, n)
+        assert np.array_equal(x, [[1.0, 2.0, 0.0, 0.0, 0.0], [-3.0, 4.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(P, [newborn_covariance(n)] * 2)
+
+    def test_measurement_rows_fill_the_slots_in_order(self):
+        n, p = MeasurementNoiseParams(sigma_x=0.2, sigma_y=0.3), ProcessNoiseParams()
+        reading = ekf.device_readings(n, p, np.array([[0.1, 5.0, 0.4], [-0.2, 6.0, 0.5]]))
+        r_full = measurement_noise_variances(n, p, np.array([0.4, 0.5]))
+        z, r, observed = ekf.measurement_rows(
+            np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([n.position_variances]),
+            reading, np.array([True, False]), np.array([False, True]))
+        assert np.array_equal(z, [[1.0, 2.0, 0.1, 5.0], [3.0, 4.0, -0.2, 6.0]])
+        assert np.array_equal(r, r_full)
+        assert observed.tolist() == [[True, True, False, False], [False, False, True, True]]
