@@ -126,7 +126,7 @@ def _compare_chunk(payload):
     scenes = []
     for scene_id, _, spec in entries:
         if spec.occlusions:
-            scene = scene_sim.with_occlusions(base, spec, scene_id=scene_id)
+            scene = scene_sim.with_occlusions(base, spec.occlusions, scene_id=scene_id)
         else:       # "none", the first variant of each scene
             scene = base = scene_sim.generate_scene(spec, scene_id=scene_id)
         scenes.append(scene)

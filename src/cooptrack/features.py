@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-SAMPLE_RATE = 50.0           # Hz
+from .scene_sim import FRAME_RATE, GNSS   # FRAME_RATE: the IMU's sample rate
+
 YAW_LOWPASS_WINDOW = 0.25    # s
 STAT_WINDOW = 1.0            # s, centered
 DFT_WINDOW_SAMPLES = 256     # 5.12 s at 50 Hz
@@ -50,7 +51,7 @@ def moving_average(values, window_s):
     edge windows are truncated.  A window holding a non-finite sample
     averages to NaN; the other windows do not see it."""
     values = np.asarray(values, dtype=float)
-    half = int(window_s * SAMPLE_RATE / 2.0)
+    half = int(window_s * FRAME_RATE / 2.0)
     n = len(values)
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
@@ -201,9 +202,10 @@ def transformed_signals(imu) -> np.ndarray:
 def gnss_poly_track(times, gnss):
     """Zero-order-hold GNSS speed polynomial features on the 50 Hz grid.
 
-    gnss holds (t, v, x, y) fixes with strictly increasing times; an empty
-    array means no fixes.  For each output time, the coefficients computed
-    at the latest GNSS fix (over the trailing window of fixes) are held.
+    gnss holds fixes in scene_sim.GNSS's columns with strictly increasing
+    times; an empty array means no fixes.  For each output time, the
+    coefficients computed at the latest GNSS fix (over the trailing window
+    of fixes) are held.
     Returns (coeffs, age) where age is the time since the newest fix (inf
     before the first one); rows without enough fixes for the fit hold NaN.
     """
@@ -213,10 +215,10 @@ def gnss_poly_track(times, gnss):
     age = np.full(len(times), np.inf)
     if gnss.size == 0:
         return coeffs, age
-    t_fix = gnss[:, 0]
+    t_fix = gnss[:, GNSS.t]
     # a contiguous copy: on a strided window, basis.T @ window rounds
     # differently
-    v_fix = np.ascontiguousarray(gnss[:, 1])
+    v_fix = np.ascontiguousarray(gnss[:, GNSS.v])
     # half-open (t-window, t]: a steady 1 Hz stream always yields the same
     # fix count, keeping the coefficient scale consistent
     first = np.searchsorted(t_fix, t_fix - GNSS_WINDOW + 1e-9, side="right")

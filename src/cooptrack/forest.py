@@ -379,14 +379,8 @@ class RegressionForest:
         return X
 
     def tree_predictions(self, X):
-        """(n_trees, n) matrix of individual tree outputs."""
-        X = self._check_input(X)
-        n_trees = len(self.nodes.roots)
-        preds = np.empty((n_trees, len(X)))
-        block = max(1, _WALK_CELLS // n_trees)
-        for lo in range(0, len(X), block):
-            preds[:, lo:lo + block] = self.nodes.walk(X[lo:lo + block])
-        return preds
+        """(n_trees, n) matrix of individual tree outputs, in one walk."""
+        return self.nodes.walk(self._check_input(X))
 
     def predict(self, X):
         """(mean, ensemble variance) arrays over the samples, computed one
@@ -395,7 +389,7 @@ class RegressionForest:
         mean = np.empty(len(X))
         var = np.empty(len(X))
         for lo, hi in row_blocks(len(X), _WALK_CELLS // len(self.nodes.roots)):
-            preds = self.tree_predictions(X[lo:hi])
+            preds = self.nodes.walk(X[lo:hi])
             mean[lo:hi] = preds.mean(axis=0)
             preds -= mean[lo:hi]
             np.square(preds, out=preds)

@@ -14,11 +14,19 @@ from . import metrics as metrics_mod
 from . import scene_sim
 from .config import RunConfig
 from .errors import DataError
+from .scene_sim import DETECTIONS, DEVICE, GROUND_TRUTH
 from .track_manager import TrackTable, step_lanes
 
 TRACK_HEADER = ("t", "track_id", *ekf.STATE_NAMES, "valid")
 TRACK_TYPES = (float, int, *[float] * ekf.STATE_DIM, int)
 ASSIGN_HEADER = ("t", "track_id", "detection_id", "device_bound")
+
+# the position columns of the ground truth, the detections and a track row,
+# and a device row's reading (the columns ekf.device_readings takes)
+_GT_XY = [GROUND_TRUTH.x, GROUND_TRUTH.y]
+_DETECTION_XY = [DETECTIONS.x, DETECTIONS.y]
+_TRACK_XY = [TRACK_HEADER.index("x"), TRACK_HEADER.index("y")]
+_READING = [DEVICE.gamma_dot, DEVICE.v, DEVICE.sigma_v]
 
 MODEL_POSITION_ONLY = "P"
 MODEL_COOPERATIVE = "C"
@@ -63,20 +71,20 @@ def _track_lanes(lanes, cfg: RunConfig, log=True, starts=None):
     det_parts = []
     copies = {}
     for k, ((scene, model), (start, source)) in enumerate(zip(lanes, starts)):
-        frame_times = scene.ground_truth[:, 0]
+        frame_times = scene.ground_truth[:, GROUND_TRUTH.t]
         times[start:len(frame_times), k] = frame_times[start:]
-        idx = _frame_indices(scene.detections[:, 0], frame_times,
+        idx = _frame_indices(scene.detections[:, DETECTIONS.t], frame_times,
                              f"{scene.scene_id}: detection")
         live = idx >= start
-        det_parts.append((idx[live], k, scene.detections[live, 1:3]))
+        det_parts.append((idx[live], k, scene.detections[live][:, _DETECTION_XY]))
         if model == MODEL_COOPERATIVE:
-            idx = _frame_indices(scene.device[:, 0], frame_times,
+            idx = _frame_indices(scene.device[:, DEVICE.t], frame_times,
                                  f"{scene.scene_id}: device row")
             if len(np.unique(idx)) < len(idx):
                 raise DataError(f"{scene.scene_id}: two device rows in one frame")
             live = idx >= start
             devices[idx[live], k] = ekf.device_readings(
-                cfg.measurement, cfg.process, scene.device[live, 1:])
+                cfg.measurement, cfg.process, scene.device[live][:, _READING])
             has_device[idx[live], k] = True
         if source is not None and start < len(frame_times):
             copies.setdefault(start, []).append((source, k))
@@ -132,8 +140,8 @@ def _first_difference(a, b):
     n = min(len(rows_a), len(rows_b))
     unequal = np.flatnonzero((rows_a[:n] != rows_b[:n]).any(axis=1))
     first = unequal[0] if len(unequal) else n
-    rest = np.concatenate((a.detections[first:, 0], b.detections[first:, 0]))
-    times = a.ground_truth[:, 0]
+    rest = np.concatenate((a.detections[first:], b.detections[first:]))[:, DETECTIONS.t]
+    times = a.ground_truth[:, GROUND_TRUTH.t]
     if not len(rest):
         return len(times)
     return int(np.clip(_nearest_frames(rest, times).min(), 0, len(times)))
@@ -199,13 +207,14 @@ def read_track_output(path):
 def evaluate_rows(scene: scene_sim.Scene, track_rows, cfg: RunConfig, model: str):
     """Per-scene metric report for a model's track rows: a sequence of
     TRACK_HEADER rows or an (N, len(TRACK_HEADER)) array of them."""
-    times = scene.ground_truth[:, 0]
+    times = scene.ground_truth[:, GROUND_TRUTH.t]
     rows = np.asarray(track_rows, dtype=float).reshape(-1, len(TRACK_HEADER))
-    valid = rows[rows[:, -1] != 0]
+    valid = rows[rows[:, TRACK_HEADER.index("valid")] != 0]
     frames = metrics_mod.frames_from_tracks(
-        scene.ground_truth[:, 1:][:, ekf.POSITION],
-        _frame_indices(valid[:, 0], times, f"{scene.scene_id}: track row"),
-        valid[:, 2:-1][:, ekf.POSITION], cfg.metric)
+        scene.ground_truth[:, _GT_XY],
+        _frame_indices(valid[:, TRACK_HEADER.index("t")], times,
+                       f"{scene.scene_id}: track row"),
+        valid[:, _TRACK_XY], cfg.metric)
     return metrics_mod.metric_report(scene.scene_id, model, frames, cfg.metric)
 
 
@@ -227,7 +236,7 @@ def track_and_evaluate(scenes, cfg: RunConfig):
     shape = (max(n_frames, default=0), len(lanes))
     gt_xy = np.full(shape + (2,), np.nan)
     for k, (scene, _) in enumerate(lanes):
-        gt_xy[:n_frames[k], k] = scene.ground_truth[:, 1:][:, ekf.POSITION]
+        gt_xy[:n_frames[k], k] = scene.ground_truth[:, _GT_XY]
     delta = np.full(shape, np.inf)
     has_track = np.zeros(shape, dtype=bool)
     starts = _shared_prefixes(lanes)

@@ -2,28 +2,46 @@
 streams with natural dropouts and scripted occlusion windows, plus the
 on-disk scene format shared with real-data ingestion.
 
-A scene directory holds four CSV files (ground_truth.csv, detections.csv,
-device.csv, gnss.csv) and a scene.json with the generating parameters.
-Occlusion windows remove camera detections only; device and GNSS streams are
-unaffected.
+A scene directory holds one CSV file per stream of STREAMS (ground_truth.csv,
+detections.csv, device.csv, gnss.csv) and a scene.json with the generating
+parameters.  Occlusion windows remove camera detections only; device and GNSS
+streams are unaffected.
 """
 
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from . import ekf
 from . import fileio
 from .errors import DataError
 
-FRAME_RATE = 50.0            # Hz, camera/device grid
+FRAME_RATE = 50.0            # Hz, the grid of the frames and the device and IMU samples
 GNSS_RATE = 1.0              # Hz
 RK4_STEP = 1e-3              # s, ground-truth integration step
 
 KIND_STARTING = "starting"
 KIND_TURNING = "turning_right"
+
+
+# The scene streams: each one's Scene field, which <field>.csv holds, and its column
+# indices by name, t first (GROUND_TRUTH.v: the ground truth's speed).  The ground
+# truth's columns after t are the EKF state's.  No other module numbers them.
+STREAMS = {field: namedtuple(field, columns)(*range(len(columns))) for field, columns in (
+    ("ground_truth", ("t", *ekf.STATE_NAMES)),
+    ("detections", ("t", "x", "y")),
+    ("device", ("t", "gamma_dot", "v", "sigma_v")),
+    ("gnss", ("t", "v", "x", "y")))}
+GROUND_TRUTH, DETECTIONS, DEVICE, GNSS = STREAMS.values()
+
+
+def stream_rows(stream, **columns):
+    """A stream's (n, len(stream)) rows from its columns given by name."""
+    return np.column_stack([columns[name] for name in stream._fields])
 
 
 @dataclass
@@ -96,16 +114,19 @@ class SceneSpec:
 
 @dataclass
 class Scene:
+    """A scene's spec and its streams, each in its STREAMS columns."""
+
     scene_id: str
     spec: SceneSpec
-    ground_truth: np.ndarray      # (N, 6): t, x, y, gamma, gamma_dot, v
-    detections: np.ndarray        # (M, 3): t, x, y (missing frames omitted)
-    device: np.ndarray            # (K, 4): t, gamma_dot, v, sigma_v
-    gnss: np.ndarray              # (L, 4): t, v, x, y
-    occlusion_mask: np.ndarray    # (N,) bool
+    ground_truth: np.ndarray      # one row per frame
+    detections: np.ndarray        # missing frames omitted
+    device: np.ndarray
+    gnss: np.ndarray
 
     def occlusion_windows(self):
-        return _windows(float(self.ground_truth[-1, 0]), self.spec.occlusions)
+        """(start, end) times of the spec's occlusion windows."""
+        t_end = float(self.ground_truth[-1, GROUND_TRUTH.t])
+        return [(t_end - off - dur, t_end - off) for off, dur in self.spec.occlusions]
 
 
 # -- speed / yaw-rate profiles ---------------------------------------------
@@ -149,7 +170,7 @@ def frame_count(spec: SceneSpec) -> int:
 def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
     """Integrate the maneuver with RK4 at 1 ms and decimate to the frame rate.
 
-    Returns (frame_count(spec), 6) columns t, x, y, gamma, gamma_dot, v.
+    Returns (frame_count(spec), len(GROUND_TRUTH)) rows.
     """
     v_of_t = _speed_profile(spec)
     gdot_of_t = _yaw_rate_profile(spec)
@@ -178,7 +199,8 @@ def generate_ground_truth(spec: SceneSpec) -> np.ndarray:
                                  + 2 * v_mid * np.sin(g3) + v1 * np.sin(g4)))
 
     idx = np.arange(frame_count(spec)) * _FRAME_STRIDE
-    return np.column_stack([t[idx], x[idx], y[idx], gamma[idx], gd[idx], v[idx]])
+    return stream_rows(GROUND_TRUTH, t=t[idx], x=x[idx], y=y[idx], gamma=gamma[idx],
+                       gamma_dot=gd[idx], v=v[idx])
 
 
 def occlusion_mask_for(times, windows) -> np.ndarray:
@@ -189,11 +211,6 @@ def occlusion_mask_for(times, windows) -> np.ndarray:
     return mask
 
 
-def _windows(t_end, occlusions):
-    """(start, end) times of the occlusion tuples of a scene ending at t_end."""
-    return [(t_end - off - dur, t_end - off) for off, dur in occlusions]
-
-
 def aligned_occlusions(durations, end_offset):
     """Occlusion tuples for several durations sharing one start frame.
 
@@ -201,10 +218,7 @@ def aligned_occlusions(durations, end_offset):
     earlier, the longest ends end_offset seconds before the scene end.
     """
     durations = sorted(float(d) for d in durations)
-    if not durations:
-        return []
-    longest = durations[-1]
-    return [(end_offset + longest - d, d) for d in durations]
+    return [(end_offset + durations[-1] - d, d) for d in durations]
 
 
 def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
@@ -221,7 +235,7 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
     """
     gt = np.asarray(trajectory, dtype=float)
     rng = np.random.default_rng(spec.seed)
-    t = gt[:, 0]
+    t = gt[:, GROUND_TRUTH.t]
     n = len(t)
 
     det_noise = rng.normal(0.0, spec.sigma_detection, size=(n, 2))
@@ -234,8 +248,9 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
     bias_v = _ou_process(rng, n, dt, spec.device_bias_v, spec.device_bias_tau)
 
     keep = ~dropout
-    detections = np.column_stack([t[keep], gt[keep, 1] + det_noise[keep, 0],
-                                  gt[keep, 2] + det_noise[keep, 1]])
+    detections = stream_rows(DETECTIONS, t=t[keep],
+                             x=gt[keep, GROUND_TRUTH.x] + det_noise[keep, 0],
+                             y=gt[keep, GROUND_TRUTH.y] + det_noise[keep, 1])
 
     gnss = simulate_gnss(gt, spec, rng)
 
@@ -246,32 +261,30 @@ def simulate_sensors(trajectory, spec: SceneSpec, scene_id="scene",
         device = velocity_model.run(imu, gnss)
     else:
         t_delayed = np.maximum(t - spec.device_delay, t[0])
-        device = np.column_stack([
-            t,
-            np.interp(t_delayed, t, gt[:, 4]) + bias_gd + dev_noise_gd,
-            np.interp(t_delayed, t, gt[:, 5]) + bias_v + dev_noise_v,
-            np.full(n, spec.sigma_device_v),
-        ])
+        device = stream_rows(
+            DEVICE, t=t,
+            gamma_dot=(np.interp(t_delayed, t, gt[:, GROUND_TRUTH.gamma_dot])
+                       + bias_gd + dev_noise_gd),
+            v=np.interp(t_delayed, t, gt[:, GROUND_TRUTH.v]) + bias_v + dev_noise_v,
+            sigma_v=np.full(n, spec.sigma_device_v))
 
-    unoccluded = Scene(scene_id=scene_id, spec=replace(spec, occlusions=()),
-                       ground_truth=gt, detections=detections, device=device,
-                       gnss=gnss, occlusion_mask=np.zeros(n, dtype=bool))
-    return with_occlusions(unoccluded, spec, scene_id=scene_id)
+    unoccluded = Scene(scene_id=scene_id, spec=replace(spec, occlusions=()), ground_truth=gt,
+                       detections=detections, device=device, gnss=gnss)
+    return with_occlusions(unoccluded, spec.occlusions, scene_id=scene_id)
 
 
 def simulate_gnss(trajectory, spec: SceneSpec, rng) -> np.ndarray:
-    """GNSS fixes (t, v, x, y) at GNSS_RATE from t = 0: the ground truth
-    interpolated to the fix times plus noise, drawn from rng in the order
-    speed, x, y."""
+    """GNSS fixes at GNSS_RATE from t = 0: the ground truth interpolated to
+    the fix times plus noise, drawn from rng in the order speed, x, y."""
     gt = np.asarray(trajectory, dtype=float)
-    t = gt[:, 0]
+    t = gt[:, GROUND_TRUTH.t]
     t_gnss = np.arange(0.0, t[-1] + 1e-9, 1.0 / GNSS_RATE)
-    return np.column_stack([
-        t_gnss,
-        np.interp(t_gnss, t, gt[:, 5]) + rng.normal(0.0, spec.sigma_gnss_v, len(t_gnss)),
-        np.interp(t_gnss, t, gt[:, 1]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
-        np.interp(t_gnss, t, gt[:, 2]) + rng.normal(0.0, spec.sigma_gnss_pos, len(t_gnss)),
-    ])
+    n = len(t_gnss)
+    return stream_rows(
+        GNSS, t=t_gnss,
+        v=np.interp(t_gnss, t, gt[:, GROUND_TRUTH.v]) + rng.normal(0.0, spec.sigma_gnss_v, n),
+        x=np.interp(t_gnss, t, gt[:, GROUND_TRUTH.x]) + rng.normal(0.0, spec.sigma_gnss_pos, n),
+        y=np.interp(t_gnss, t, gt[:, GROUND_TRUTH.y]) + rng.normal(0.0, spec.sigma_gnss_pos, n))
 
 
 def generate_scene(spec: SceneSpec, scene_id="scene", velocity_model=None) -> Scene:
@@ -279,22 +292,17 @@ def generate_scene(spec: SceneSpec, scene_id="scene", velocity_model=None) -> Sc
                             scene_id=scene_id, velocity_model=velocity_model)
 
 
-def with_occlusions(base: Scene, spec: SceneSpec, scene_id="scene") -> Scene:
-    """The scene generate_scene(spec, scene_id) makes, derived from `base`,
-    the scene of spec without its occlusions: base without the detections
-    inside spec's windows.  Occlusion draws nothing from the seed, so the
-    other streams are base's; the variant shares base's ground truth,
-    device and GNSS arrays (pipeline.track_and_evaluate starts the lanes of
-    scenes that share them as copies).
-    """
-    if base.spec != replace(spec, occlusions=()):
-        raise ValueError("base is not the scene of spec without occlusions")
-    t = base.ground_truth[:, 0]
-    windows = _windows(t[-1], spec.occlusions)
-    kept = ~occlusion_mask_for(base.detections[:, 0], windows)
-    return Scene(scene_id=scene_id, spec=spec, ground_truth=base.ground_truth,
-                 detections=base.detections[kept], device=base.device,
-                 gnss=base.gnss, occlusion_mask=occlusion_mask_for(t, windows))
+def with_occlusions(base: Scene, occlusions, scene_id="scene") -> Scene:
+    """base with the occlusion tuples `occlusions` added to its spec: the scene
+    generate_scene makes for that spec.  Occlusion draws nothing from the seed, so
+    only the detections inside the windows go, and the variant shares base's ground
+    truth, device and GNSS arrays (pipeline.track_and_evaluate starts the lanes of
+    scenes that share them as copies)."""
+    variant = replace(base, scene_id=scene_id, spec=replace(
+        base.spec, occlusions=base.spec.occlusions + tuple(occlusions)))
+    variant.detections = base.detections[~occlusion_mask_for(
+        base.detections[:, DETECTIONS.t], variant.occlusion_windows())]
+    return variant
 
 
 def _ou_process(rng, n, dt, sigma, tau):
@@ -320,7 +328,8 @@ def synthesize_imu(trajectory, rng) -> np.ndarray:
     features alone cannot resolve speed; that ambiguity is intentional.
     """
     gt = np.asarray(trajectory, dtype=float)
-    t, gdot, v = gt[:, 0], gt[:, 4], gt[:, 5]
+    t, gdot, v = (gt[:, GROUND_TRUTH.t], gt[:, GROUND_TRUTH.gamma_dot],
+                  gt[:, GROUND_TRUTH.v])
     dt = 1.0 / FRAME_RATE
 
     gear = rng.choice([1.0, 1.5, 2.4])
@@ -347,23 +356,10 @@ def synthesize_imu(trajectory, rng) -> np.ndarray:
 
 # -- on-disk format ----------------------------------------------------------
 
-_CSV_COLUMNS = {
-    "ground_truth.csv": ("t", "x", "y", "gamma", "gamma_dot", "v"),
-    "detections.csv": ("t", "x", "y"),
-    "device.csv": ("t", "gamma_dot", "v", "sigma_v"),
-    "gnss.csv": ("t", "v", "x", "y"),
-}
-
-
 def write_scene(scene: Scene, directory):
-    arrays = {
-        "ground_truth.csv": scene.ground_truth,
-        "detections.csv": scene.detections,
-        "device.csv": scene.device,
-        "gnss.csv": scene.gnss,
-    }
-    for name, arr in arrays.items():
-        fileio.write_csv(os.path.join(directory, name), _CSV_COLUMNS[name], arr)
+    for field, stream in STREAMS.items():
+        fileio.write_csv(os.path.join(directory, f"{field}.csv"), stream._fields,
+                         getattr(scene, field))
     meta = {
         "format": "cooptrack-scene-v1",
         "scene_id": scene.scene_id,
@@ -384,33 +380,29 @@ def read_scene(directory) -> Scene:
         raise DataError(f"{meta_path}: top level must be an object")
     try:
         spec = SceneSpec(**meta.get("spec", {}))
-        windows = [(float(start), float(end))
-                   for start, end in meta.get("occlusion_windows", [])]
+        # the windows follow from the spec, but a malformed one is still bad
+        for start, end in meta.get("occlusion_windows", []):
+            float(start), float(end)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad value ({exc})") from exc
-    # device and GNSS streams are optional: a position-only scene is valid
     arrays = {}
-    for name, cols in _CSV_COLUMNS.items():
-        path = os.path.join(directory, name)
-        if name in ("device.csv", "gnss.csv") and not os.path.exists(path):
-            arrays[name] = np.empty((0, len(cols)))
-        else:
-            rows = fileio.read_csv(path, cols)
-            arrays[name] = np.array(rows, dtype=float).reshape(-1, len(cols))
-    sigma_v = arrays["device.csv"][:, 3]
+    for field, stream in STREAMS.items():
+        path = os.path.join(directory, f"{field}.csv")
+        # device and GNSS streams are optional: a position-only scene is valid
+        rows = ([] if field in ("device", "gnss") and not os.path.exists(path)
+                else fileio.read_csv(path, stream._fields))
+        arrays[field] = np.array(rows, dtype=float).reshape(-1, len(stream))
+    sigma_v = arrays["device"][:, DEVICE.sigma_v]
     if not np.all(sigma_v > 0):
         raise DataError(f"{os.path.join(directory, 'device.csv')}: sigma_v must "
                         f"be strictly positive (data row {np.argmin(sigma_v > 0) + 1})")
-    gt = arrays["ground_truth.csv"]
+    gt = arrays["ground_truth"]
     if gt.size == 0:
         raise DataError(f"{directory}: empty ground truth")
     # binning assumes the frame grid t0 + i * (t1 - t0), to the CSV's 1 us
-    steps = np.diff(np.rint(gt[:, 0] * 1e6))
+    steps = np.diff(np.rint(gt[:, GROUND_TRUTH.t] * 1e6))
     off = np.flatnonzero((steps <= 0) | (np.abs(steps - steps[:1]) > 1))
     if len(off):
         raise DataError(f"{directory}: ground_truth.csv data row {off[0] + 2} is off-grid")
     return Scene(scene_id=meta.get("scene_id", os.path.basename(str(directory))),
-                 spec=spec, ground_truth=gt,
-                 detections=arrays["detections.csv"],
-                 device=arrays["device.csv"], gnss=arrays["gnss.csv"],
-                 occlusion_mask=occlusion_mask_for(gt[:, 0], windows))
+                 spec=spec, **arrays)

@@ -33,11 +33,12 @@ class VelocityModel:
     no_gnss: RegressionForest
 
     def run(self, imu, gnss):
-        """Device stream (t, gamma_dot, v, sigma_v) from raw sensor streams."""
+        """Device stream (scene_sim.DEVICE's columns) from raw sensor streams."""
         est = estimate_velocity(imu, gnss, self)
         yaw = feat.yaw_rate(imu)
         n_skip = len(yaw) - len(est)
-        return np.column_stack([est[:, 0], yaw[n_skip:, 1], est[:, 1], est[:, 2]])
+        return scene_sim.stream_rows(scene_sim.DEVICE, t=est[:, 0], v=est[:, 1],
+                                     sigma_v=est[:, 2], gamma_dot=yaw[n_skip:, 1])
 
 
 def _feature_rows(imu, gnss):
@@ -48,7 +49,7 @@ def _feature_rows(imu, gnss):
     """
     times = imu[feat.DFT_WINDOW_SAMPLES - 1:, 0]
     coeffs, age = feat.gnss_poly_track(
-        times, np.empty((0, 4)) if gnss is None else gnss)
+        times, np.empty((0, len(scene_sim.GNSS))) if gnss is None else gnss)
     fresh = (age <= GNSS_STALENESS) & ~np.isnan(coeffs).any(axis=1)
     return times, feat.motion_feature_matrix(imu), coeffs, fresh
 
@@ -75,8 +76,8 @@ def _checked_stream(name, values, n_cols):
 def estimate_velocity(imu, gnss, model: VelocityModel):
     """(t, v_hat, sigma_v, used_gnss) rows at the sample rate.
 
-    imu is an (n, 7) array (t, acc xyz, gyr xyz), gnss a (k, 4) array of
-    (t, v, x, y) fixes, or None or an empty array for no fixes.  Both must
+    imu is an (n, 7) array (t, acc xyz, gyr xyz), gnss an array of fixes in
+    scene_sim.GNSS's columns, or None or an empty array for no fixes.  Both must
     be finite with strictly increasing times, or DataError names the first
     bad row.  Nothing is emitted during the warm-up (the first full feature
     window).  A row uses the GNSS-backed forest iff a fix newer than
@@ -84,7 +85,7 @@ def estimate_velocity(imu, gnss, model: VelocityModel):
     """
     imu = _checked_stream("imu", imu, 7)
     if gnss is not None and np.size(gnss) > 0:
-        gnss = _checked_stream("gnss", gnss, 4)
+        gnss = _checked_stream("gnss", gnss, len(scene_sim.GNSS))
     if len(imu) < feat.DFT_WINDOW_SAMPLES:
         return np.empty((0, 4))
     times, motion, coeffs, use_gnss = _feature_rows(imu, gnss)
@@ -149,7 +150,7 @@ def build_training_set(seed, n_scenes=TRAINING_SCENES):
         end = n + int(ok.sum())
         X[n:end, :feat.N_MOTION_FEATURES] = motion[ok]
         X[n:end, feat.N_MOTION_FEATURES:] = coeffs[ok]
-        y[n:end] = gt[feat.DFT_WINDOW_SAMPLES - 1:, 5][ok]
+        y[n:end] = gt[feat.DFT_WINDOW_SAMPLES - 1:, scene_sim.GROUND_TRUTH.v][ok]
         scene_ids[n:end] = scene_idx
         n = end
     return X[:n], y[:n], scene_ids[:n]

@@ -735,7 +735,7 @@ class TestStateLayout:
         fields = tuple(f.name for f in dataclasses.fields(BikeState))
         assert fields == ekf.STATE_NAMES
         assert pipeline.TRACK_HEADER[2:-1] == ekf.STATE_NAMES
-        assert scene_sim._CSV_COLUMNS["ground_truth.csv"][1:] == ekf.STATE_NAMES
+        assert scene_sim.STREAMS["ground_truth"]._fields[1:] == ekf.STATE_NAMES
 
     def test_slots_are_the_position_pair_then_the_device_pair(self):
         columns = range(ekf.STATE_DIM)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -33,8 +32,7 @@ class TestRunTracking:
             scene_id=turning_scene.scene_id, spec=turning_scene.spec,
             ground_truth=turning_scene.ground_truth,
             detections=turning_scene.detections,
-            device=np.empty((0, 4)), gnss=np.empty((0, 4)),
-            occlusion_mask=turning_scene.occlusion_mask)
+            device=np.empty((0, 4)), gnss=np.empty((0, 4)))
         rows_b, _ = run_tracking(stripped, "P", cfg)
         assert rows_a == rows_b
 
@@ -115,8 +113,7 @@ class TestRunTracking:
 def _with_detections(scene, scene_id, detections):
     return scene_sim.Scene(scene_id=scene_id, spec=scene.spec,
                            ground_truth=scene.ground_truth, detections=detections,
-                           device=scene.device, gnss=scene.gnss,
-                           occlusion_mask=scene.occlusion_mask)
+                           device=scene.device, gnss=scene.gnss)
 
 
 def _variants(spec, name, durations):
@@ -124,8 +121,7 @@ def _variants(spec, name, durations):
     3 s before the end, each derived from the one simulation."""
     base = scene_sim.generate_scene(spec, scene_id=f"{name}_none")
     return [base] + [
-        scene_sim.with_occlusions(base, dataclasses.replace(spec, occlusions=(window,)),
-                                  scene_id=f"{name}_occ{window[1]:g}s")
+        scene_sim.with_occlusions(base, (window,), scene_id=f"{name}_occ{window[1]:g}s")
         for window in scene_sim.aligned_occlusions(durations, 3.0)]
 
 
@@ -334,10 +330,10 @@ class TestEvaluation:
         times = base.ground_truth[:, 0]
         detected = pipeline._frame_indices(base.detections[:, 0], times, "detection")
         missing = np.setdiff1d(np.arange(100, len(times)), detected)[0]
-        spec = dataclasses.replace(base.spec, occlusions=(
-            (times[-1] - times[missing] - 0.02, 0.02),))
-        variant = scene_sim.with_occlusions(base, spec, scene_id="variant")
-        assert variant.occlusion_mask.nonzero()[0].tolist() == [missing]
+        variant = scene_sim.with_occlusions(
+            base, ((times[-1] - times[missing] - 0.02, 0.02),), scene_id="variant")
+        mask = scene_sim.occlusion_mask_for(times, variant.occlusion_windows())
+        assert mask.nonzero()[0].tolist() == [missing]
         assert np.array_equal(variant.detections, base.detections)
         stepped = []
 

@@ -89,6 +89,7 @@ ALLOWED = {
     "features.yaw_rate": _WORKLOAD + ", through VelocityModel.run",
     "features.dft_features": "acceptance criterion 8",
     "forest.RegressionForest.from_json": _TRACED + "; " + _WORKLOAD,
+    "forest.RegressionForest.tree_predictions": "acceptance criterion 8",
     "forest._checked_tree": _WORKLOAD + ", through from_json",
     "metrics.FrameRecord.from_distance": "acceptance criterion 4",
     "metrics.FrameTable.from_records": "acceptance criterion 4, through mota and motp",

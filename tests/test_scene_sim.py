@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooptrack.errors import DataError
-from cooptrack.scene_sim import (KIND_STARTING, KIND_TURNING, SceneSpec,
-                                 aligned_occlusions, frame_count,
+from cooptrack.scene_sim import (DEVICE, KIND_STARTING, KIND_TURNING, STREAMS, Scene,
+                                 SceneSpec, aligned_occlusions, frame_count,
                                  generate_ground_truth, generate_scene,
                                  occlusion_mask_for,
-                                 read_scene, simulate_sensors, synthesize_imu,
-                                 with_occlusions, write_scene)
+                                 read_scene, simulate_sensors, stream_rows,
+                                 synthesize_imu, with_occlusions, write_scene)
 
 FRAME_DT = 0.02
 
@@ -72,8 +72,9 @@ class TestOcclusions:
     def test_window_arithmetic_at_50_hz(self):
         spec = clean_spec(duration=14.0, occlusions=((3.0, 2.0),))
         scene = generate_scene(spec)
-        assert scene.occlusion_mask.sum() == 100
-        masked_t = scene.ground_truth[scene.occlusion_mask, 0]
+        mask = occlusion_mask_for(scene.ground_truth[:, 0], scene.occlusion_windows())
+        assert mask.sum() == 100
+        masked_t = scene.ground_truth[mask, 0]
         # 100 consecutive frames ending 3 s before the scene end
         assert masked_t[0] == pytest.approx(9.0, abs=1e-9)
         assert masked_t[-1] == pytest.approx(10.98, abs=1e-9)
@@ -127,24 +128,29 @@ class TestDerivedVariants:
             ((0.0, end),)]              # the whole scene
         for occlusions in cases:
             spec = replace(plain, occlusions=occlusions)
-            variant = with_occlusions(base, spec, scene_id="variant")
+            variant = with_occlusions(base, occlusions, scene_id="variant")
             expected = generate_scene(spec, scene_id="variant")
             assert variant.spec == expected.spec
             assert variant.scene_id == "variant"
-            for name in ("ground_truth", "detections", "device", "gnss",
-                         "occlusion_mask"):
+            for name in STREAMS:
                 assert np.array_equal(getattr(variant, name),
                                       getattr(expected, name)), (occlusions, name)
-            assert variant.occlusion_mask.any()
+            assert variant.occlusion_windows() == expected.occlusion_windows()
+            assert occlusion_mask_for(variant.ground_truth[:, 0],
+                                      variant.occlusion_windows()).any()
             for name in ("ground_truth", "device", "gnss"):
                 assert getattr(variant, name) is getattr(base, name)
 
-    def test_base_must_be_the_spec_without_occlusions(self):
-        spec = SceneSpec(seed=3, occlusions=((3.0, 2.0),))
-        with pytest.raises(ValueError):
-            with_occlusions(generate_scene(SceneSpec(seed=4)), spec)
-        with pytest.raises(ValueError):
-            with_occlusions(generate_scene(spec), spec)
+    def test_occlusions_add_to_the_base_spec(self):
+        """A variant of a variant is the scene of both windows."""
+        first, second = (3.0, 2.0), (8.0, 1.0)
+        base = generate_scene(SceneSpec(seed=3))
+        twice = with_occlusions(with_occlusions(base, [first]), [second], scene_id="v")
+        expected = generate_scene(SceneSpec(seed=3, occlusions=(first, second)),
+                                  scene_id="v")
+        assert twice.spec == expected.spec
+        for name in STREAMS:
+            assert np.array_equal(getattr(twice, name), getattr(expected, name)), name
 
 
 class TestSensors:
@@ -216,6 +222,16 @@ class TestSensors:
         assert not np.array_equal(a.detections, b.detections)
 
 
+class TestStreams:
+    def test_scene_fields_are_the_streams(self):
+        assert [f.name for f in fields(Scene)] == ["scene_id", "spec", *STREAMS]
+
+    def test_stream_rows_put_named_columns_in_table_order(self):
+        rows = stream_rows(DEVICE, sigma_v=[0.3], v=[2.0], t=[1.0], gamma_dot=[0.5])
+        assert rows.tolist() == [[1.0, 0.5, 2.0, 0.3]]
+        assert DEVICE._fields == ("t", "gamma_dot", "v", "sigma_v")
+
+
 class TestSceneIO:
     def test_roundtrip(self, tmp_path):
         spec = SceneSpec(seed=55, occlusions=((3.0, 2.0),))
@@ -227,10 +243,13 @@ class TestSceneIO:
             assert (d / name).exists()
         loaded = read_scene(str(d))
         assert loaded.scene_id == "roundtrip"
-        np.testing.assert_allclose(loaded.ground_truth, scene.ground_truth,
-                                   atol=1e-6)
-        np.testing.assert_allclose(loaded.detections, scene.detections, atol=1e-6)
-        assert np.array_equal(loaded.occlusion_mask, scene.occlusion_mask)
+        assert loaded.spec == scene.spec
+        for field in STREAMS:
+            assert len(getattr(scene, field)) > 0, field
+            np.testing.assert_allclose(getattr(loaded, field), getattr(scene, field),
+                                       atol=1e-6, err_msg=field)
+        assert loaded.occlusion_windows() == pytest.approx(scene.occlusion_windows(),
+                                                           abs=1e-6)
 
     def test_frame_step_off_whole_microseconds_reads(self, tmp_path):
         # at 30 Hz the six-decimal times step by 33333 or 33334 us
