@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import fileio
 from . import pipeline
 from . import scene_sim
 from . import velocity as velocity_mod
-from .config import RunConfig, load_config
+from .config import MODELS, RunConfig, load_config
 from .errors import ConfigError, CoopTrackError, DataError, NumericalError
 from .features import feature_layout
 from .forest import RegressionForest
@@ -34,38 +35,23 @@ def _scene_specs(cfg: RunConfig, variants):
     """(base scene id, variant label, SceneSpec) per configured scene and
     occlusion variant (label, occlusions).  Seeds are drawn from the master
     seed, starting scenes first, then turning scenes; the variants of a
-    scene share its seed.  A value SceneSpec rejects is a ConfigError
-    naming its section."""
+    scene share its seed."""
     rng = np.random.default_rng(cfg.seed)
-    scenes_cfg = cfg.scenes
     specs = []
-    section = "scenes.noise"
-    try:
-        scene_sim.SceneSpec(**scenes_cfg["noise"])
-        for kind, short in ((scene_sim.KIND_STARTING, "starting"),
-                            (scene_sim.KIND_TURNING, "turning")):
-            section = f"scenes.{short}"
-            for i in range(int(scenes_cfg[f"n_{short}"])):
-                seed = int(rng.integers(2 ** 63))
-                for label, occlusions in variants:
-                    specs.append((f"{short}_{i:04d}", label, scene_sim.SceneSpec(
-                        kind=kind, seed=seed, occlusions=occlusions,
-                        **scenes_cfg[short], **scenes_cfg["noise"])))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    for short, count, template in cfg.scene_templates:
+        for i in range(count):
+            seed = int(rng.integers(2 ** 63))
+            specs += [(f"{short}_{i:04d}", label, replace(template, seed=seed, occlusions=occl))
+                      for label, occl in variants]
     return specs
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
-    scenes_cfg = cfg.scenes
-    occl = []
-    if not args.no_occlusion:
-        occl = scene_sim.aligned_occlusions(scenes_cfg["occlusion_durations"],
-                                            scenes_cfg["occlusion_end_offset"])
+    occl = () if args.no_occlusion else cfg.occlusions
     manifest = {"config": cfg.config_hash(), "seed": cfg.seed, "scenes": []}
-    for scene_id, _, spec in _scene_specs(cfg, [("", tuple(occl))]):
+    for scene_id, _, spec in _scene_specs(cfg, [("", occl)]):
         scene = scene_sim.generate_scene(spec, scene_id=scene_id)
         path = os.path.join(out_dir, scene_id)
         scene_sim.write_scene(scene, path)
@@ -121,8 +107,7 @@ def _compare_chunk(payload):
     """Worker: simulate each scene of a chunk once and derive its occlusion
     variants from it, then track and evaluate all variants with every model
     in one lockstep batch; returns result rows."""
-    raw_cfg, entries = payload
-    cfg = RunConfig(raw_cfg)
+    cfg, entries = payload
     scenes = []
     for scene_id, _, spec in entries:
         if spec.occlusions:
@@ -140,25 +125,10 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
-    scenes_cfg = cfg.scenes
-    durations = scenes_cfg["occlusion_durations"]
-    aligned = scene_sim.aligned_occlusions(durations, scenes_cfg["occlusion_end_offset"])
-    variants = [("none", ())]
-    variants += [(f"occ{dur:g}s", (tup,))
-                 for tup, dur in zip(aligned, sorted(durations))]
-    labels = [label for label, _ in variants]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            # the label keys the rows of per_scene.csv and summary.csv
-            raise ConfigError(f"scenes.occlusion_durations: two durations make "
-                              f"the condition {label}")
     entries = [(f"{base_id}_{label}", label, spec)
-               for base_id, label, spec in _scene_specs(cfg, variants)]
-    if scenes_cfg["noise"]["dropout_prob"] == 1:
-        raise ConfigError("scenes.noise.dropout_prob: 1 drops every detection, "
-                          "so no scene could be scored")
-    size = COMPARE_CHUNK_SCENES * len(variants)
-    jobs = [(cfg.raw, entries[i:i + size]) for i in range(0, len(entries), size)]
+               for base_id, label, spec in _scene_specs(cfg, cfg.conditions)]
+    size = COMPARE_CHUNK_SCENES * len(cfg.conditions)
+    jobs = [(cfg, entries[i:i + size]) for i in range(0, len(entries), size)]
 
     # a fork-started pool launches all its workers at the first submit
     workers = min(args.jobs, len(jobs))
@@ -185,7 +155,7 @@ def cmd_compare(args) -> int:
                     scene_id, kind, label, model, rep["motp"], rep["mota"],
                     counts["matches"], counts["dm"], counts["lm"]))
 
-    both = set(cfg.models) >= {"P", "C"}
+    both = set(cfg.models) >= set(MODELS)
     summary_rows = []
     for (kind, label), report_list in sorted(grouped.items()):
         row = [kind, label, len(report_list)]
@@ -194,7 +164,7 @@ def cmd_compare(args) -> int:
             row += [agg[metric][stat] for metric in ("motp", "mota")
                     for stat in ("min", "max", "mean")]
         if both:
-            pairs = [pairwise_report(r["P"], r["C"], cfg.metric)
+            pairs = [pairwise_report(*(r[m] for m in MODELS), cfg.metric)
                      for r in report_list]
             row += [sum(p["motap_ab"] for p in pairs),
                     sum(p["motap_ba"] for p in pairs)]
@@ -207,7 +177,7 @@ def cmd_compare(args) -> int:
         summary_header += [f"{metric}_{model}_{stat}" for metric in ("motp", "mota")
                            for stat in ("min", "max", "mean")]
     if both:
-        summary_header += ["sum_motap_PC", "sum_motap_CP"]
+        summary_header += [f"sum_motap_{a}{b}" for a, b in (MODELS, MODELS[::-1])]
     fileio.write_csv(os.path.join(out_dir, "per_scene.csv"), per_scene_header,
                      per_scene_rows, comment=cfg.provenance())
     fileio.write_csv(os.path.join(out_dir, "summary.csv"), summary_header,
@@ -220,11 +190,7 @@ def cmd_compare(args) -> int:
 def cmd_train_velocity(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or cfg.output_dir
-    vcfg = cfg.velocity
-    model, report = velocity_mod.train_velocity_model(
-        seed=cfg.seed, n_scenes=vcfg["training_scenes"], n_trees=vcfg["n_trees"],
-        max_depth=vcfg["max_depth"], n_bins=vcfg["n_bins"],
-        holdout_fraction=vcfg["holdout_fraction"])
+    model, report = velocity_mod.train_velocity_model(seed=cfg.seed, **cfg.training)
     fileio.write_text(os.path.join(out_dir, "forest_with_gnss.json"),
                       model.with_gnss.to_json() + "\n")
     fileio.write_text(os.path.join(out_dir, "forest_no_gnss.json"),
@@ -265,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run one tracking model over a scene")
     p.add_argument("scene_dir")
-    p.add_argument("--model", choices=("P", "C"), required=True,
+    p.add_argument("--model", choices=MODELS, required=True,
                    help="P: position only, C: cooperative")
     p.add_argument("--out", help="output directory (default: scene dir)")
     p.set_defaults(func=cmd_track)

@@ -1,14 +1,16 @@
 """Run configuration: JSON key-value file over fixed defaults.
 
 Unknown keys, and values whose JSON type is not their default's, are
-rejected anywhere in the tree.  COOPTRACK_SEED overrides the seed.
+rejected anywhere in the tree.  RunConfig checks every value once, as the
+config loads, so a value any command rejects is a ConfigError from every
+command, before any work.  COOPTRACK_SEED overrides the seed.
 """
 
 import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import association
 from . import ekf
@@ -20,6 +22,9 @@ from . import velocity
 from .errors import ConfigError
 
 SEED_ENV_VAR = "COOPTRACK_SEED"
+
+# the tracking models: position only, and cooperative
+MODELS = ("P", "C")
 
 
 def _fields(obj, names=None):
@@ -33,7 +38,7 @@ def _fields(obj, names=None):
 DEFAULTS = {
     "seed": 20240001,
     "output_dir": "out",
-    "models": ["P", "C"],
+    "models": list(MODELS),
     "filter": {
         "process": _fields(ekf.ProcessNoiseParams()),
         "measurement": _fields(ekf.MeasurementNoiseParams()),
@@ -99,9 +104,11 @@ class RunConfig:
                 **raw["manager"]["pixel"])
             self.manager_coop = track_manager.ManagerConfig(
                 **raw["manager"]["coop"])
-            vel = raw["velocity"]
+            # keyword arguments of velocity.train_velocity_model, beside the seed
+            self.training = vel = dict(raw["velocity"])
+            vel["n_scenes"] = vel.pop("training_scenes")
             forest.RegressionForest(vel["n_trees"], vel["max_depth"], vel["n_bins"])
-            velocity.holdout_count(vel["training_scenes"], vel["holdout_fraction"])
+            velocity.holdout_count(vel["n_scenes"], vel["holdout_fraction"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         self.device_gate = float(raw["filter"]["device_gate"])
@@ -116,15 +123,42 @@ class RunConfig:
         if not self.models:
             raise ConfigError("models: at least one model is needed")
         for model in self.models:
-            if model not in ("P", "C"):
+            if model not in MODELS:
                 raise ConfigError(f"unknown model: {model}")
         if len(set(self.models)) < len(self.models):
             raise ConfigError("models: a model is repeated")
-        self.scenes = raw["scenes"]
-        for kind in ("starting", "turning"):
-            if self.scenes[f"n_{kind}"] < 0:
-                raise ConfigError(f"scenes.n_{kind} must not be negative")
-        self.velocity = raw["velocity"]
+        scenes = raw["scenes"]
+        for short in ("starting", "turning"):
+            if scenes[f"n_{short}"] < 0:
+                raise ConfigError(f"scenes.n_{short} must not be negative")
+        durations = scenes["occlusion_durations"]
+        self.occlusions = scene_sim.aligned_occlusions(durations, scenes["occlusion_end_offset"])
+        # no occlusion, then each window alone
+        self.conditions = [("none", ())]
+        self.conditions += [(f"occ{dur:g}s", (window,))
+                            for window, dur in zip(self.occlusions, sorted(durations))]
+        labels = [label for label, _ in self.conditions]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                # the label keys the rows of per_scene.csv and summary.csv
+                raise ConfigError(f"scenes.occlusion_durations: two durations make "
+                                  f"the condition {label}")
+        # (kind name, count, SceneSpec with every window) per kind with scenes
+        section = "scenes.noise"
+        try:
+            noise = scene_sim.SceneSpec(**scenes["noise"])
+            self.scene_templates = []
+            for kind, short in ((scene_sim.KIND_STARTING, "starting"),
+                                (scene_sim.KIND_TURNING, "turning")):
+                section = f"scenes.{short}"
+                if scenes[f"n_{short}"]:
+                    self.scene_templates.append((short, scenes[f"n_{short}"], replace(
+                        noise, kind=kind, occlusions=self.occlusions, **scenes[short])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+        if noise.dropout_prob == 1:
+            raise ConfigError("scenes.noise.dropout_prob: 1 drops every detection, "
+                              "so no scene could be scored")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

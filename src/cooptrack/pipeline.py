@@ -12,7 +12,7 @@ from . import ekf
 from . import fileio
 from . import metrics as metrics_mod
 from . import scene_sim
-from .config import RunConfig
+from .config import MODELS, RunConfig
 from .errors import DataError
 from .scene_sim import DETECTIONS, DEVICE, GROUND_TRUTH
 from .track_manager import TrackTable, step_lanes
@@ -28,8 +28,7 @@ _DETECTION_XY = [DETECTIONS.x, DETECTIONS.y]
 _TRACK_XY = [TRACK_HEADER.index("x"), TRACK_HEADER.index("y")]
 _READING = [DEVICE.gamma_dot, DEVICE.v, DEVICE.sigma_v]
 
-MODEL_POSITION_ONLY = "P"
-MODEL_COOPERATIVE = "C"
+MODEL_POSITION_ONLY, MODEL_COOPERATIVE = MODELS
 
 
 def _by_frame(parts):
@@ -56,7 +55,7 @@ def _track_lanes(lanes, cfg: RunConfig, log=True, starts=None):
     then begins as a copy of its source's tracks.
     """
     for _, model in lanes:
-        if model not in (MODEL_POSITION_ONLY, MODEL_COOPERATIVE):
+        if model not in MODELS:
             raise ValueError(f"unknown model: {model}")
     if not lanes:
         return

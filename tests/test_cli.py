@@ -463,6 +463,40 @@ class TestExitCodes:
                    "scenes.turning" if "turning" in scenes else "scenes.starting")
         assert f"config error: {section}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,scenes,prefix", [
+        (command, {"starting": {"duration": -1}}, "scenes.starting: ")
+        for command in ("simulate", "track", "evaluate", "train-velocity")
+    ] + [
+        # a window longer than either scene kind
+        ("train-velocity", {"occlusion_durations": [20.0]}, "scenes.starting: "),
+        ("simulate", {"occlusion_durations": [2.0, 2.0000001]},
+         "scenes.occlusion_durations: "),
+        ("simulate", {"noise": {"dropout_prob": 1.0}}, "scenes.noise.dropout_prob: "),
+    ])
+    def test_every_command_checks_scenes(self, tmp_path, capsys, command, scenes,
+                                         prefix):
+        # the scene directory and track file are never read: the config
+        # is checked first
+        args = {"simulate": [], "train-velocity": [],
+                "track": [tmp_path / "scene", "--model", "P"],
+                "evaluate": [tmp_path / "scene", "--tracks", tmp_path / "t.csv"]}
+        cfg = write_config(tmp_path / "c.json", scenes=scenes)
+        out = tmp_path / "x"
+        assert run(["--config", cfg, command, *args[command], "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+    @pytest.mark.parametrize("scenes", [
+        {"n_starting": 0, "n_turning": 1, "starting": {"duration": -1}},
+        # fits the 14 s starting scenes, not the 12 s turning ones
+        {"n_starting": 1, "n_turning": 0, "occlusion_durations": [10.0]},
+    ])
+    def test_scene_kind_with_no_scenes_is_not_checked(self, tmp_path, scenes):
+        cfg = write_config(tmp_path / "c.json", scenes=scenes)
+        out = tmp_path / "x"
+        assert run(["--config", cfg, "compare", "--out", out]) == 0
+        assert (out / "summary.csv").is_file()
+
     @pytest.mark.parametrize("command,overrides,key", [
         ("compare", {"seed": "abc"}, "seed"),
         ("compare", {"filter": {"device_gate": "x"}}, "filter.device_gate"),
